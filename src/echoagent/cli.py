@@ -232,6 +232,7 @@ def cmd_run_study(args, config: EngineConfig) -> int:
 def cmd_evaluate(args, config: EngineConfig) -> int:
     from .evalharness.benchmark import run_benchmark, write_report
     from .evalharness.dataset import load_dataset
+    from .tools.views import load_taxonomy
 
     kb = _load_kb(args.kb, config)
     registry = build_default_registry(config)
@@ -240,6 +241,7 @@ def cmd_evaluate(args, config: EngineConfig) -> int:
         records, kb, registry, config,
         dataset_root=args.dataset_dir, trace_dir=args.traces,
         extra_threshold=args.auroc_threshold,
+        taxonomy=load_taxonomy(config.taxonomy_path),
     )
     payload = report.to_json()
     if args.report:

@@ -12,6 +12,7 @@ from ..hub.engine import DiagnosticQuery, ReasoningHub
 from ..kb.index import KnowledgeBase
 from ..quant.grading import GRADES
 from ..tools.registry import ToolRegistry
+from ..tools.views import DEFAULT_TAXONOMY
 from .dataset import StudyRecord
 from .metrics import auroc, gmean, ovr_accuracy, overall_accuracy
 
@@ -110,6 +111,7 @@ def run_benchmark(
     dataset_root: str | Path | None = None,
     trace_dir: str | Path | None = None,
     extra_threshold: float = DEFAULT_EXTRA_THRESHOLD,
+    taxonomy: tuple[str, ...] = DEFAULT_TAXONOMY,
 ) -> BenchmarkReport:
     config = config or EngineConfig()
     results: list[RecordResult] = []
@@ -130,7 +132,7 @@ def run_benchmark(
         trace_path = None
         if trace_dir is not None:
             trace_path = Path(trace_dir) / f"{record.id}.trace.jsonl"
-        hub = ReasoningHub(kb, registry, config)
+        hub = ReasoningHub(kb, registry, config, taxonomy=taxonomy)
         try:
             conclusion = hub.run(query, trace_path=trace_path)
         except EchoAgentError as exc:

@@ -1,9 +1,12 @@
 """Mask geometry: areas, principal long axis, and perpendicular chords.
 
-All routines operate on the largest connected component of the target
-label. Axis finding is PCA over pixel coordinates; chords are measured by
-counting target pixels along a ray perpendicular to the axis, scaled by
-the physical step length of that ray (which handles anisotropic spacing).
+Axis finding is PCA over the pixel coordinates of the largest connected
+component of the target label. A chord is measured by counting target
+pixels along a whole-canvas ray perpendicular to the axis, scaled by the
+physical step length of that ray (which handles anisotropic spacing). The
+rays of one call (the probe chords of ``long_axis``, the disks of
+``disk_diameters``) are sampled together in one numpy gather over
+``mask.labels``, so target pixels off the largest component still count.
 """
 from __future__ import annotations
 
@@ -34,16 +37,17 @@ def largest_component(binary: np.ndarray) -> np.ndarray:
     labeled, n = ndimage.label(binary, structure=_CONNECTIVITY)
     if n == 0:
         return np.zeros_like(binary, dtype=bool)
-    sizes = ndimage.sum_labels(np.ones_like(binary, dtype=np.int64), labeled, range(1, n + 1))
+    sizes = np.bincount(labeled.ravel(), minlength=n + 1)[1:]
     return labeled == (int(np.argmax(sizes)) + 1)
 
 
 def _region_coords(mask: SegmentationMask, target_label: int) -> np.ndarray:
     """(N, 2) array of (x, y) pixel coordinates of the largest component."""
     binary = mask.labels == target_label
-    if int(binary.sum()) < MIN_REGION_PIXELS:
+    count = int(binary.sum())
+    if count < MIN_REGION_PIXELS:
         raise GeometryError(
-            f"label {target_label} region has {int(binary.sum())} px, "
+            f"label {target_label} region has {count} px, "
             f"need at least {MIN_REGION_PIXELS} for a reliable axis"
         )
     component = largest_component(binary)
@@ -62,24 +66,30 @@ def _principal_direction(coords: np.ndarray) -> np.ndarray:
     return direction
 
 
-def _chord_mm(
+def _chords_mm(
     mask: SegmentationMask,
     target_label: int,
-    point: np.ndarray,
+    points: np.ndarray,
     perp: np.ndarray,
     max_steps: int,
-) -> float:
-    """Chord length through ``point`` along ``perp``: hit count x step size."""
+) -> list[float]:
+    """Chord length through each of the (k, 2) ``points`` along ``perp``.
+
+    Each chord is its hit count on the ray ``point + s * perp`` for integer
+    ``s`` in [-max_steps, max_steps], rounded to pixels by floor(x + 0.5),
+    times the physical step size.
+    """
     sx, sy = mask.pixel_spacing_mm
     step_mm = math.hypot(perp[0] * sx, perp[1] * sy)
     height, width = mask.labels.shape
-    hits = 0
-    for s in range(-max_steps, max_steps + 1):
-        x = int(math.floor(point[0] + s * perp[0] + 0.5))
-        y = int(math.floor(point[1] + s * perp[1] + 0.5))
-        if 0 <= x < width and 0 <= y < height and mask.labels[y, x] == target_label:
-            hits += 1
-    return hits * step_mm
+    s = np.arange(-max_steps, max_steps + 1, dtype=np.float64)
+    xs = np.floor(points[:, :1] + s * perp[0] + 0.5)
+    ys = np.floor(points[:, 1:] + s * perp[1] + 0.5)
+    inside = (xs >= 0) & (xs < width) & (ys >= 0) & (ys < height)
+    xi = np.where(inside, xs, 0).astype(np.intp)
+    yi = np.where(inside, ys, 0).astype(np.intp)
+    hits = (inside & (mask.labels[yi, xi] == target_label)).sum(axis=1)
+    return (hits * step_mm).tolist()
 
 
 def long_axis(
@@ -107,11 +117,8 @@ def long_axis(
     max_steps = int(math.ceil(math.hypot(*mask.labels.shape))) + 1
     probe = max(1, n_probe_disks)
     near = max(1, math.ceil(probe * 0.1))
-    widths = []
-    for i in range(probe):
-        t = (i + 0.5) / probe
-        point = lo + (hi - lo) * t
-        widths.append(_chord_mm(mask, target_label, point, perp, max_steps))
+    t = (np.arange(probe) + 0.5) / probe
+    widths = _chords_mm(mask, target_label, lo + (hi - lo) * t[:, None], perp, max_steps)
     width_lo = float(np.mean(widths[:near]))
     width_hi = float(np.mean(widths[-near:]))
 
@@ -150,9 +157,5 @@ def disk_diameters(
     direction = span / norm
     perp = np.array([-direction[1], direction[0]])
     max_steps = int(math.ceil(math.hypot(*mask.labels.shape))) + 1
-    diameters = []
-    for i in range(n_disks):
-        t = (i + 0.5) / n_disks
-        point = apex + span * t
-        diameters.append(_chord_mm(mask, target_label, point, perp, max_steps))
-    return diameters
+    t = (np.arange(n_disks) + 0.5) / n_disks
+    return _chords_mm(mask, target_label, apex + span * t[:, None], perp, max_steps)

@@ -76,9 +76,30 @@ def write_pgm(path: str | Path, pixels: np.ndarray) -> None:
     Path(path).write_bytes(encode_pgm(pixels))
 
 
+def _dimensions_complete(data: bytes) -> bool:
+    """True once magic, width and height are each followed by another byte."""
+    pos = 0
+    try:
+        for _ in range(3):
+            _, pos = _next_token(data, pos)
+    except PgmFormatError:
+        return False
+    return pos < len(data)
+
+
 def pgm_dimensions(path: str | Path) -> tuple[int, int]:
-    """(width, height) from the header without materializing the raster."""
-    data = Path(path).read_bytes()
+    """(width, height) from the header without materializing the raster.
+
+    Reads a prefix that doubles until the width and height tokens are
+    complete, so a long ``#`` comment still parses.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read(64)
+        while not _dimensions_complete(data):
+            more = fh.read(len(data))
+            if not more:
+                break
+            data += more
     magic, pos = _next_token(data, 0)
     if magic != b"P5":
         raise PgmFormatError(f"not a binary PGM: {path}")

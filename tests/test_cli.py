@@ -126,6 +126,24 @@ def test_evaluate_writes_report_and_prints_accuracy(capsys, saved_kb, ef_dataset
     assert "overall accuracy: 100.00%" in out
 
 
+def test_evaluate_honours_taxonomy_path(capsys, saved_kb, ef_dataset, tmp_path):
+    # without the four-chamber view no biplane volume, and so no EF, is possible
+    taxonomy = tmp_path / "views.txt"
+    taxonomy.write_text("apical-2-chamber\nparasternal-long-axis\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"taxonomy_path": str(taxonomy)}))
+    report_path = tmp_path / "report.json"
+    code, _, _ = run_cli(
+        capsys, "--config", str(config), "evaluate", str(ef_dataset),
+        "--kb", str(saved_kb), "--report", str(report_path),
+    )
+    assert code == 0
+    payload = json.loads(report_path.read_text())
+    assert payload["records"]
+    assert all(r["predicted_ef"] is None for r in payload["records"])
+    assert payload["overall_acc"] < 100.0
+
+
 def test_evaluate_bad_layout_exits_nonzero(capsys, saved_kb, tmp_path):
     root = tmp_path / "ds" / "studies" / "x"
     root.mkdir(parents=True)

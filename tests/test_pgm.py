@@ -37,3 +37,36 @@ def test_truncated_raster_rejected():
 def test_encode_rejects_non_2d():
     with pytest.raises(PgmFormatError):
         encode_pgm(np.zeros((2, 2, 2), dtype=np.uint8))
+
+
+def test_dimensions_skip_a_comment_longer_than_the_first_read(tmp_path):
+    path = tmp_path / "commented.pgm"
+    path.write_bytes(b"P5\n# " + b"x" * 500 + b"\n3 2\n255\n" + bytes(6))
+    assert pgm_dimensions(path) == (3, 2)
+
+
+@pytest.mark.parametrize("pad", range(52, 64))
+def test_dimensions_token_split_across_reads(tmp_path, pad):
+    # the comment length moves the width token across the first read's edge
+    path = tmp_path / "split.pgm"
+    path.write_bytes(b"P5\n#" + b"c" * pad + b"\n1234 567\n255\n")
+    assert pgm_dimensions(path) == (1234, 567)
+
+
+def test_dimensions_of_truncated_raster_still_read(tmp_path):
+    path = tmp_path / "short.pgm"
+    path.write_bytes(b"P5\n40 30\n255\n" + bytes(7))
+    assert pgm_dimensions(path) == (40, 30)
+
+
+@pytest.mark.parametrize("data, match", [
+    (b"P2\n2 2\n255\n0 0 0 0", "not a binary PGM"),
+    (b"", "truncated"),
+    (b"P5\n# only a comment", "truncated"),
+    (b"P5\n12", "truncated"),
+])
+def test_dimensions_reject_bad_headers(tmp_path, data, match):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(data)
+    with pytest.raises(PgmFormatError, match=match):
+        pgm_dimensions(path)
