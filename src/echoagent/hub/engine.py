@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..anatomy import dominant_group
 from ..config import EngineConfig
 from ..errors import EchoAgentError, GraphError, ResolutionError
 from ..kb.index import KnowledgeBase, empty_entry
@@ -19,7 +20,7 @@ from ..kb.summarize import RepositoryEntry
 from ..quant.grading import normalize_grade_label
 from ..tools import backends
 from ..tools.registry import ToolRegistry
-from ..tools.views import ALTERNATE_VIEW, DEFAULT_TAXONOMY
+from ..tools.views import A2C, A4C, ALTERNATE_VIEW, DEFAULT_TAXONOMY
 from .graph import ReasoningGraph
 from .hypotheses import (
     HypothesisSet,
@@ -95,41 +96,37 @@ class ReasoningHub:
     # -- knowledge resolution -------------------------------------------------
 
     def resolve_repository(self, query: DiagnosticQuery) -> tuple[str, RepositoryEntry, float]:
-        """Nearest primitive by cosine; its dominant anatomy tag picks the entry."""
+        """Nearest anatomy-tagged primitive by cosine; its dominant tag picks the entry.
+
+        The best similarity over all primitives must reach ``s_min``. Rows are
+        in ascending id order and ``np.argmax`` keeps the first maximum, so
+        ties go to the smallest primitive id."""
         if len(self.kb) == 0:
             raise ResolutionError("knowledge base is empty; query unresolvable")
-        query_vec = self.kb.encoder.embed(query.text)
-        sims = self.kb.all_similarities(query_vec)
-        ranked = sorted(sims.items(), key=lambda kv: (-kv[1], kv[0]))
-        best_id, best_sim = ranked[0]
+        sims = self.kb.all_similarities(self.kb.encoder.embed(query.text))
+        best_sim = float(sims[np.argmax(sims)])
         if best_sim < self.config.s_min:
             raise ResolutionError(
                 f"no primitive within s_min={self.config.s_min} of the query "
                 f"(best similarity {best_sim:.4f})",
                 nearest=self._nearest_anatomies(sims),
             )
-        winner = None
-        for pid, _ in ranked:
-            if self.kb.primitives[pid].anatomy_tags:
-                winner = self.kb.primitives[pid]
-                break
-        if winner is None:
+        tagged = self.kb.tagged_rows
+        if not tagged.size:
             raise ResolutionError(
                 "no anatomy-tagged primitive matches the query",
                 nearest=self._nearest_anatomies(sims),
             )
-        from ..anatomy import dominant_group
-
+        winner = self.kb.primitives[self.kb.index.all_ids[tagged[np.argmax(sims[tagged])]]]
         anatomy_name = dominant_group(winner.text, winner.anatomy_tags)
         entry = self.kb.entries.get(anatomy_name) or empty_entry(anatomy_name, self.config.k)
         return anatomy_name, entry, best_sim
 
-    def _nearest_anatomies(self, sims: dict[str, float]) -> tuple[str, ...]:
-        best: dict[str, float] = {}
-        for name, ids in self.kb.index.by_group.items():
-            group_sims = [sims[pid] for pid in ids if pid in sims]
-            if group_sims:
-                best[name] = max(group_sims)
+    def _nearest_anatomies(self, sims: np.ndarray) -> tuple[str, ...]:
+        best = {
+            name: float(sims[rows].max())
+            for name, rows in self.kb.group_rows.items() if rows.size
+        }
         ranked = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
         return tuple(name for name, _ in ranked[:3])
 
@@ -262,6 +259,8 @@ class ReasoningHub:
             if op == "dimension":
                 return self._do_dimension(step, state, t)
             return state.fail(step, t, f"unknown step op {op!r}")
+        except GraphError:
+            raise  # a broken graph invariant is a defect, not a failed step
         except EchoAgentError as exc:
             return state.fail(step, t, str(exc))
 
@@ -304,8 +303,6 @@ class ReasoningHub:
         return _StepOutcome(result.confidence, payload, "segment", view=view)
 
     def _do_volume(self, step, state, t):
-        from ..tools.views import A2C, A4C
-
         phase = step.inputs["phase"]
         structure = step.inputs["structure"]
         pair = []

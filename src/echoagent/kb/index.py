@@ -1,8 +1,11 @@
 """Anatomy-indexed knowledge base: exact cosine retrieval and persistence.
 
 Corpora are desk-scale, so retrieval is an exact scan over unit-norm
-embeddings (dot product == cosine). Ranking ties break by ascending
-primitive id, making every ranking and every saved index byte-reproducible.
+embeddings (dot product == cosine): one matrix-vector product over the
+embedding matrix, whose rows are in ascending primitive id order. Per-group
+row arrays, computed once per build, select candidates; ranking is a stable
+argsort over those rows, so ties break by ascending primitive id, making
+every ranking and every saved index byte-reproducible.
 """
 from __future__ import annotations
 
@@ -76,9 +79,7 @@ class KnowledgeBase:
         self.embedding_dim = embedding_dim or self.encoder.dim
         self.primitives: dict[str, KnowledgePrimitive] = {}
         self.entries: dict[str, RepositoryEntry] = {}
-        self.index = AnatomyIndex()
-        self._matrix = np.zeros((0, self.embedding_dim), dtype=np.float64)
-        self._row_of: dict[str, int] = {}
+        self._rebuild_index()
 
     # -- construction ------------------------------------------------------
 
@@ -107,7 +108,13 @@ class KnowledgeBase:
         self.index = AnatomyIndex.from_primitives(self.primitives)
         self.index.check_membership(self.primitives)
         ids = self.index.all_ids
-        self._row_of = {pid: i for i, pid in enumerate(ids)}
+        row_of = {pid: i for i, pid in enumerate(ids)}
+        # ascending matrix rows of each anatomy group, and of every tagged primitive
+        self.group_rows: dict[str, np.ndarray] = {
+            name: np.array([row_of[pid] for pid in group_ids], dtype=np.intp)
+            for name, group_ids in self.index.by_group.items()
+        }
+        self.tagged_rows = np.flatnonzero([bool(self.primitives[pid].anatomy_tags) for pid in ids])
         if ids:
             self._matrix = np.vstack([self.primitives[pid].embedding for pid in ids])
         else:
@@ -128,26 +135,22 @@ class KnowledgeBase:
     ) -> RetrievalResult:
         if k < 1:
             raise ValueError("k must be a positive integer")
-        if anatomy_name is not None:
-            anatomy.group_by_name(anatomy_name)  # raises on unknown group
-            candidate_ids = self.index.by_group.get(anatomy_name, [])
-            if not candidate_ids:
-                return RetrievalResult(hits=[], no_knowledge=True)
+        if anatomy_name is None:
+            rows = np.arange(len(self.index.all_ids))
         else:
-            candidate_ids = self.index.all_ids
-        if not candidate_ids:
+            anatomy.group_by_name(anatomy_name)  # raises on unknown group
+            rows = self.group_rows[anatomy_name]
+        if not rows.size:
             return RetrievalResult(hits=[], no_knowledge=anatomy_name is not None)
-        sims = self._matrix @ np.asarray(query_vec, dtype=np.float64)
-        ranked = sorted(
-            candidate_ids, key=lambda pid: (-sims[self._row_of[pid]], pid)
-        )[: min(k, len(candidate_ids))]
+        sims = self.all_similarities(query_vec)
+        ranked = rows[np.argsort(-sims[rows], kind="stable")[:k]]
         return RetrievalResult(
-            hits=[RetrievalHit(pid, float(sims[self._row_of[pid]])) for pid in ranked]
+            hits=[RetrievalHit(self.index.all_ids[row], float(sims[row])) for row in ranked]
         )
 
-    def all_similarities(self, query_vec: np.ndarray) -> dict[str, float]:
-        sims = self._matrix @ np.asarray(query_vec, dtype=np.float64)
-        return {pid: float(sims[row]) for pid, row in self._row_of.items()}
+    def all_similarities(self, query_vec: np.ndarray) -> np.ndarray:
+        """Cosine of the query with every primitive, row-aligned with ``index.all_ids``."""
+        return self._matrix @ np.asarray(query_vec, dtype=np.float64)
 
     # -- persistence -------------------------------------------------------
 

@@ -3,7 +3,8 @@
 These deliberately avoid the production code paths: cosines via python
 loops and math.fsum, AUROC via all-pairs enumeration, G-mean via full
 confusion counting, chords via a per-sample python loop, component sizes
-via scipy's sum_labels.
+via scipy's sum_labels, knowledge resolution via a dict of similarities and
+a keyed python sort.
 """
 from __future__ import annotations
 
@@ -122,3 +123,33 @@ def scalar_disk_diameters(mask, target_label, apex, base_mid, n_disks):
                         perp, _max_steps(mask))
         for i in range(n_disks)
     ]
+
+
+def seed_resolve(kb, query_vec, s_min):
+    """(winner_id, best_sim) by sorting a {primitive id: similarity} dict.
+
+    Raises ResolutionError carrying the three nearest anatomies, like the hub.
+    """
+    from echoagent.errors import ResolutionError
+
+    if len(kb) == 0:
+        raise ResolutionError("knowledge base is empty; query unresolvable")
+    sims = {pid: float(s) for pid, s in zip(kb.index.all_ids, kb.all_similarities(query_vec))}
+    ranked = sorted(sims.items(), key=lambda kv: (-kv[1], kv[0]))
+    best_id, best_sim = ranked[0]
+    if best_sim < s_min:
+        raise ResolutionError("below s_min", nearest=_seed_nearest_anatomies(kb, sims))
+    for pid, _ in ranked:
+        if kb.primitives[pid].anatomy_tags:
+            return pid, best_sim
+    raise ResolutionError("no tagged primitive", nearest=_seed_nearest_anatomies(kb, sims))
+
+
+def _seed_nearest_anatomies(kb, sims):
+    best = {}
+    for name, ids in kb.index.by_group.items():
+        group_sims = [sims[pid] for pid in ids if pid in sims]
+        if group_sims:
+            best[name] = max(group_sims)
+    ranked = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
+    return tuple(name for name, _ in ranked[:3])

@@ -1,15 +1,20 @@
 import json
 import shutil
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_force_topk
+from conftest import make_primitive
+from oracles import brute_force_topk, seed_resolve
 
+from echoagent import anatomy
 from echoagent.config import EngineConfig
-from echoagent.errors import ResolutionError
+from echoagent.errors import GraphError, ResolutionError
 from echoagent.hub.engine import DiagnosticQuery, ReasoningHub
-from echoagent.hub.graph import CAUSAL_KINDS
-from echoagent.kb.index import KnowledgeBase
+from echoagent.hub.graph import CAUSAL_KINDS, ReasoningGraph
+from echoagent.kb.index import KnowledgeBase, empty_entry
 
 EF_QUESTION = "Is the ejection fraction normal?"
 
@@ -59,6 +64,91 @@ def test_gibberish_query_reports_three_nearest_anatomies(kb, registry):
     with pytest.raises(ResolutionError) as err:
         hub.resolve_repository(DiagnosticQuery("zqxj wvut plomb", study_refs=("x",)))
     assert len(err.value.nearest) == 3
+
+
+class FixedEncoder:
+    """Embeds every text as the same query vector."""
+
+    def __init__(self, vec):
+        self.vec = vec
+        self.dim = len(vec)
+        self.encoder_id = "fixed"
+
+    def embed(self, text):
+        return self.vec
+
+
+@st.composite
+def resolution_cases(draw):
+    """(kb, query vector, s_min) over random KBs built to tie at the top.
+
+    Embeddings come from a small pool of unit vectors, so many primitives
+    share one under different ids. One-hot pool members score exactly the
+    query's coordinate, so their ties are exact. Ids are unpadded ("p10"
+    sorts before "p2"), inserted in random order, and tagged at a drawn
+    rate: never, rarely (a mostly untagged majority) or often.
+    """
+    dim = 6
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    random_vectors = rng.normal(size=(draw(st.integers(0, 3)), dim))
+    pool = np.vstack([np.eye(dim), random_vectors / np.linalg.norm(random_vectors, axis=1,
+                                                                   keepdims=True)])
+    tag_rate = draw(st.sampled_from([0.0, 0.1, 0.6]))
+    names = anatomy.ANATOMY_NAMES
+    primitives = []
+    for i in rng.permutation(draw(st.integers(1, 80))):
+        tags = set()
+        if rng.random() < tag_rate:
+            tags = {names[int(g)] for g in rng.integers(0, len(names), rng.integers(1, 3))}
+        keywords = [anatomy.group_by_name(names[int(g)]).keywords[0]
+                    for g in rng.integers(0, len(names), 3)]
+        primitives.append(make_primitive(f"p{i}", " ".join(keywords), tags,
+                                         pool[rng.integers(len(pool))].copy()))
+    query = rng.normal(size=dim)
+    query /= np.linalg.norm(query)
+    kb = KnowledgeBase(encoder=FixedEncoder(query), embedding_dim=dim)
+    kb.add_primitives(primitives)
+    best = float(kb.all_similarities(query).max())
+    s_min = draw(st.sampled_from(["low", "at", "above"]))
+    s_min = {"low": -1.0, "at": best, "above": float(np.nextafter(best, np.inf))}[s_min]
+    assume(s_min <= 1.0)
+    return kb, query, s_min
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=resolution_cases())
+def test_resolution_matches_the_dict_and_sort_oracle(case):
+    kb, query_vec, s_min = case
+    hub = ReasoningHub(kb, None, EngineConfig(s_min=s_min))
+    query = DiagnosticQuery("any question", study_refs=("x",))
+    try:
+        winner_id, best_sim = seed_resolve(kb, query_vec, s_min)
+    except ResolutionError as expected:
+        with pytest.raises(ResolutionError) as err:
+            hub.resolve_repository(query)
+        assert err.value.nearest == expected.nearest
+        return
+    anatomy_name, entry, similarity = hub.resolve_repository(query)
+    winner = kb.primitives[winner_id]
+    assert anatomy_name == anatomy.dominant_group(winner.text, winner.anatomy_tags)
+    assert entry == empty_entry(anatomy_name, EngineConfig().k)
+    assert similarity.hex() == best_sim.hex()
+
+
+def test_graph_invariant_error_propagates_out_of_run(kb, registry, ef_dataset, monkeypatch):
+    # only the first add_evidence breaks, so recording the step as failed would succeed
+    original = ReasoningGraph.add_evidence
+    calls = []
+
+    def broken_once(self, *args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise GraphError("injected invariant violation")
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ReasoningGraph, "add_evidence", broken_once)
+    with pytest.raises(GraphError, match="injected invariant violation"):
+        run_study(kb, registry, ef_dataset, "study-11")
 
 
 def test_clean_fixture_run_concludes_confidently(kb, registry, ef_dataset, tmp_path):

@@ -100,6 +100,33 @@ def test_rankings_are_invariant_to_raw_embedding_scale():
         )
 
 
+def test_equal_similarities_rank_by_ascending_id_filtered_and_unfiltered():
+    # one-hot embeddings score exactly the query's coordinate, so duplicates
+    # tie exactly, and basis vectors 1 and 2 tie with each other too
+    dim = 4
+    rng = np.random.default_rng(11)
+    names = ("left ventricle", "aorta")
+    primitives = []
+    for i in rng.permutation(120):  # unpadded ids: "t10" sorts before "t2"
+        tags = {names[i % 2]} if i % 3 else set()
+        primitives.append(make_primitive(f"t{i}", "text", tags, np.eye(dim)[i % dim]))
+    kb = KnowledgeBase(embedding_dim=dim)
+    kb.add_primitives(primitives)
+    query = normalize(np.array([4.0, 3.0, 3.0, 1.0]))
+
+    def expected(ids, k):
+        sim = {pid: float(query[int(np.argmax(kb.primitives[pid].embedding))]) for pid in ids}
+        return sorted(ids, key=lambda pid: (-sim[pid], pid))[:k], sim
+
+    for name in (None, *names):
+        ids = kb.index.all_ids if name is None else kb.index.by_group[name]
+        for k in (7, 50, 200):
+            order, sim = expected(ids, k)
+            hits = kb.retrieve_topk_vector(query, anatomy_name=name, k=k).hits
+            assert [h.primitive_id for h in hits] == order
+            assert [h.similarity for h in hits] == [sim[pid] for pid in order]
+
+
 def test_index_membership_biconditional(kb):
     kb.index.check_membership(kb.primitives)
     for name, ids in kb.index.by_group.items():
