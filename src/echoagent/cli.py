@@ -199,7 +199,7 @@ def cmd_run_study(args, config: EngineConfig) -> int:
     query = DiagnosticQuery(
         text=args.question, study_refs=_study_refs(study_dir), options=options
     )
-    trace_path = args.trace or (study_dir / "trace.jsonl")
+    trace_path = args.trace or "trace.jsonl"
     try:
         conclusion = hub.run(query, trace_path=trace_path)
     except ResolutionError as exc:
@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("question")
     p.add_argument("--kb", required=True)
     p.add_argument("--options", nargs="+", help="multiple-choice options")
-    p.add_argument("--trace", help="trace file path (default: <study>/trace.jsonl)")
+    p.add_argument("--trace", help="trace file path (default: ./trace.jsonl)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_run_study)
 

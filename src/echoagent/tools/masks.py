@@ -13,7 +13,10 @@ class SegmentationMask:
     """8-bit label image: 0 = background, nonzero = structure labels.
 
     Every nonzero label present in the pixel data must be named in
-    structure_map, and pixel spacing must be strictly positive.
+    structure_map, and pixel spacing must be strictly positive. The label
+    check counts the pixels equal to 0 and to each mapped label in 0-255;
+    the mask is valid iff those disjoint counts cover every pixel. Only an
+    invalid mask pays for a full ``np.unique`` scan, to name its strays.
     """
 
     labels: np.ndarray = field(repr=False)
@@ -27,9 +30,11 @@ class SegmentationMask:
         sx, sy = self.pixel_spacing_mm
         if sx <= 0 or sy <= 0:
             raise ContractError(f"pixel spacing must be positive, got {(sx, sy)}")
-        present = set(int(v) for v in np.unique(self.labels)) - {0}
-        unmapped = sorted(present - set(self.structure_map))
-        if unmapped:
+        # range membership also drops non-integer keys, which numpy could broadcast
+        counted = {0} | {v for v in self.structure_map if v in range(256)}
+        if sum(np.count_nonzero(self.labels == v) for v in counted) != self.labels.size:
+            present = set(int(v) for v in np.unique(self.labels)) - {0}
+            unmapped = sorted(present - set(self.structure_map))
             raise ContractError(f"mask labels {unmapped} missing from structure_map")
 
     @property

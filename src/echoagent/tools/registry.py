@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .. import anatomy
 from ..errors import ContractError, EchoAgentError, FixtureError, RegistrationError, TransportError
@@ -51,21 +52,23 @@ class ToolDescriptor:
 
 @dataclass
 class BlobRef:
-    """Content-addressed reference to a produced artifact (e.g. a mask)."""
+    """Content-addressed reference to a produced artifact (e.g. a mask).
 
-    id: str
+    ``id`` is the SHA-256 hex digest of ``data``, computed the first time it
+    is read, so an artifact nobody addresses is never hashed.
+    """
+
     media_type: str
-    data: bytes | None = field(default=None, repr=False)
+    data: bytes = field(repr=False)
     path: str | None = None
+
+    @cached_property
+    def id(self) -> str:
+        return hashlib.sha256(self.data).hexdigest()
 
     @classmethod
     def from_bytes(cls, data: bytes, media_type: str, path: str | None = None) -> "BlobRef":
-        return cls(
-            id=hashlib.sha256(data).hexdigest(),
-            media_type=media_type,
-            data=data,
-            path=path,
-        )
+        return cls(media_type=media_type, data=data, path=path)
 
 
 @dataclass

@@ -4,7 +4,7 @@ These deliberately avoid the production code paths: cosines via python
 loops and math.fsum, AUROC via all-pairs enumeration, G-mean via full
 confusion counting, chords via a per-sample python loop, component sizes
 via scipy's sum_labels, knowledge resolution via a dict of similarities and
-a keyed python sort.
+a keyed python sort, mask label validation via a full np.unique scan.
 """
 from __future__ import annotations
 
@@ -153,3 +153,10 @@ def _seed_nearest_anatomies(kb, sims):
             best[name] = max(group_sims)
     ranked = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
     return tuple(name for name, _ in ranked[:3])
+
+
+def seed_unmapped_labels(labels, structure_map):
+    """The seed's mask label check: sorted nonzero labels not in structure_map."""
+    present = set(int(v) for v in np.unique(labels)) - {0}
+    unmapped = sorted(present - set(structure_map))
+    return unmapped

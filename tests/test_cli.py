@@ -199,3 +199,20 @@ def test_tools_layer_filter(capsys):
     assert code == 0
     tools = json.loads(out)
     assert len(tools) == 1 and tools[0]["name"] == "echo.view_classifier"
+
+
+def test_run_study_default_trace_goes_to_working_dir_not_dataset(
+    capsys, saved_kb, ef_dataset, tmp_path, monkeypatch
+):
+    from echoagent.evalharness.benchmark import fixture_digest
+
+    before = fixture_digest(ef_dataset)
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(
+        capsys, "run-study", str(ef_dataset / "studies" / "study-11"),
+        "Is the ejection fraction normal?", "--kb", str(saved_kb), "--json",
+    )
+    assert code == 0
+    assert json.loads(out)["trace_path"] == "trace.jsonl"
+    assert (tmp_path / "trace.jsonl").stat().st_size > 0
+    assert fixture_digest(ef_dataset) == before

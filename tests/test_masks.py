@@ -1,0 +1,90 @@
+"""SegmentationMask's label check against the seed's np.unique scan."""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from echoagent.errors import ContractError
+from echoagent.tools.masks import SegmentationMask
+
+from oracles import seed_unmapped_labels
+
+# Map keys: labels that appear on the canvas, 0, labels outside 0-255 and
+# negative ones, plus non-integer keys that never name a pixel (JSON-style
+# strings, floats, and 1-tuples, which numpy would broadcast against pixels).
+_KEYS = st.one_of(
+    st.integers(0, 255),
+    st.just(0),
+    st.integers(-1000, -1),
+    st.integers(256, 2**40),
+    st.integers(0, 255).map(str),
+    st.floats(-1.0, 300.0, allow_nan=False),
+    st.tuples(st.integers(0, 255)),
+)
+
+
+@st.composite
+def canvases_and_maps(draw):
+    palette = draw(st.lists(st.integers(0, 255), min_size=1, max_size=4, unique=True))
+    height = draw(st.integers(1, 12))
+    width = draw(st.integers(1, 12))
+    pixels = draw(st.lists(st.sampled_from(palette), min_size=height * width,
+                           max_size=height * width))
+    labels = np.array(pixels, dtype=np.uint8).reshape(height, width)
+    on_canvas = st.sampled_from(palette)
+    keys = draw(st.lists(
+        st.one_of(on_canvas, on_canvas.map(str), on_canvas.map(lambda v: (v,)), _KEYS),
+        max_size=6,
+    ))
+    return labels, {key: f"structure {i}" for i, key in enumerate(keys)}
+
+
+def assert_matches_seed(labels, structure_map):
+    unmapped = seed_unmapped_labels(labels, structure_map)
+    if not unmapped:
+        mask = SegmentationMask(labels, (1.0, 1.0), structure_map)
+        assert np.array_equal(mask.labels, labels)
+        return
+    with pytest.raises(ContractError) as info:
+        SegmentationMask(labels, (1.0, 1.0), structure_map)
+    assert str(info.value) == f"mask labels {unmapped} missing from structure_map"
+
+
+@settings(max_examples=300, deadline=None)
+@given(canvases_and_maps())
+def test_label_check_accepts_and_rejects_exactly_as_the_seed(case):
+    assert_matches_seed(*case)
+
+
+@pytest.mark.parametrize("structure_map", [
+    {},                                   # background only needs no map
+    {0: "background"},
+    {1: "left ventricle"},                # a mapped label with no pixels
+    {-1: "negative", 256: "too large"},
+])
+def test_all_background_mask_is_valid(structure_map):
+    labels = np.zeros((6, 5), dtype=np.uint8)
+    assert seed_unmapped_labels(labels, structure_map) == []
+    SegmentationMask(labels, (0.5, 0.5), structure_map)
+
+
+@pytest.mark.parametrize("structure_map, unmapped", [
+    ({}, [1, 7]),
+    ({1: "left ventricle"}, [7]),
+    ({7 + 256: "wraps to 7", 1 - 256: "wraps to 1"}, [1, 7]),
+    ({"1": "json key", (7,): "tuple key", 1.5: "float key"}, [1, 7]),
+    ({1: "left ventricle", (7,): "tuple key"}, [7]),
+])
+def test_stray_labels_are_named_in_the_error(structure_map, unmapped):
+    labels = np.zeros((8, 8), dtype=np.uint8)
+    labels[2:4, 2:4] = 1
+    labels[6, 6] = 7
+    assert seed_unmapped_labels(labels, structure_map) == unmapped
+    assert_matches_seed(labels, structure_map)
+
+
+def test_every_structure_mapped_including_background_key():
+    labels = np.arange(256, dtype=np.uint8).reshape(16, 16)
+    structure_map = {v: f"s{v}" for v in range(256)}
+    mask = SegmentationMask(labels, (1.0, 1.0), structure_map)
+    assert mask.pixel_count(255) == 1

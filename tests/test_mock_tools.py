@@ -80,3 +80,20 @@ def test_mask_frame_dimension_mismatch_is_a_contract_error(registry, ef_dataset,
     write_pgm(broken / "masks" / "ed.pgm", np.zeros((16, 16), dtype=np.uint8))
     with pytest.raises(ContractError, match="dimensions"):
         segment_structure(registry, "echo.segmenter", broken, "ED", "left ventricle")
+
+
+def test_mock_segmenter_artifact_is_hashed_only_when_its_id_is_read(registry, ef_dataset):
+    import hashlib
+
+    from echoagent.hub.trace import canonical_payload
+    from echoagent.tools.pgm import encode_pgm
+
+    study = ef_dataset / "studies" / "study-02" / "a2c"
+    result = segment_structure(registry, "echo.segmenter", study, "ES", "left ventricle")
+    [blob] = result.artifacts
+    assert "id" not in vars(blob)
+    mask = result.outputs["mask"]
+    expected = hashlib.sha256(encode_pgm(mask.labels)).hexdigest()
+    assert blob.id == expected
+    assert vars(blob)["id"] == expected
+    assert canonical_payload(mask)["mask_sha256"] == expected

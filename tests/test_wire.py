@@ -90,3 +90,19 @@ def test_artifact_bytes_decode_content_addressed(stub_server):
     import hashlib
 
     assert blob.id == hashlib.sha256(encode_pgm(pixels)).hexdigest()
+
+
+def test_wire_artifact_id_is_the_hash_of_its_decoded_bytes_on_read(stub_server):
+    import hashlib
+
+    data = encode_pgm(np.full((3, 5), 2, dtype=np.uint8))
+    stub_server.script = [(200, {
+        "outputs": {"value": 1.0},
+        "confidence": 1.0,
+        "artifacts": [{"id": "ignored", "media_type": "image/x-portable-graymap",
+                       "bytes_b64": base64.b64encode(data).decode("ascii")}],
+    })]
+    result = wire_registry(stub_server.url).invoke("remote.tool", {"x": 0.0})
+    [blob] = result.artifacts
+    assert "id" not in vars(blob)
+    assert blob.id == hashlib.sha256(data).hexdigest()
