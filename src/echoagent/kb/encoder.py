@@ -4,8 +4,10 @@ The shipped encoder is a deterministic hashed bag-of-words: tokens are
 lowercased alphanumeric runs, each token is hashed into one of ``dim``
 buckets with a stable (non-salted) hash, bucket counts are L2-normalized.
 It exists so that retrieval behaviour is exactly reproducible without any
-model weights. A remote encoder can be plugged in over HTTP with the same
-batch interface.
+model weights. ``embed_batch`` hashes each distinct token once per call (a
+token -> bucket dict local to that call) and counts with ``np.bincount``;
+counts are exact integers, so its rows equal ``embed`` bit for bit. A
+remote encoder can be plugged in over HTTP with the same batch interface.
 """
 from __future__ import annotations
 
@@ -31,11 +33,15 @@ def _bucket(token: str, dim: int) -> int:
     return int.from_bytes(digest[:8], "big") % dim
 
 
-def token_counts(text: str, dim: int) -> np.ndarray:
-    counts = np.zeros(dim, dtype=np.float64)
-    for token in tokenize(text):
-        counts[_bucket(token, dim)] += 1.0
-    return counts
+def token_counts(text: str, dim: int, buckets: dict[str, int] | None = None) -> np.ndarray:
+    """Per-bucket token counts; ``buckets`` memoises token -> bucket across calls."""
+    if buckets is None:
+        buckets = {}
+    tokens = tokenize(text)
+    for token in set(tokens).difference(buckets):
+        buckets[token] = _bucket(token, dim)
+    rows = np.fromiter(map(buckets.__getitem__, tokens), dtype=np.intp, count=len(tokens))
+    return np.bincount(rows, minlength=dim).astype(np.float64)
 
 
 def normalize(vec: np.ndarray) -> np.ndarray:
@@ -56,12 +62,19 @@ class HashedBowEncoder:
         return f"hashed-bow-{self.dim}"
 
     def embed(self, text: str) -> np.ndarray:
-        if not text:
-            raise EncoderError("cannot embed empty text")
-        return normalize(token_counts(text, self.dim))
+        return self._embed(text, {})
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
-        return np.vstack([self.embed(t) for t in texts])
+        buckets: dict[str, int] = {}
+        out = np.empty((len(texts), self.dim), dtype=np.float64)
+        for i, text in enumerate(texts):
+            out[i] = self._embed(text, buckets)
+        return out
+
+    def _embed(self, text: str, buckets: dict[str, int]) -> np.ndarray:
+        if not text:
+            raise EncoderError("cannot embed empty text")
+        return normalize(token_counts(text, self.dim, buckets))
 
 
 class HttpEncoder:

@@ -6,11 +6,21 @@ embedding matrix, whose rows are in ascending primitive id order. Per-group
 row arrays, computed once per build, select candidates; ranking is a stable
 argsort over those rows, so ties break by ascending primitive id, making
 every ranking and every saved index byte-reproducible.
+
+``add_primitives`` is all-or-nothing: it checks every id, embeds every
+missing text in one ``encoder.embed_batch`` call and checks every embedding
+before it changes anything. ``save`` serialises the document once, in
+canonical form (sorted keys, no spaces), and writes it with the SHA-256 of
+those bytes as a leading ``"checksum"`` key, which sorts before every other
+key. ``load`` verifies that checksum over the file bytes; only a file that
+fails the byte check (one not written by ``save``) is re-serialised to
+check it against its canonical form.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,6 +34,8 @@ from .summarize import NO_GUIDANCE, SECTION_NAMES, RepositoryEntry
 
 INDEX_FORMAT_VERSION = 1
 NORM_TOLERANCE = 1e-9
+# what ``save`` writes before the canonical document's remaining keys
+_SAVED_PREFIX = re.compile(rb'\{"checksum":"([0-9a-f]{64})",')
 
 
 @dataclass(frozen=True)
@@ -84,24 +96,31 @@ class KnowledgeBase:
     # -- construction ------------------------------------------------------
 
     def add_primitives(self, primitives: list[KnowledgePrimitive]) -> None:
+        """Add all of ``primitives`` or, on any error, none of them."""
+        seen: set[str] = set()
         for p in primitives:
-            if p.id in self.primitives:
+            if p.id in self.primitives or p.id in seen:
                 raise IndexLoadError(f"duplicate primitive id {p.id!r}")
-            if p.embedding is None:
-                p.embedding = self.encoder.embed(p.text)
-            self._check_norm(p)
-            self.primitives[p.id] = p
+            seen.add(p.id)
+        missing = [p for p in primitives if p.embedding is None]
+        computed = self.encoder.embed_batch([p.text for p in missing]) if missing else []
+        embedded = {p.id: vec for p, vec in zip(missing, computed)}
+        for p in primitives:
+            self._check_embedding(p.id, embedded.get(p.id, p.embedding))
+        for p in missing:
+            p.embedding = embedded[p.id]
+        self.primitives.update((p.id, p) for p in primitives)
         self._rebuild_index()
 
-    def _check_norm(self, p: KnowledgePrimitive) -> None:
-        norm = float(np.linalg.norm(p.embedding))
+    def _check_embedding(self, pid: str, embedding: np.ndarray) -> None:
+        norm = float(np.linalg.norm(embedding))
         if abs(norm - 1.0) > NORM_TOLERANCE:
             raise IndexLoadError(
-                f"primitive {p.id!r} embedding norm {norm:.6g} not unit"
+                f"primitive {pid!r} embedding norm {norm:.6g} not unit"
             )
-        if p.embedding.shape != (self.embedding_dim,):
+        if embedding.shape != (self.embedding_dim,):
             raise IndexLoadError(
-                f"primitive {p.id!r} embedding dim {p.embedding.shape} != {self.embedding_dim}"
+                f"primitive {pid!r} embedding dim {embedding.shape} != {self.embedding_dim}"
             )
 
     def _rebuild_index(self) -> None:
@@ -155,6 +174,7 @@ class KnowledgeBase:
     # -- persistence -------------------------------------------------------
 
     def to_document(self) -> dict:
+        """The index document without its checksum, which ``save`` adds."""
         primitives = []
         for pid in self.index.all_ids:
             p = self.primitives[pid]
@@ -164,52 +184,63 @@ class KnowledgeBase:
                     "text": p.text,
                     "source": {"doc": p.source.doc, "start": p.source.start, "end": p.source.end},
                     "tags": sorted(p.anatomy_tags),
-                    "embedding": [float(x) for x in p.embedding],
+                    "embedding": np.asarray(p.embedding, dtype=np.float64).tolist(),
                 }
             )
         entries = [self.entries[name].to_json() for name in sorted(self.entries)]
-        doc = {
+        return {
             "version": INDEX_FORMAT_VERSION,
             "d_e": self.embedding_dim,
             "encoder_id": self.encoder.encoder_id if self.encoder else "unknown",
             "primitives": primitives,
             "entries": entries,
         }
-        doc["checksum"] = _checksum(doc)
-        return doc
 
     def save(self, path: str | Path) -> None:
-        doc = self.to_document()
-        Path(path).write_text(
-            json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n",
-            encoding="utf-8",
-        )
+        """Write the checksummed canonical document, serialising it once."""
+        # encoding after the document is freed keeps the peak at the document
+        # plus one copy of the text
+        body = _canonical(self.to_document()).encode("utf-8")
+        checksum = hashlib.sha256(body).hexdigest()
+        with open(path, "wb") as fh:
+            fh.write(b'{"checksum":"%s",' % checksum.encode("ascii"))
+            fh.write(memoryview(body)[1:])
+            fh.write(b"\n")
 
     @classmethod
     def load(cls, path: str | Path, encoder=None) -> "KnowledgeBase":
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise IndexLoadError(f"cannot read knowledge index {path}: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise IndexLoadError("knowledge index must be a JSON object")
+        doc, sealed = _read_document(path)
         version = doc.get("version")
         if version != INDEX_FORMAT_VERSION:
             raise IndexLoadError(
                 f"index version mismatch: file has {version!r}, expected {INDEX_FORMAT_VERSION}"
             )
-        stored_checksum = doc.get("checksum")
-        if stored_checksum != _checksum({k: v for k, v in doc.items() if k != "checksum"}):
+        if not sealed and doc.get("checksum") != _checksum(
+            {k: v for k, v in doc.items() if k != "checksum"}
+        ):
             raise IndexLoadError("index checksum mismatch: file corrupted or edited")
 
-        dim = int(doc["d_e"])
+        try:
+            dim = int(doc["d_e"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise IndexLoadError(
+                f"knowledge index field 'd_e' is missing or not an integer: {exc!r}"
+            ) from exc
         if encoder is None:
             if doc.get("encoder_id") == f"hashed-bow-{dim}":
                 encoder = HashedBowEncoder(dim)
         kb = cls(encoder=encoder, embedding_dim=dim)
         loaded: list[KnowledgePrimitive] = []
-        for raw in doc.get("primitives", []):
+        for i, raw in enumerate(_records(doc, "primitives")):
+            if not isinstance(raw, dict):
+                raise IndexLoadError(f"primitive record #{i} is not an object")
+            if not (isinstance(raw.get("id"), str) and isinstance(raw.get("text"), str)):
+                raise IndexLoadError(f"primitive record #{i} needs a string 'id' and 'text'")
             src = raw.get("source", {})
+            if not isinstance(src, dict):
+                raise IndexLoadError(
+                    f"invalid primitive record {raw.get('id')!r}: 'source' is not an object"
+                )
             try:
                 p = KnowledgePrimitive(
                     id=raw["id"],
@@ -218,13 +249,16 @@ class KnowledgeBase:
                     anatomy_tags=frozenset(raw.get("tags", [])),
                     embedding=np.asarray(raw["embedding"], dtype=np.float64),
                 )
-            except (KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise IndexLoadError(f"invalid primitive record {raw.get('id')!r}: {exc}") from exc
             loaded.append(p)
         kb.add_primitives(loaded)
 
-        for raw in doc.get("entries", []):
-            entry = RepositoryEntry.from_json(raw)
+        for i, raw in enumerate(_records(doc, "entries")):
+            try:
+                entry = RepositoryEntry.from_json(raw)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise IndexLoadError(f"invalid entry record #{i}: {exc!r}") from exc
             for pid in entry.supporting_primitive_ids:
                 if pid not in kb.primitives:
                     raise IndexLoadError(
@@ -234,9 +268,47 @@ class KnowledgeBase:
         return kb
 
 
+def _read_document(path: str | Path) -> tuple[dict, bool]:
+    """(parsed index document, whether its bytes carry a matching checksum).
+
+    The byte check passes for a file as ``save`` writes it: the stored
+    checksum key first, then the canonical document, then one newline.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise IndexLoadError(f"cannot read knowledge index {path}: {exc}") from exc
+    sealed = False
+    prefix = _SAVED_PREFIX.match(data)
+    if prefix is not None:
+        end = len(data) - 1 if data.endswith(b"\n") else len(data)
+        digest = hashlib.sha256(b"{")
+        digest.update(memoryview(data)[prefix.end():end])
+        sealed = digest.hexdigest().encode("ascii") == prefix.group(1)
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise IndexLoadError(f"knowledge index {path} is not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise IndexLoadError(f"cannot read knowledge index {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise IndexLoadError("knowledge index must be a JSON object")
+    return doc, sealed
+
+
+def _records(doc: dict, key: str) -> list:
+    records = doc.get(key, [])
+    if not isinstance(records, list):
+        raise IndexLoadError(f"knowledge index field {key!r} is not a list")
+    return records
+
+
+def _canonical(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
 def _checksum(doc: dict) -> str:
-    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_canonical(doc).encode("utf-8")).hexdigest()
 
 
 def empty_entry(anatomy_name: str, k: int) -> RepositoryEntry:

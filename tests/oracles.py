@@ -4,11 +4,16 @@ These deliberately avoid the production code paths: cosines via python
 loops and math.fsum, AUROC via all-pairs enumeration, G-mean via full
 confusion counting, chords via a per-sample python loop, component sizes
 via scipy's sum_labels, knowledge resolution via a dict of similarities and
-a keyed python sort, mask label validation via a full np.unique scan.
+a keyed python sort, mask label validation via a full np.unique scan, token
+counts via one SHA-1 per token occurrence, and index bytes via the seed's
+checksum-then-serialise save.
 """
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+import re
 
 import numpy as np
 from scipy import ndimage
@@ -160,3 +165,55 @@ def seed_unmapped_labels(labels, structure_map):
     present = set(int(v) for v in np.unique(labels)) - {0}
     unmapped = sorted(present - set(structure_map))
     return unmapped
+
+
+_SEED_TOKEN_RE = re.compile(r"[a-z0-9]+")
+
+
+def _seed_tokenize(text: str) -> list[str]:
+    return _SEED_TOKEN_RE.findall(text.lower())
+
+
+def _seed_bucket(token: str, dim: int) -> int:
+    # python's hash() is salted per process; sha1 keeps buckets stable across runs
+    digest = hashlib.sha1(token.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big") % dim
+
+
+def seed_token_counts(text: str, dim: int) -> np.ndarray:
+    """The seed's bucket counts: one SHA-1 and one scalar add per token occurrence."""
+    counts = np.zeros(dim, dtype=np.float64)
+    for token in _seed_tokenize(text):
+        counts[_seed_bucket(token, dim)] += 1.0
+    return counts
+
+
+def _seed_checksum(doc: dict) -> str:
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def seed_save_bytes(kb) -> bytes:
+    """The bytes the seed's ``KnowledgeBase.save`` wrote for ``kb``."""
+    primitives = []
+    for pid in kb.index.all_ids:
+        p = kb.primitives[pid]
+        primitives.append(
+            {
+                "id": p.id,
+                "text": p.text,
+                "source": {"doc": p.source.doc, "start": p.source.start, "end": p.source.end},
+                "tags": sorted(p.anatomy_tags),
+                "embedding": [float(x) for x in p.embedding],
+            }
+        )
+    entries = [kb.entries[name].to_json() for name in sorted(kb.entries)]
+    doc = {
+        "version": 1,
+        "d_e": kb.embedding_dim,
+        "encoder_id": kb.encoder.encoder_id if kb.encoder else "unknown",
+        "primitives": primitives,
+        "entries": entries,
+    }
+    doc["checksum"] = _seed_checksum(doc)
+    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")

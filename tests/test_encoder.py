@@ -1,8 +1,34 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import make_primitive
+from oracles import seed_token_counts
 
 from echoagent.errors import ContractError, EncoderError, TransportError
+from echoagent.kb import encoder as encoder_module
 from echoagent.kb.encoder import HashedBowEncoder, HttpEncoder, normalize, token_counts
+from echoagent.kb.index import KnowledgeBase
+
+# repeated and mixed-case tokens, digits, non-ASCII letters (which split
+# tokens), and the Kelvin sign, which lowercases to an ASCII "k"
+_WORDS = st.one_of(
+    st.sampled_from([
+        "LV", "lv", "Lv", "ventricle", "VENTRICLE", "EF", "55", "a4c",
+        "naïve", "Größe", "\u212aelvin", "é", "日本",
+    ]),
+    st.text(max_size=6),
+)
+_SEPARATORS = st.sampled_from([" ", ", ", "-", "!!", "\n", " \u2014 ", "'s ", "(", ")"])
+
+
+@st.composite
+def token_texts(draw):
+    """Texts with at least one token, so that every text embeds."""
+    words = ["lv"] + draw(st.lists(_WORDS, max_size=20))
+    separators = draw(st.lists(_SEPARATORS, min_size=len(words), max_size=len(words)))
+    return "".join(w + s for w, s in zip(words, separators))
 
 
 def test_embedding_is_deterministic():
@@ -63,3 +89,68 @@ def test_http_encoder_rejects_malformed_vectors(stub_server):
     enc = HttpEncoder(stub_server.url, dim=8, backoff_s=0.0)
     with pytest.raises(ContractError):
         enc.embed("hello")
+
+
+@settings(max_examples=150, deadline=None)
+@given(texts=st.lists(token_texts(), min_size=1, max_size=8),
+       dim=st.sampled_from([1, 7, 256]))
+def test_embed_batch_rows_equal_embed_and_the_seed_counts(texts, dim):
+    enc = HashedBowEncoder(dim)
+    rows = enc.embed_batch(texts)
+    assert rows.shape == (len(texts), dim)
+    for row, text in zip(rows, texts):
+        assert np.array_equal(row, enc.embed(text))
+        assert np.array_equal(row, normalize(seed_token_counts(text, dim)))
+
+
+def test_embed_batch_rejects_an_empty_or_tokenless_text():
+    enc = HashedBowEncoder(16)
+    for bad in ("", "!!! ???"):
+        with pytest.raises(EncoderError):
+            enc.embed_batch(["left ventricle", bad, "aorta"])
+
+
+def test_add_primitives_buckets_each_distinct_token_once(monkeypatch):
+    calls = []
+    real_bucket = encoder_module._bucket
+
+    def counting_bucket(token, dim):
+        calls.append(token)
+        return real_bucket(token, dim)
+
+    monkeypatch.setattr(encoder_module, "_bucket", counting_bucket)
+    texts = ["LV ejection fraction", "lv lv LV volume", "Ejection fraction, volume."]
+    kb = KnowledgeBase(encoder=HashedBowEncoder(64))
+    kb.add_primitives([make_primitive(f"p#{i}", t) for i, t in enumerate(texts)])
+    assert sorted(calls) == ["ejection", "fraction", "lv", "volume"]
+
+
+def test_http_encoder_batch_posts_the_missing_texts_once_in_input_order(stub_server):
+    dim = 4
+    stub_server.script = [(200, {"vectors": [[1.0, 0.0, 0.0, 0.0], [0.0, 3.0, 4.0, 0.0]]})]
+    kb = KnowledgeBase(encoder=HttpEncoder(stub_server.url, dim=dim, backoff_s=0.0))
+    primitives = [
+        make_primitive("b#0", "second by id, first in input"),
+        make_primitive("a#0", "already embedded", embedding=np.array([0.0, 0.0, 0.0, 1.0])),
+        make_primitive("c#0", "third"),
+    ]
+    kb.add_primitives(primitives)
+    assert stub_server.requests == [
+        ("/embed", {"texts": ["second by id, first in input", "third"]})
+    ]
+    assert np.array_equal(kb.primitives["b#0"].embedding, [1.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(kb.primitives["c#0"].embedding, [0.0, 0.6, 0.8, 0.0])
+    assert kb.index.all_ids == ["a#0", "b#0", "c#0"]
+
+
+def test_http_encoder_failure_leaves_the_knowledge_base_unchanged(stub_server):
+    stub_server.script = [(500, {})]
+    kb = KnowledgeBase(encoder=HttpEncoder(stub_server.url, dim=4, retries=1, backoff_s=0.0))
+    primitives = [make_primitive("a#0", "first"), make_primitive("b#0", "second")]
+    with pytest.raises(TransportError):
+        kb.add_primitives(primitives)
+    assert len(stub_server.requests) == 2
+    assert len(kb) == 0
+    assert kb.index.all_ids == []
+    assert kb._matrix.shape == (0, 4)
+    assert all(p.embedding is None for p in primitives)

@@ -1,10 +1,17 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+from conftest import make_primitive
+from oracles import seed_save_bytes
+
+from echoagent.cli import main
 from echoagent.errors import IndexLoadError
+from echoagent.kb import index as index_module
 from echoagent.kb.index import KnowledgeBase, _checksum
+from echoagent.kb.summarize import build_all_entries
 
 
 def _reseal(doc: dict) -> dict:
@@ -80,3 +87,104 @@ def test_duplicate_primitive_id_rejected(saved_kb):
     saved_kb.write_text(json.dumps(_reseal(doc)))
     with pytest.raises(IndexLoadError, match="duplicate"):
         KnowledgeBase.load(saved_kb)
+
+
+def _awkward_kb() -> KnowledgeBase:
+    kb = KnowledgeBase()
+    kb.add_primitives([
+        make_primitive("q#0", 'The "left ventricle" ejection fraction', {"left ventricle"}),
+        make_primitive("q#1", "C:\\echo\\a4c \\n backslashes in the aorta", {"aorta"}),
+        make_primitive("q#2", "Größe des Vorhofs — left atrium, 日本", {"left atrium"}),
+    ])
+    build_all_entries(kb, 8)
+    return kb
+
+
+@pytest.mark.parametrize("which", ["fixture", "empty", "awkward_text"])
+def test_saved_bytes_equal_the_seed_save(which, kb, tmp_path):
+    subject = {"fixture": lambda: kb, "empty": KnowledgeBase, "awkward_text": _awkward_kb}[which]()
+    path = tmp_path / "kb.json"
+    subject.save(path)
+    assert path.read_bytes() == seed_save_bytes(subject)
+
+
+def test_loading_a_saved_file_never_reserialises_it(saved_kb, monkeypatch):
+    calls = []
+    real_checksum = index_module._checksum
+
+    def counting_checksum(doc):
+        calls.append(1)
+        return real_checksum(doc)
+
+    monkeypatch.setattr(index_module, "_checksum", counting_checksum)
+    KnowledgeBase.load(saved_kb)
+    assert calls == []
+    # a file not written by save still gets the canonical check
+    saved_kb.write_text(json.dumps(json.loads(saved_kb.read_text())))
+    KnowledgeBase.load(saved_kb)
+    assert calls == [1]
+
+
+def test_one_digit_edit_in_a_canonical_file_rejected(saved_kb):
+    text = saved_kb.read_text()
+    # the first digit after "0." of the first nonzero embedding value
+    match = re.search(r'"embedding":\[[^\]]*?-?0\.0*([1-9])', text)
+    digit = match.group(1)
+    edited = text[:match.start(1)] + str(int(digit) % 9 + 1) + text[match.end(1):]
+    saved_kb.write_text(edited)
+    with pytest.raises(IndexLoadError, match="checksum"):
+        KnowledgeBase.load(saved_kb)
+
+
+def _drop_d_e(doc):
+    del doc["d_e"]
+
+
+def _primitive_not_object(doc):
+    doc["primitives"][0] = 7
+
+
+def _id_not_string(doc):
+    doc["primitives"][0]["id"] = 5
+
+
+def _text_not_string(doc):
+    doc["primitives"][0]["text"] = 5
+
+
+def _source_not_object(doc):
+    doc["primitives"][0]["source"] = "kb.md"
+
+
+def _entry_not_object(doc):
+    doc["entries"][0] = "left ventricle"
+
+
+def _primitives_not_a_list(doc):
+    doc["primitives"] = 7
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (None, "UTF-8"),
+    (_drop_d_e, "d_e"),
+    (_primitive_not_object, "primitive record #0"),
+    (_id_not_string, "primitive record #0 needs a string 'id' and 'text'"),
+    (_text_not_string, "primitive record #0 needs a string 'id' and 'text'"),
+    (_source_not_object, "'source'"),
+    (_entry_not_object, "entry record #0"),
+    (_primitives_not_a_list, "'primitives' is not a list"),
+], ids=["not_utf8", "no_d_e", "primitive", "id", "text", "source", "entry", "primitives_field"])
+def test_malformed_index_is_an_index_load_error_and_exit_one(
+    corrupt, message, saved_kb, capsys
+):
+    if corrupt is None:
+        saved_kb.write_bytes(saved_kb.read_bytes().replace(b'"text":"', b'"text":"\xff', 1))
+    else:
+        doc = json.loads(saved_kb.read_text())
+        corrupt(doc)
+        saved_kb.write_text(json.dumps(_reseal(doc)))
+    with pytest.raises(IndexLoadError, match=message):
+        KnowledgeBase.load(saved_kb)
+    assert main(["query-kb", "ejection fraction", "--kb", str(saved_kb)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

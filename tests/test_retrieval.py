@@ -5,7 +5,8 @@ from conftest import make_primitive
 from oracles import brute_force_topk
 
 from echoagent import anatomy
-from echoagent.kb.encoder import normalize, token_counts
+from echoagent.errors import EncoderError, IndexLoadError
+from echoagent.kb.encoder import HashedBowEncoder, normalize, token_counts
 from echoagent.kb.index import KnowledgeBase
 
 
@@ -148,3 +149,41 @@ def test_identical_corpus_and_config_produce_identical_index_bytes(corpus_dir, t
 def test_k_must_be_positive(kb):
     with pytest.raises(ValueError):
         kb.retrieve_topk("text", k=0)
+
+
+def _with_empty_text(pid, text):
+    primitive = make_primitive(pid, "placeholder")
+    primitive.text = text  # the constructor rejects empty text; a caller may still set it
+    return primitive
+
+
+@pytest.mark.parametrize("batch, error", [
+    # a duplicate of an id already in the knowledge base, after a new one
+    (lambda: [make_primitive("new#0", "aortic root"), make_primitive("old#1", "again")],
+     IndexLoadError),
+    # a duplicate within the batch
+    (lambda: [make_primitive("new#0", "aortic root"), make_primitive("new#0", "twice")],
+     IndexLoadError),
+    # an empty and a tokenless text in mid-batch
+    (lambda: [make_primitive("new#0", "aortic root"), _with_empty_text("new#1", ""),
+              make_primitive("new#2", "mitral valve")],
+     EncoderError),
+    (lambda: [make_primitive("new#0", "aortic root"), make_primitive("new#1", "!!! ???"),
+              make_primitive("new#2", "mitral valve")],
+     EncoderError),
+], ids=["duplicate_of_kb", "duplicate_in_batch", "empty_text", "tokenless_text"])
+def test_failed_add_primitives_changes_nothing(batch, error):
+    kb = KnowledgeBase(encoder=HashedBowEncoder(32))
+    kb.add_primitives([make_primitive(f"old#{i}", f"left ventricle {i}", {"left ventricle"})
+                       for i in range(3)])
+    ids, matrix, rows = list(kb.index.all_ids), kb._matrix.copy(), kb.group_rows
+    primitives = batch()
+    with pytest.raises(error):
+        kb.add_primitives(primitives)
+    assert len(kb) == 3
+    assert kb.index.all_ids == ids
+    assert np.array_equal(kb._matrix, matrix)
+    assert kb.group_rows is rows
+    assert all(p.embedding is None for p in primitives)
+    kb.add_primitives([make_primitive("new#9", "aortic root", {"aorta"})])
+    assert len(kb) == 4 and kb._matrix.shape == (4, 32)
