@@ -1,8 +1,11 @@
 """The orchestration loop: resolve, plan, execute, score, adapt, conclude.
 
-One hub instance owns one mutable graph and runs its loop sequentially;
-the knowledge base and registry it reads are immutable, so any number of
-hubs can run in parallel over them.
+One hub instance owns one mutable graph and runs its loop sequentially.
+The knowledge base it reads is immutable, but the tool registry is not:
+``ToolRegistry.invoke`` advances an invocation counter and appends to the
+registry's log, and those invocation ids reach the trace. So a registry
+must not be shared by concurrent hubs, and a run's trace depends on the
+earlier runs made on the same registry.
 """
 from __future__ import annotations
 

@@ -2,11 +2,19 @@
 
 Axis finding is PCA over the pixel coordinates of the largest connected
 component of the target label. A chord is measured by counting target
-pixels along a whole-canvas ray perpendicular to the axis, scaled by the
-physical step length of that ray (which handles anisotropic spacing). The
-rays of one call (the probe chords of ``long_axis``, the disks of
-``disk_diameters``) are sampled together in one numpy gather over
-``mask.labels``, so target pixels off the largest component still count.
+pixels along a ray perpendicular to the axis, scaled by the physical step
+length of that ray (which handles anisotropic spacing). The rays of one
+call (the probe chords of ``long_axis``, the disks of ``disk_diameters``)
+are sampled together in one numpy gather over ``mask.labels``, so target
+pixels off the largest component still count.
+
+All of this works inside the target label's bounding box. Every component
+of the label lies in that box, and ``np.nonzero`` on the crop keeps raster
+order, so the region's coordinates are those of a whole-canvas scan. A ray
+is sampled only over the steps ``s`` at which it can meet the box, widened
+by a pixel on each side and clipped to the whole-canvas range
+``[-max_steps, max_steps]``; every target pixel lies in the box, so the
+hit counts, and with them the chords, are exact.
 """
 from __future__ import annotations
 
@@ -23,6 +31,9 @@ MIN_REGION_PIXELS = 20
 
 # 8-connectivity: diagonal neighbours belong to the same component
 _CONNECTIVITY = np.ones((3, 3), dtype=int)
+
+# (rows, cols) half-open slices of a label's bounding box
+Box = tuple[slice, slice]
 
 
 def mask_area(mask: SegmentationMask, target_label: int) -> MeasurementResult:
@@ -41,23 +52,18 @@ def largest_component(binary: np.ndarray) -> np.ndarray:
     return labeled == (int(np.argmax(sizes)) + 1)
 
 
-def _region_coords(mask: SegmentationMask, target_label: int) -> np.ndarray:
-    """(N, 2) array of (x, y) pixel coordinates of the largest component."""
-    binary = mask.labels == target_label
-    count = int(binary.sum())
-    if count < MIN_REGION_PIXELS:
-        raise GeometryError(
-            f"label {target_label} region has {count} px, "
-            f"need at least {MIN_REGION_PIXELS} for a reliable axis"
-        )
-    component = largest_component(binary)
-    ys, xs = np.nonzero(component)
-    return np.stack([xs, ys], axis=1).astype(np.float64)
+def _label_box(binary: np.ndarray) -> Box | None:
+    """Bounding box of the True pixels, or None when there are none."""
+    rows = np.flatnonzero(binary.any(axis=1))
+    if rows.size == 0:
+        return None
+    cols = np.flatnonzero(binary.any(axis=0))
+    return slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
 
 
-def _principal_direction(coords: np.ndarray) -> np.ndarray:
-    centered = coords - coords.mean(axis=0)
-    cov = centered.T @ centered / len(coords)
+def _principal_direction(centered: np.ndarray) -> np.ndarray:
+    """Unit principal direction of (N, 2) coordinates centred on their mean."""
+    cov = centered.T @ centered / len(centered)
     eigvals, eigvecs = np.linalg.eigh(cov)
     direction = eigvecs[:, int(np.argmax(eigvals))]
     # canonical sign: positive y, then positive x, so reruns agree bit-for-bit
@@ -69,26 +75,44 @@ def _principal_direction(coords: np.ndarray) -> np.ndarray:
 def _chords_mm(
     mask: SegmentationMask,
     target_label: int,
+    box: Box | None,
     points: np.ndarray,
     perp: np.ndarray,
-    max_steps: int,
 ) -> list[float]:
     """Chord length through each of the (k, 2) ``points`` along ``perp``.
 
     Each chord is its hit count on the ray ``point + s * perp`` for integer
     ``s`` in [-max_steps, max_steps], rounded to pixels by floor(x + 0.5),
-    times the physical step size.
+    times the physical step size. Only the steps whose samples can land in
+    ``box``, the target's bounding box (None when the target is absent),
+    are sampled.
     """
     sx, sy = mask.pixel_spacing_mm
     step_mm = math.hypot(perp[0] * sx, perp[1] * sy)
-    height, width = mask.labels.shape
-    s = np.arange(-max_steps, max_steps + 1, dtype=np.float64)
+    if box is None:
+        return (np.zeros(len(points)) * step_mm).tolist()
+    rows, cols = box
+    max_steps = int(math.ceil(math.hypot(*mask.labels.shape))) + 1
+    lo, hi = float(-max_steps), float(max_steps)
+    for c, p, first, stop in (
+        (perp[0], points[:, 0], cols.start, cols.stop),
+        (perp[1], points[:, 1], rows.start, rows.stop),
+    ):
+        if c == 0:
+            continue
+        # floor(v + 0.5) lies in [first, stop) iff v lies in [first - 0.5,
+        # stop - 0.5); a margin of one more pixel absorbs rounding. A NaN
+        # bound fails both comparisons and leaves the window as it is.
+        ends = (np.array([[first - 1.5], [stop + 0.5]]) - p) / c
+        lo = max(lo, float(np.floor(ends.min())))
+        hi = min(hi, float(np.ceil(ends.max())))
+    s = np.arange(lo, hi + 1.0) if lo <= hi else np.empty(0)
     xs = np.floor(points[:, :1] + s * perp[0] + 0.5)
     ys = np.floor(points[:, 1:] + s * perp[1] + 0.5)
-    inside = (xs >= 0) & (xs < width) & (ys >= 0) & (ys < height)
-    xi = np.where(inside, xs, 0).astype(np.intp)
-    yi = np.where(inside, ys, 0).astype(np.intp)
-    hits = (inside & (mask.labels[yi, xi] == target_label)).sum(axis=1)
+    inside = (xs >= cols.start) & (xs < cols.stop) & (ys >= rows.start) & (ys < rows.stop)
+    xi = np.where(inside, xs - cols.start, 0).astype(np.intp)
+    yi = np.where(inside, ys - rows.start, 0).astype(np.intp)
+    hits = (inside & (mask.labels[box][yi, xi] == target_label)).sum(axis=1)
     return (hits * step_mm).tolist()
 
 
@@ -101,10 +125,24 @@ def long_axis(
     the mean chord over the 10% of probe disks nearest each endpoint; a
     width tie within 1e-6 falls back to the endpoint with the smaller y.
     """
-    coords = _region_coords(mask, target_label)
-    direction = _principal_direction(coords)
-    centroid = coords.mean(axis=0)
-    projections = (coords - centroid) @ direction
+    binary = mask.labels == target_label
+    count = int(np.count_nonzero(binary))
+    if count < MIN_REGION_PIXELS:
+        raise GeometryError(
+            f"label {target_label} region has {count} px, "
+            f"need at least {MIN_REGION_PIXELS} for a reliable axis"
+        )
+    box = _label_box(binary)
+    ys, xs = np.nonzero(largest_component(binary[box]))
+    xs += box[1].start
+    ys += box[0].start
+    # The float mean of integer coordinates sums them exactly while the sum
+    # stays below 2**53 (any canvas up to 2**17 px a side), so dividing the
+    # integer sums gives the same bits.
+    centroid = np.array([int(xs.sum()) / len(xs), int(ys.sum()) / len(ys)])
+    centered = np.column_stack([xs - centroid[0], ys - centroid[1]])
+    direction = _principal_direction(centered)
+    projections = centered @ direction
     lo = centroid + direction * float(projections.min())
     hi = centroid + direction * float(projections.max())
 
@@ -114,11 +152,10 @@ def long_axis(
         raise GeometryError("degenerate region: zero-length principal axis")
 
     perp = np.array([-direction[1], direction[0]])
-    max_steps = int(math.ceil(math.hypot(*mask.labels.shape))) + 1
     probe = max(1, n_probe_disks)
     near = max(1, math.ceil(probe * 0.1))
     t = (np.arange(probe) + 0.5) / probe
-    widths = _chords_mm(mask, target_label, lo + (hi - lo) * t[:, None], perp, max_steps)
+    widths = _chords_mm(mask, target_label, box, lo + (hi - lo) * t[:, None], perp)
     width_lo = float(np.mean(widths[:near]))
     width_hi = float(np.mean(widths[-near:]))
 
@@ -156,6 +193,6 @@ def disk_diameters(
         raise GeometryError("axis endpoints coincide")
     direction = span / norm
     perp = np.array([-direction[1], direction[0]])
-    max_steps = int(math.ceil(math.hypot(*mask.labels.shape))) + 1
+    box = _label_box(mask.labels == target_label)
     t = (np.arange(n_disks) + 0.5) / n_disks
-    return _chords_mm(mask, target_label, apex + span * t[:, None], perp, max_steps)
+    return _chords_mm(mask, target_label, box, apex + span * t[:, None], perp)

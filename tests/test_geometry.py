@@ -158,6 +158,13 @@ def test_largest_component_of_empty_mask_is_all_false():
     assert not component.any()
 
 
+def _tilted_blob(labels, cx, cy, a, b, theta, label=1):
+    ys, xs = np.mgrid[0 : labels.shape[0], 0 : labels.shape[1]]
+    u = (xs - cx) * np.cos(theta) + (ys - cy) * np.sin(theta)
+    v = -(xs - cx) * np.sin(theta) + (ys - cy) * np.cos(theta)
+    labels[(u / a) ** 2 + (v / b) ** 2 <= 1.0] = label
+
+
 @st.composite
 def labelled_masks(draw):
     """Random multi-label canvases: blobs clipped by the border, stray pixels
@@ -166,15 +173,11 @@ def labelled_masks(draw):
     width = draw(st.integers(16, 72))
     spacing = (draw(st.floats(0.2, 3.0)), draw(st.floats(0.2, 3.0)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    ys, xs = np.mgrid[0:height, 0:width]
     labels = np.zeros((height, width), dtype=np.uint8)
     for _ in range(draw(st.integers(1, 4))):
         cx, cy = rng.uniform(-0.2, 1.2) * width, rng.uniform(-0.2, 1.2) * height
         a, b = rng.uniform(2, 0.6 * width), rng.uniform(2, 0.6 * height)
-        theta = rng.uniform(0, np.pi)
-        u = (xs - cx) * np.cos(theta) + (ys - cy) * np.sin(theta)
-        v = -(xs - cx) * np.sin(theta) + (ys - cy) * np.cos(theta)
-        labels[(u / a) ** 2 + (v / b) ** 2 <= 1.0] = rng.integers(1, 4)
+        _tilted_blob(labels, cx, cy, a, b, rng.uniform(0, np.pi), rng.integers(1, 4))
     stray = rng.random((height, width)) < draw(st.sampled_from([0.0, 0.01, 0.05]))
     labels[stray] = 1
     names = {1: "left ventricle", 2: "left atrium", 3: "myocardium"}
@@ -185,21 +188,30 @@ def _hex(values):
     return [float.hex(v) for v in values]
 
 
-@settings(max_examples=150, deadline=None)
-@given(mask=labelled_masks(), n_disks=st.integers(1, 40))
-def test_long_axis_and_disks_match_scalar_chords_bit_for_bit(mask, n_disks):
-    assume(int((mask.labels == 1).sum()) >= 20)
-    try:
-        axis = long_axis(mask, 1)
-    except GeometryError:
-        assume(False)
-    apex, base_mid, length_mm = scalar_long_axis(mask, 1, _principal_direction)
+def direction_of(coords):
+    return _principal_direction(coords - coords.mean(axis=0))
+
+
+def _assert_matches_scalar(mask, n_disks=20):
+    axis = long_axis(mask, 1)
+    apex, base_mid, length_mm = scalar_long_axis(mask, 1, direction_of)
     assert _hex(axis.apex + axis.base_mid + (axis.length_mm,)) == _hex(
         apex + base_mid + (length_mm,)
     )
     diameters = disk_diameters(mask, 1, axis, n_disks)
     assert all(type(d) is float for d in diameters)
     assert _hex(diameters) == _hex(scalar_disk_diameters(mask, 1, apex, base_mid, n_disks))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mask=labelled_masks(), n_disks=st.integers(1, 40))
+def test_long_axis_and_disks_match_scalar_chords_bit_for_bit(mask, n_disks):
+    assume(int((mask.labels == 1).sum()) >= 20)
+    try:
+        long_axis(mask, 1)
+    except GeometryError:
+        assume(False)
+    _assert_matches_scalar(mask, n_disks)
 
 
 @settings(max_examples=150, deadline=None)
@@ -224,3 +236,90 @@ def test_disks_on_arbitrary_axes_match_scalar_chords(mask, ends, n_disks, label)
 def test_largest_component_matches_sum_labels(mask, label):
     binary = mask.labels == label
     assert np.array_equal(largest_component(binary), sum_labels_largest_component(binary))
+
+
+@st.composite
+def bench_scale_masks(draw):
+    """Canvases of the benchmark's sizes where the target's box is a small
+    part of the canvas: one small tilted blob, a blob of another label, and
+    stray target pixels that widen the box beyond the largest component."""
+    height = draw(st.integers(200, 520))
+    width = draw(st.integers(200, 520))
+    spacing = (draw(st.floats(0.2, 1.0)), draw(st.floats(0.2, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = np.zeros((height, width), dtype=np.uint8)
+    _tilted_blob(
+        labels, rng.uniform(0.2, 0.8) * width, rng.uniform(0.2, 0.8) * height,
+        rng.uniform(8, 40), rng.uniform(4, 20), rng.uniform(0, np.pi), label=2,
+    )
+    _tilted_blob(
+        labels, rng.uniform(0, 1) * width, rng.uniform(0, 1) * height,
+        rng.uniform(8, 60), rng.uniform(4, 30), rng.uniform(0, np.pi),
+    )
+    n_strays = draw(st.integers(0, 6))
+    labels[rng.integers(0, height, n_strays), rng.integers(0, width, n_strays)] = 1
+    return SegmentationMask(labels, spacing, {1: "left ventricle", 2: "left atrium"})
+
+
+@settings(max_examples=25, deadline=None)
+@given(mask=bench_scale_masks(), n_disks=st.integers(1, 40))
+def test_bench_scale_axes_and_disks_match_scalar_chords(mask, n_disks):
+    assume(int((mask.labels == 1).sum()) >= 20)
+    try:
+        long_axis(mask, 1)
+    except GeometryError:
+        assume(False)
+    _assert_matches_scalar(mask, n_disks)
+
+
+@pytest.mark.parametrize("edge", ["top", "bottom", "left", "right"])
+def test_target_touching_a_canvas_edge_matches_scalar_chords(edge):
+    labels = np.zeros((96, 128), dtype=np.uint8)
+    centre = {"top": (50, 5), "bottom": (70, 90), "left": (4, 40), "right": (124, 60)}[edge]
+    _tilted_blob(labels, *centre, a=30, b=12, theta=0.6)
+    labels[20, 64] = 1  # a stray off the main region
+    column, row = {"top": (50, 0), "bottom": (70, 95), "left": (0, 40), "right": (127, 60)}[edge]
+    assert labels[row, column] == 1
+    mask = SegmentationMask(labels, (0.7, 1.3), {1: "left ventricle"})
+    _assert_matches_scalar(mask)
+    # an axis across the whole canvas: rays leave the box through every side
+    axis = LongAxis(apex=(-10.0, 100.0), base_mid=(140.0, -5.0), length_mm=1.0)
+    assert _hex(disk_diameters(mask, 1, axis, 33)) == _hex(
+        scalar_disk_diameters(mask, 1, axis.apex, axis.base_mid, 33)
+    )
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_box_one_pixel_wide_matches_scalar_chords(transpose):
+    labels = np.zeros((64, 80), dtype=np.uint8)
+    labels[10:50, 33] = 1
+    if transpose:
+        labels = np.ascontiguousarray(labels.T)
+    mask = SegmentationMask(labels, (0.5, 2.0), {1: "left ventricle"})
+    _assert_matches_scalar(mask, 7)
+    axis = LongAxis(apex=(3.0, 1.0), base_mid=(70.0, 60.0), length_mm=1.0)
+    assert _hex(disk_diameters(mask, 1, axis, 40)) == _hex(
+        scalar_disk_diameters(mask, 1, axis.apex, axis.base_mid, 40)
+    )
+
+
+def test_disks_of_an_absent_label_are_zero_floats():
+    mask = rect_mask(64, width_px=20, height_px=30)
+    axis = long_axis(mask, 1)
+    diameters = disk_diameters(mask, 2, axis, 9)
+    assert diameters == [0.0] * 9
+    assert all(type(d) is float for d in diameters)
+
+
+def test_rays_reach_only_max_steps_from_their_centre():
+    # the disks sit 100 px left of the target on a 32 px canvas, whose rays
+    # stop 47 steps from their centres, short of the target
+    labels = np.zeros((32, 32), dtype=np.uint8)
+    labels[4:28, 8:24] = 1
+    mask = SegmentationMask(labels, (1.0, 1.0), {1: "left ventricle"})
+    axis = LongAxis(apex=(-100.0, 0.0), base_mid=(-100.0, 32.0), length_mm=1.0)
+    assert disk_diameters(mask, 1, axis, 8) == [0.0] * 8
+    near = LongAxis(apex=(-20.0, 0.0), base_mid=(-20.0, 32.0), length_mm=1.0)
+    diameters = disk_diameters(mask, 1, near, 8)
+    assert max(diameters) == 16.0
+    assert diameters == scalar_disk_diameters(mask, 1, near.apex, near.base_mid, 8)
