@@ -16,22 +16,17 @@ from .config import EngineConfig
 from .errors import (
     ConfigError,
     ContractError,
-    DatasetError,
     DomainError,
     EchoAgentError,
     EncoderError,
     FixtureError,
     GeometryError,
     GraphError,
-    IndexLoadError,
-    IngestError,
     MetricError,
-    PgmFormatError,
     PlanningError,
     RegistrationError,
     ResolutionError,
     TaxonomyError,
-    TransportError,
     VolumeError,
 )
 from .hub.engine import DiagnosticQuery, ReasoningHub
@@ -46,10 +41,6 @@ EXIT_IO = 1
 EXIT_RESOLUTION = 2
 EXIT_CONTRACT = 3
 
-_IO_ERRORS = (
-    IngestError, DatasetError, IndexLoadError, FixtureError, PgmFormatError,
-    TransportError, OSError,
-)
 _CONTRACT_ERRORS = (
     ContractError, ConfigError, TaxonomyError, RegistrationError, PlanningError,
     MetricError, EncoderError, GraphError, DomainError, GeometryError, VolumeError,
@@ -66,8 +57,6 @@ def _exit_code_for(exc: Exception) -> int:
         return EXIT_RESOLUTION
     if isinstance(exc, _CONTRACT_ERRORS):
         return EXIT_CONTRACT
-    if isinstance(exc, _IO_ERRORS):
-        return EXIT_IO
     return EXIT_IO
 
 

@@ -52,10 +52,6 @@ class DiagnosticQuery:
         if self.options is not None and len(self.options) < 2:
             raise ValueError("multiple-choice query needs at least two options")
 
-    @property
-    def answer_mode(self) -> str:
-        return "multiple_choice" if self.options else "free_conclusion"
-
 
 @dataclass
 class Conclusion:
@@ -79,8 +75,6 @@ class _StepOutcome:
     payload: dict
     op: str
     anomalous: bool = False
-    failed: bool = False
-    view: str | None = None
 
 
 class ReasoningHub:
@@ -246,22 +240,11 @@ class ReasoningHub:
 
     def _execute_step(self, step: ActionStep, state: "_RunState", t: int) -> _StepOutcome:
         op = step.inputs.get("op", "")
-        try:
-            if op == "classify_view":
-                return self._do_classify(step, state, t)
-            if op == "segment":
-                return self._do_segment(step, state, t)
-            if op == "volume":
-                return self._do_volume(step, state, t)
-            if op == "ef":
-                return self._do_ef(step, state, t)
-            if op == "grade":
-                return self._do_grade(step, state, t)
-            if op == "area":
-                return self._do_area(step, state, t)
-            if op == "dimension":
-                return self._do_dimension(step, state, t)
+        handler = _STEP_HANDLERS.get(op)
+        if handler is None:
             return state.fail(step, t, f"unknown step op {op!r}")
+        try:
+            return handler(self, step, state, t)
         except GraphError:
             raise  # a broken graph invariant is a defect, not a failed step
         except EchoAgentError as exc:
@@ -279,7 +262,7 @@ class ReasoningHub:
         )
         state.study_of_view[view] = study_dir
         state.classify_node[view] = node
-        return _StepOutcome(result.confidence, payload, "classify_view", view=view)
+        return _StepOutcome(result.confidence, payload, "classify_view")
 
     def _do_segment(self, step, state, t):
         view = step.inputs["view"]
@@ -303,7 +286,16 @@ class ReasoningHub:
             causes.append((state.classify_node[view], "derives"))
         node = state.graph.add_evidence(payload, result.confidence, t, causes=causes)
         state.masks[(view, phase, structure)] = (node, mask, result.confidence)
-        return _StepOutcome(result.confidence, payload, "segment", view=view)
+        return _StepOutcome(result.confidence, payload, "segment")
+
+    def _measure(self, step, state, t, inputs: dict, causes: list, **context):
+        """Invoke the step's tool; add its outputs, the structure, any step
+        context and the invocation id as one evidence node."""
+        result = self.registry.invoke(step.tool_name, inputs)
+        payload = {**result.outputs, "structure": step.inputs["structure"], **context,
+                   "invocation_id": result.invocation_id}
+        node = state.graph.add_evidence(payload, result.confidence, t, causes=causes)
+        return node, _StepOutcome(result.confidence, payload, step.inputs["op"])
 
     def _do_volume(self, step, state, t):
         phase = step.inputs["phase"]
@@ -320,20 +312,14 @@ class ReasoningHub:
         label = mask_a2c.label_for(structure)
         if label is None:
             return state.fail(step, t, f"structure {structure!r} not in mask label map")
-        result = self.registry.invoke(step.tool_name, {
+        node, outcome = self._measure(step, state, t, {
             "mask_a2c": mask_a2c, "mask_a4c": mask_a4c,
             "target_label": label, "n_disks": step.inputs.get("n_disks", self.config.n_disks),
-        })
-        value = float(result.outputs["volume_ml"])
-        payload = {"volume_ml": value, "structure": structure, "phase": phase,
-                   "invocation_id": result.invocation_id}
-        node = state.graph.add_evidence(
-            payload, result.confidence, t,
-            causes=[(node_a2c, "derives"), (node_a4c, "derives")],
-        )
-        state.volumes[(structure, phase)] = (node, value, result.confidence)
-        self._link_criteria(state, node, "volume_ml", value, result.confidence)
-        return _StepOutcome(result.confidence, payload, "volume")
+        }, [(node_a2c, "derives"), (node_a4c, "derives")], phase=phase)
+        value = float(outcome.payload["volume_ml"])
+        state.volumes[(structure, phase)] = (node, value, outcome.confidence)
+        self._link_criteria(state, node, "volume_ml", value, outcome.confidence)
+        return outcome
 
     def _do_ef(self, step, state, t):
         structure = step.inputs["structure"]
@@ -342,23 +328,17 @@ class ReasoningHub:
         if edv is None or esv is None:
             missing = ED if edv is None else ES
             return state.fail(step, t, f"missing {structure} volume at {missing}")
-        result = self.registry.invoke(
-            step.tool_name, {"edv_ml": edv[1], "esv_ml": esv[1]}
+        node, outcome = self._measure(
+            step, state, t, {"edv_ml": edv[1], "esv_ml": esv[1]},
+            [(edv[0], "derives"), (esv[0], "derives")],
         )
-        value = float(result.outputs["ef_percent"])
-        anomalous = bool(result.outputs["anomalous"])
-        payload = {"ef_percent": value, "anomalous": anomalous, "structure": structure,
-                   "invocation_id": result.invocation_id}
-        node = state.graph.add_evidence(
-            payload, result.confidence, t,
-            causes=[(edv[0], "derives"), (esv[0], "derives")],
-        )
+        outcome.anomalous = bool(outcome.payload["anomalous"])
         state.ef_node[structure] = node
-        state.ef_value = value
-        state.ef_anomalous = anomalous
-        if not anomalous:
-            self._link_criteria(state, node, "ef_percent", value, result.confidence)
-        return _StepOutcome(result.confidence, payload, "ef", anomalous=anomalous)
+        state.ef_value = float(outcome.payload["ef_percent"])
+        state.ef_anomalous = outcome.anomalous
+        if not outcome.anomalous:
+            self._link_criteria(state, node, "ef_percent", state.ef_value, outcome.confidence)
+        return outcome
 
     def _do_grade(self, step, state, t):
         structure = step.inputs["structure"]
@@ -366,14 +346,11 @@ class ReasoningHub:
             return state.fail(step, t, f"no ejection fraction available for {structure}")
         if state.ef_anomalous:
             return state.fail(step, t, "ejection fraction flagged anomalous; grading withheld")
-        result = self.registry.invoke(step.tool_name, {"ef_percent": state.ef_value})
-        grade = result.outputs["grade"]
-        payload = {"grade": grade, "structure": structure,
-                   "invocation_id": result.invocation_id}
-        node = state.graph.add_evidence(
-            payload, result.confidence, t,
-            causes=[(state.ef_node[structure], "derives")],
+        node, outcome = self._measure(
+            step, state, t, {"ef_percent": state.ef_value},
+            [(state.ef_node[structure], "derives")],
         )
+        grade = outcome.payload["grade"]
         state.grade_value = grade
         # categorical evidence: endorse the same-named hypothesis, refute other grades
         for label in state.labels:
@@ -381,62 +358,37 @@ class ReasoningHub:
             if label_grade is None:
                 continue
             kind = "supports" if label_grade == grade else "contradicts"
-            state.graph.add_edge(node, state.hypothesis_nodes[label], kind, result.confidence)
-        return _StepOutcome(result.confidence, payload, "grade")
+            state.graph.add_edge(node, state.hypothesis_nodes[label], kind, outcome.confidence)
+        return outcome
 
-    def _do_area(self, step, state, t):
+    def _do_mask_metric(self, step, state, t):
+        """Area or long-axis dimension of the structure on the planned view's
+        mask. Only area falls back to another view's mask at the phase."""
+        op = step.inputs["op"]
         structure = step.inputs["structure"]
         view = step.inputs.get("view")
         phase = step.inputs.get("phase", ED)
         got = state.masks.get((view, phase, structure)) if view else None
-        if got is None:
-            # first available mask of the structure, in deterministic key order
-            candidates = sorted(
-                (key for key in state.masks if key[2] == structure and key[1] == phase),
+        if got is None and op == "area":
+            # the structure's mask at the phase with the smallest (view, ...) key
+            got = state.masks.get(
+                min((key for key in state.masks if key[1:] == (phase, structure)), default=None)
             )
-            if not candidates:
-                return state.fail(step, t, f"no mask available for {structure} at {phase}")
-            got = state.masks[candidates[0]]
-        node_mask, mask, _ = got
-        label = mask.label_for(structure)
-        if label is None:
-            return state.fail(step, t, f"structure {structure!r} not in mask label map")
-        result = self.registry.invoke(
-            step.tool_name, {"mask": mask, "target_label": label}
-        )
-        value = float(result.outputs["area_mm2"])
-        empty = bool(result.outputs["empty_structure"])
-        payload = {"area_mm2": value, "structure": structure, "empty_structure": empty,
-                   "invocation_id": result.invocation_id}
-        node = state.graph.add_evidence(
-            payload, result.confidence, t, causes=[(node_mask, "derives")]
-        )
-        if not empty:
-            self._link_criteria(state, node, "area_mm2", value, result.confidence)
-        return _StepOutcome(result.confidence, payload, "area")
-
-    def _do_dimension(self, step, state, t):
-        structure = step.inputs["structure"]
-        view = step.inputs.get("view")
-        phase = step.inputs.get("phase", ED)
-        got = state.masks.get((view, phase, structure)) if view else None
         if got is None:
             return state.fail(step, t, f"no mask available for {structure} at {phase}")
         node_mask, mask, _ = got
         label = mask.label_for(structure)
         if label is None:
             return state.fail(step, t, f"structure {structure!r} not in mask label map")
-        result = self.registry.invoke(
-            step.tool_name, {"mask": mask, "target_label": label}
+        node, outcome = self._measure(
+            step, state, t, {"mask": mask, "target_label": label}, [(node_mask, "derives")]
         )
-        value = float(result.outputs["dimension_mm"])
-        payload = {"dimension_mm": value, "structure": structure,
-                   "invocation_id": result.invocation_id}
-        node = state.graph.add_evidence(
-            payload, result.confidence, t, causes=[(node_mask, "derives")]
-        )
-        self._link_criteria(state, node, "dimension_mm", value, result.confidence)
-        return _StepOutcome(result.confidence, payload, "dimension")
+        metric = _MASK_METRICS[op]
+        if not outcome.payload.get("empty_structure", False):
+            self._link_criteria(
+                state, node, metric, float(outcome.payload[metric]), outcome.confidence
+            )
+        return outcome
 
     def _link_criteria(self, state, evidence_node: str, metric: str, value: float,
                        confidence: float) -> None:
@@ -511,4 +463,17 @@ class _RunState:
         payload = {"failure": message, "goal": step.goal}
         causes = [(anchor, "generates") for anchor in self.anchors.values()]
         self.graph.add_evidence(payload, 0.0, t, causes=causes)
-        return _StepOutcome(0.0, payload, step.inputs.get("op", ""), failed=True)
+        return _StepOutcome(0.0, payload, step.inputs.get("op", ""))
+
+
+_MASK_METRICS = {"area": "area_mm2", "dimension": "dimension_mm"}
+
+_STEP_HANDLERS = {
+    "classify_view": ReasoningHub._do_classify,
+    "segment": ReasoningHub._do_segment,
+    "volume": ReasoningHub._do_volume,
+    "ef": ReasoningHub._do_ef,
+    "grade": ReasoningHub._do_grade,
+    "area": ReasoningHub._do_mask_metric,
+    "dimension": ReasoningHub._do_mask_metric,
+}

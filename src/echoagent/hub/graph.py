@@ -15,7 +15,6 @@ from ..errors import GraphError
 NODE_KINDS = ("concept", "evidence", "raw_anchor")
 EDGE_KINDS = ("generates", "supports", "contradicts", "derives")
 CAUSAL_KINDS = ("generates", "derives")
-ASSOCIATIVE_KINDS = ("supports", "contradicts")
 
 
 @dataclass

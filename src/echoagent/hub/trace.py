@@ -15,12 +15,6 @@ import numpy as np
 from ..tools.masks import SegmentationMask
 from ..tools.pgm import encode_pgm
 
-TRACE_FIELDS = (
-    "t", "event_kind", "step_id", "tool", "outputs_digest", "confidence",
-    "posterior", "trigger",
-)
-
-
 def canonical_payload(value):
     """Reduce any run artifact to deterministic JSON-serializable form."""
     if isinstance(value, SegmentationMask):

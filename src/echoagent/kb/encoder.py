@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import hashlib
 import re
-import time
+from functools import partial
 
 import numpy as np
 import requests
 
-from ..errors import ContractError, EncoderError, TransportError
+from ..errors import ContractError, EncoderError
+from ..wire import post_json
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -85,14 +86,14 @@ class HttpEncoder:
     """
 
     def __init__(self, url: str, dim: int, timeout_s: float = 5.0,
-                 retries: int = 2, backoff_s: float = 0.1,
-                 session: requests.Session | None = None):
+                 retries: int = 2, backoff_s: float = 0.1):
         self.url = url.rstrip("/")
         self.dim = dim
-        self.timeout_s = timeout_s
-        self.retries = retries
-        self.backoff_s = backoff_s
-        self._session = session or requests.Session()
+        self._post = partial(
+            post_json, requests.Session(), f"{self.url}/embed",
+            what=f"encoder backend {self.url}",
+            timeout_s=timeout_s, retries=retries, backoff_s=backoff_s,
+        )
 
     @property
     def encoder_id(self) -> str:
@@ -105,8 +106,8 @@ class HttpEncoder:
         for t in texts:
             if not t:
                 raise EncoderError("cannot embed empty text")
-        payload = self._post({"texts": list(texts)})
-        vectors = payload.get("vectors")
+        payload, _ = self._post({"texts": list(texts)})
+        vectors = payload.get("vectors") if isinstance(payload, dict) else None
         if not isinstance(vectors, list) or len(vectors) != len(texts):
             raise ContractError(
                 f"encoder backend {self.url} returned a malformed vectors field"
@@ -120,26 +121,3 @@ class HttpEncoder:
                 )
             out[i] = normalize(arr)
         return out
-
-    def _post(self, body: dict) -> dict:
-        last_error: Exception | None = None
-        attempts = self.retries + 1
-        for attempt in range(attempts):
-            try:
-                resp = self._session.post(
-                    f"{self.url}/embed", json=body, timeout=self.timeout_s
-                )
-                if resp.status_code == 200:
-                    return resp.json()
-                last_error = TransportError(
-                    f"encoder backend returned HTTP {resp.status_code}",
-                    backend=self.url, attempts=attempt + 1,
-                )
-            except requests.RequestException as exc:
-                last_error = exc
-            if attempt < attempts - 1:
-                time.sleep(self.backoff_s * (2 ** attempt))
-        raise TransportError(
-            f"encoder backend {self.url} unreachable after {attempts} attempts: {last_error}",
-            backend=self.url, attempts=attempts,
-        )

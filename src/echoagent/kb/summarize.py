@@ -7,13 +7,14 @@ fallback buckets each primitive verbatim by keyword rules.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
+from functools import partial
 
 import requests
 
 from .. import anatomy
 from ..errors import ContractError, TransportError
+from ..wire import post_json
 
 SECTION_NAMES = (
     "views_to_acquire",
@@ -114,15 +115,16 @@ class HttpSummarizer:
     """
 
     def __init__(self, url: str, timeout_s: float = 5.0, retries: int = 2,
-                 backoff_s: float = 0.1, session: requests.Session | None = None):
+                 backoff_s: float = 0.1):
         self.url = url.rstrip("/")
-        self.timeout_s = timeout_s
-        self.retries = retries
-        self.backoff_s = backoff_s
-        self._session = session or requests.Session()
+        self._post = partial(
+            post_json, requests.Session(), f"{self.url}/summarize",
+            what=f"summarizer backend {self.url}",
+            timeout_s=timeout_s, retries=retries, backoff_s=backoff_s,
+        )
 
     def summarize(self, anatomy_name: str, texts: list[str]) -> dict[str, list[str]]:
-        payload = self._post({"anatomy": anatomy_name, "texts": list(texts)})
+        payload, _ = self._post({"anatomy": anatomy_name, "texts": list(texts)})
         if not isinstance(payload, dict) or set(payload) != set(SECTION_NAMES):
             raise ContractError(
                 f"summarizer backend returned malformed sections: {sorted(payload) if isinstance(payload, dict) else type(payload).__name__}"
@@ -134,28 +136,6 @@ class HttpSummarizer:
                 raise ContractError(f"summarizer section {name!r} is not a list of strings")
             sections[name] = items or [NO_GUIDANCE]
         return sections
-
-    def _post(self, body: dict) -> dict:
-        last_error: Exception | None = None
-        attempts = self.retries + 1
-        for attempt in range(attempts):
-            try:
-                resp = self._session.post(
-                    f"{self.url}/summarize", json=body, timeout=self.timeout_s
-                )
-                if resp.status_code == 200:
-                    return resp.json()
-                last_error = TransportError(
-                    f"summarizer returned HTTP {resp.status_code}", backend=self.url
-                )
-            except requests.RequestException as exc:
-                last_error = exc
-            if attempt < attempts - 1:
-                time.sleep(self.backoff_s * (2 ** attempt))
-        raise TransportError(
-            f"summarizer backend {self.url} unreachable: {last_error}",
-            backend=self.url, attempts=attempts,
-        )
 
 
 def build_repository_entry(kb, anatomy_name: str, k: int, summarizer=None) -> RepositoryEntry:

@@ -16,15 +16,11 @@ EMPTY_STRUCTURE = "empty_structure"
 class MeasurementResult:
     kind: str
     value: float
-    confidence: float = 1.0
-    inputs_provenance: tuple[str, ...] = ()
     flags: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.kind not in MEASUREMENT_KINDS:
             raise DomainError(f"unknown measurement kind {self.kind!r}")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise DomainError(f"confidence {self.confidence} outside [0, 1]")
         if self.kind in ("volume_ml", "area_mm2", "dimension_mm") and self.value < 0:
             raise DomainError(f"{self.kind} cannot be negative: {self.value}")
         if self.kind == "ef_percent":

@@ -15,19 +15,18 @@ from __future__ import annotations
 
 import base64
 import json
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import requests
 
 from ..errors import ContractError, FixtureError, TaxonomyError, TransportError
+from ..wire import post_json
 from .masks import SegmentationMask
-from .pgm import decode_pgm, encode_pgm, pgm_dimensions, read_pgm
+from .pgm import decode_pgm, pgm_dimensions, read_pgm
 from .registry import BlobRef, InvocationContext, ToolDescriptor, ToolRegistry
 from .schema import FieldSpec
 
-PGM_MEDIA_TYPE = "image/x-portable-graymap"
 SIDECAR_NAME = "study.json"
 
 
@@ -91,24 +90,35 @@ def mock_view_handler(inputs: dict, ctx: InvocationContext):
 def mock_segment_handler(inputs: dict, ctx: InvocationContext):
     study = load_study(inputs["study_dir"])
     phase = inputs["phase"]
-    target = inputs["target"]
     frame_path = study.frame_path(phase)
     if not frame_path.exists():
         raise FixtureError(f"missing frame {frame_path}")
     mask_path = study.mask_path(phase)
     if not mask_path.exists():
         raise FixtureError(f"missing ground-truth mask {mask_path}")
-    labels = read_pgm(mask_path)
+    mask, empty = _study_mask(read_pgm(mask_path), study, phase, inputs["target"])
+    confidence = 0.0 if empty else study.segmentation_confidence
+    return {"mask": mask, "empty_structure": empty}, confidence, []
+
+
+def _study_mask(labels, study: StudySidecar, phase: str, target: str):
+    """The mask under the sidecar's spacing and structure map, checked against
+    the frame's dimensions; returns (mask, whether the target is absent)."""
     mask = SegmentationMask(
         labels=labels,
         pixel_spacing_mm=study.pixel_spacing_mm,
         structure_map=dict(study.structure_map),
     )
-    blob = BlobRef.from_bytes(encode_pgm(labels), PGM_MEDIA_TYPE, path=str(mask_path))
+    frame_path = study.frame_path(phase)
+    if frame_path.exists():
+        width, height = pgm_dimensions(frame_path)
+        if (mask.width, mask.height) != (width, height):
+            raise ContractError(
+                f"mask dimensions {mask.width}x{mask.height} do not match "
+                f"frame {width}x{height}"
+            )
     label = mask.label_for(target)
-    empty = label is None or mask.pixel_count(label) == 0
-    confidence = 0.0 if empty else study.segmentation_confidence
-    return {"mask": mask, "empty_structure": empty}, confidence, [blob]
+    return mask, label is None or mask.pixel_count(label) == 0
 
 
 # -- wire protocol ----------------------------------------------------------
@@ -120,47 +130,31 @@ def make_wire_handler(
     timeout_s: float = 5.0,
     retries: int = 2,
     backoff_s: float = 0.1,
-    session: requests.Session | None = None,
 ):
     """POST {base_url}/invoke with {tool, invocation_id, inputs}.
 
-    Retries on transport failures and non-200 responses with exponential
-    backoff; the attempt count is surfaced through the invocation context
-    so the registry log records it.
+    Retries follow ``post_json``; the attempt count is surfaced through the
+    invocation context so the registry log records it.
     """
-    http = session or requests.Session()
+    session = requests.Session()
     url = base_url.rstrip("/") + "/invoke"
+    what = f"tool {tool_name!r} backend"
 
     def handler(inputs: dict, ctx: InvocationContext):
         body = {"tool": tool_name, "invocation_id": ctx.invocation_id, "inputs": inputs}
-        last_error: str | None = None
-        attempts = retries + 1
-        for attempt in range(attempts):
-            ctx.attempts = attempt + 1
-            try:
-                resp = http.post(url, json=body, timeout=timeout_s)
-            except requests.RequestException as exc:
-                last_error = str(exc)
-            else:
-                if resp.status_code == 200:
-                    return _decode_wire_response(resp, tool_name)
-                last_error = f"HTTP {resp.status_code}"
-            if attempt < attempts - 1:
-                time.sleep(backoff_s * (2 ** attempt))
-        raise TransportError(
-            f"tool {tool_name!r} backend failed after {attempts} attempts: {last_error}",
-            backend=base_url,
-            attempts=attempts,
-        )
+        try:
+            payload, ctx.attempts = post_json(
+                session, url, body, what, timeout_s, retries, backoff_s
+            )
+        except (ContractError, TransportError) as exc:
+            ctx.attempts = exc.attempts
+            raise
+        return _decode_wire_response(payload, tool_name)
 
     return handler
 
 
-def _decode_wire_response(resp, tool_name: str):
-    try:
-        payload = resp.json()
-    except ValueError as exc:
-        raise ContractError(f"tool {tool_name!r} backend returned non-JSON body") from exc
+def _decode_wire_response(payload, tool_name: str):
     if not isinstance(payload, dict) or "outputs" not in payload or "confidence" not in payload:
         raise ContractError(
             f"tool {tool_name!r} backend response missing outputs/confidence"
@@ -175,7 +169,7 @@ def _decode_wire_response(resp, tool_name: str):
     for raw in payload.get("artifacts", []):
         try:
             data = base64.b64decode(raw["bytes_b64"])
-            artifacts.append(BlobRef.from_bytes(data, str(raw.get("media_type", ""))))
+            artifacts.append(BlobRef(str(raw.get("media_type", "")), data))
         except (KeyError, TypeError, ValueError) as exc:
             raise ContractError(
                 f"tool {tool_name!r} backend artifact malformed: {exc}"
@@ -207,35 +201,21 @@ def segment_structure(
     phase: str,
     target: str,
 ):
-    """Run the segmentation tool; decode wire masks; check frame dimensions."""
+    """Run the segmentation tool; decode and check a wire mask. The mock
+    handler checks its own mask, so either path reads the sidecar once."""
     result = registry.invoke(
         tool_name, {"study_dir": str(study_dir), "phase": phase, "target": target}
     )
-    study = load_study(study_dir)
     if "mask" not in result.outputs:
         # wire backends return the mask as a PGM artifact
         if not result.artifacts:
             raise ContractError(f"tool {tool_name!r} returned no mask payload")
-        labels = decode_pgm(result.artifacts[0].data)
-        mask = SegmentationMask(
-            labels=labels,
-            pixel_spacing_mm=study.pixel_spacing_mm,
-            structure_map=dict(study.structure_map),
+        mask, empty = _study_mask(
+            decode_pgm(result.artifacts[0].data), load_study(study_dir), phase, target
         )
-        label = mask.label_for(target)
-        empty = label is None or mask.pixel_count(label) == 0
         result.outputs = {"mask": mask, "empty_structure": empty}
         if empty:
             result.confidence = 0.0
-    mask = result.outputs["mask"]
-    frame_path = study.frame_path(phase)
-    if frame_path.exists():
-        width, height = pgm_dimensions(frame_path)
-        if (mask.width, mask.height) != (width, height):
-            raise ContractError(
-                f"mask dimensions {mask.width}x{mask.height} do not match "
-                f"frame {width}x{height}"
-            )
     return result
 
 
@@ -254,11 +234,12 @@ def register_perception_tools(
 ) -> None:
     """Register the perceptual and operational layers (mock or wire)."""
     backend = "wire" if tool_url else "mock"
-    view_handler = (
-        make_wire_handler(tool_url, VIEW_TOOL, timeout_s, retries, backoff_s)
-        if tool_url
-        else mock_view_handler
-    )
+
+    def handler(tool_name: str, mock_handler):
+        if tool_url:
+            return make_wire_handler(tool_url, tool_name, timeout_s, retries, backoff_s)
+        return mock_handler
+
     registry.register(
         ToolDescriptor(
             name=VIEW_TOOL,
@@ -267,12 +248,7 @@ def register_perception_tools(
             output_schema=(FieldSpec("view", "string"),),
             backend=backend,
         ),
-        view_handler,
-    )
-    segment_handler = (
-        make_wire_handler(tool_url, SEGMENT_TOOL, timeout_s, retries, backoff_s)
-        if tool_url
-        else mock_segment_handler
+        handler(VIEW_TOOL, mock_view_handler),
     )
     registry.register(
         ToolDescriptor(
@@ -289,5 +265,5 @@ def register_perception_tools(
             ),
             backend=backend,
         ),
-        segment_handler,
+        handler(SEGMENT_TOOL, mock_segment_handler),
     )

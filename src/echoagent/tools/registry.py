@@ -8,7 +8,6 @@ lands in an append-only log with a monotonically increasing id.
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -52,7 +51,7 @@ class ToolDescriptor:
 
 @dataclass
 class BlobRef:
-    """Content-addressed reference to a produced artifact (e.g. a mask).
+    """Content-addressed reference to an artifact a wire backend returned.
 
     ``id`` is the SHA-256 hex digest of ``data``, computed the first time it
     is read, so an artifact nobody addresses is never hashed.
@@ -60,15 +59,10 @@ class BlobRef:
 
     media_type: str
     data: bytes = field(repr=False)
-    path: str | None = None
 
     @cached_property
     def id(self) -> str:
         return hashlib.sha256(self.data).hexdigest()
-
-    @classmethod
-    def from_bytes(cls, data: bytes, media_type: str, path: str | None = None) -> "BlobRef":
-        return cls(media_type=media_type, data=data, path=path)
 
 
 @dataclass
@@ -78,7 +72,6 @@ class ToolResult:
     outputs: dict
     confidence: float
     artifacts: list[BlobRef] = field(default_factory=list)
-    latency_ms: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.confidence <= 1.0:
@@ -164,7 +157,6 @@ class ToolRegistry:
             raise RegistrationError(f"no tool registered under {tool_name!r}")
         ctx = InvocationContext(invocation_id=f"inv-{self._next_invocation:06d}")
         self._next_invocation += 1
-        started = time.monotonic()
         try:
             validate_value_map(inputs, descriptor.input_schema, f"{tool_name} inputs")
             outputs, confidence, artifacts = handler(inputs, ctx)
@@ -175,7 +167,6 @@ class ToolRegistry:
                 outputs=outputs,
                 confidence=float(confidence),
                 artifacts=list(artifacts),
-                latency_ms=int((time.monotonic() - started) * 1000),
             )
         except EchoAgentError as exc:
             self._log.append(

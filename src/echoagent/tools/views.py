@@ -53,12 +53,6 @@ def load_taxonomy(path: str | Path | None = None) -> tuple[str, ...]:
     return tuple(names)
 
 
-def require_view(name: str, taxonomy: tuple[str, ...]) -> str:
-    if name not in taxonomy:
-        raise TaxonomyError(f"view {name!r} is not in the loaded taxonomy")
-    return name
-
-
 def find_views_in_text(text: str, taxonomy: tuple[str, ...]) -> list[str]:
     """Canonical view names mentioned in the text, in first-mention order."""
     lowered = text.lower()

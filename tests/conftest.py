@@ -69,7 +69,8 @@ class _StubHandler(BaseHTTPRequestHandler):
         server: StubServer = self.server.stub  # type: ignore[attr-defined]
         server.requests.append((self.path, body))
         status, payload = server.next_response()
-        data = json.dumps(payload).encode("utf-8")
+        # a bytes payload is sent verbatim, so a script can send a non-JSON body
+        data = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -85,13 +86,13 @@ class StubServer:
 
     def __init__(self):
         self.requests: list[tuple[str, dict]] = []
-        self.script: list[tuple[int, dict]] = [(200, {})]
+        self.script: list[tuple[int, dict | bytes]] = [(200, {})]
         self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
         self._httpd.stub = self  # type: ignore[attr-defined]
         self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
         self._thread.start()
 
-    def next_response(self) -> tuple[int, dict]:
+    def next_response(self) -> tuple[int, dict | bytes]:
         if len(self.script) > 1:
             return self.script.pop(0)
         return self.script[0]

@@ -91,6 +91,13 @@ def test_http_encoder_rejects_malformed_vectors(stub_server):
         enc.embed("hello")
 
 
+def test_http_encoder_rejects_a_body_that_is_not_an_object(stub_server):
+    stub_server.script = [(200, [[1.0] * 8])]
+    enc = HttpEncoder(stub_server.url, dim=8, backoff_s=0.0)
+    with pytest.raises(ContractError, match="vectors"):
+        enc.embed("hello")
+
+
 @settings(max_examples=150, deadline=None)
 @given(texts=st.lists(token_texts(), min_size=1, max_size=8),
        dim=st.sampled_from([1, 7, 256]))

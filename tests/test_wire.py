@@ -106,3 +106,113 @@ def test_wire_artifact_id_is_the_hash_of_its_decoded_bytes_on_read(stub_server):
     [blob] = result.artifacts
     assert "id" not in vars(blob)
     assert blob.id == hashlib.sha256(data).hexdigest()
+
+
+# -- segmentation over the wire ------------------------------------------------
+
+SEGMENTER = "echo.segmenter"
+
+
+def wire_segmenter(url):
+    from echoagent.tools.backends import register_perception_tools
+
+    registry = ToolRegistry()
+    register_perception_tools(registry, tool_url=url, timeout_s=2.0, retries=0, backoff_s=0.0)
+    return registry
+
+
+def mask_response(pixels, confidence=0.9):
+    return {
+        "outputs": {},
+        "confidence": confidence,
+        "artifacts": [{"media_type": "image/x-portable-graymap",
+                       "bytes_b64": base64.b64encode(encode_pgm(pixels)).decode("ascii")}],
+    }
+
+
+def test_wire_mask_artifact_takes_the_sidecars_spacing_and_structure_map(stub_server, ef_dataset):
+    from echoagent.tools.backends import load_study, segment_structure
+    from echoagent.tools.pgm import read_pgm
+
+    study = ef_dataset / "studies" / "study-03" / "a4c"
+    pixels = read_pgm(study / "masks" / "ed.pgm")
+    stub_server.script = [(200, mask_response(pixels))]
+    result = segment_structure(wire_segmenter(stub_server.url), SEGMENTER, study, "ED",
+                               "left ventricle")
+    sidecar = load_study(study)
+    mask = result.outputs["mask"]
+    assert np.array_equal(mask.labels, pixels)
+    assert mask.pixel_spacing_mm == sidecar.pixel_spacing_mm
+    assert mask.structure_map == sidecar.structure_map
+    assert result.outputs["empty_structure"] is False
+    assert result.confidence == 0.9
+    path, body = stub_server.requests[0]
+    assert body["tool"] == SEGMENTER
+    assert body["inputs"] == {"study_dir": str(study), "phase": "ED", "target": "left ventricle"}
+
+
+def test_wire_mask_without_the_target_is_an_empty_structure(stub_server, ef_dataset):
+    from echoagent.tools.backends import segment_structure
+    from echoagent.tools.pgm import read_pgm
+
+    study = ef_dataset / "studies" / "study-03" / "a4c"
+    stub_server.script = [(200, mask_response(read_pgm(study / "masks" / "ed.pgm")))]
+    result = segment_structure(wire_segmenter(stub_server.url), SEGMENTER, study, "ED",
+                               "pericardium")
+    assert result.outputs["empty_structure"] is True
+    assert result.confidence == 0.0
+
+
+def test_wire_segmentation_without_an_artifact_is_a_contract_error(stub_server, ef_dataset):
+    from echoagent.tools.backends import segment_structure
+
+    study = ef_dataset / "studies" / "study-03" / "a4c"
+    stub_server.script = [(200, {"outputs": {}, "confidence": 0.9})]
+    with pytest.raises(ContractError, match="no mask"):
+        segment_structure(wire_segmenter(stub_server.url), SEGMENTER, study, "ED",
+                          "left ventricle")
+
+
+def test_wire_mask_of_the_wrong_size_is_a_contract_error(stub_server, ef_dataset):
+    from echoagent.tools.backends import segment_structure
+
+    study = ef_dataset / "studies" / "study-03" / "a4c"
+    stub_server.script = [(200, mask_response(np.zeros((16, 16), dtype=np.uint8)))]
+    with pytest.raises(ContractError, match="dimensions"):
+        segment_structure(wire_segmenter(stub_server.url), SEGMENTER, study, "ED",
+                          "left ventricle")
+
+
+@pytest.mark.parametrize("backend", ["mock", "wire"])
+def test_segmentation_reads_the_sidecar_once(stub_server, ef_dataset, monkeypatch, backend):
+    from echoagent.hub.toolkit import build_default_registry
+    from echoagent.tools import backends
+    from echoagent.tools.pgm import read_pgm
+
+    study = ef_dataset / "studies" / "study-04" / "a2c"
+    if backend == "wire":
+        registry = wire_segmenter(stub_server.url)
+        stub_server.script = [(200, mask_response(read_pgm(study / "masks" / "es.pgm")))]
+    else:
+        registry = build_default_registry()
+    calls = []
+    real_load_study = backends.load_study
+
+    def counting_load_study(study_dir):
+        calls.append(study_dir)
+        return real_load_study(study_dir)
+
+    monkeypatch.setattr(backends, "load_study", counting_load_study)
+    result = backends.segment_structure(registry, SEGMENTER, study, "ES", "left ventricle")
+    assert not result.outputs["empty_structure"]
+    assert len(calls) == 1
+
+
+def test_non_json_body_after_a_retry_logs_both_attempts(stub_server):
+    stub_server.script = [(503, {}), (200, b"not json")]
+    registry = wire_registry(stub_server.url)
+    with pytest.raises(ContractError, match="non-JSON"):
+        registry.invoke("remote.tool", {"x": 1.0})
+    [entry] = registry.invocation_log
+    assert entry.status == "contract_error"
+    assert entry.attempts == 2
