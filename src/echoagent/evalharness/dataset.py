@@ -92,12 +92,9 @@ def _parse_record(record_path: Path) -> StudyRecord:
     for hint, rel in raw.get("studies", {}).items():
         study_dir = record_path.parent / rel
         try:
-            sidecar = load_study(study_dir)
+            load_study(study_dir)
         except FixtureError as exc:
             raise DatasetError(f"record {record_id}: {exc}") from exc
-        sx, sy = sidecar.pixel_spacing_mm
-        if sx <= 0 or sy <= 0:
-            raise DatasetError(f"record {record_id}: non-positive spacing in {study_dir}")
         study_dirs[str(hint)] = study_dir
     if not study_dirs:
         raise DatasetError(f"record {record_id}: no study directories listed")

@@ -1,11 +1,10 @@
 """The orchestration loop: resolve, plan, execute, score, adapt, conclude.
 
-One hub instance owns one mutable graph and runs its loop sequentially.
-The knowledge base it reads is immutable, but the tool registry is not:
-``ToolRegistry.invoke`` advances an invocation counter and appends to the
-registry's log, and those invocation ids reach the trace. So a registry
-must not be shared by concurrent hubs, and a run's trace depends on the
-earlier runs made on the same registry.
+Each run grows its own graph and invokes tools through its own
+``ToolRegistry.for_run`` registry, whose log it returns as
+``Conclusion.invocation_log``. Invocation ids, which reach the trace, restart
+at ``inv-000001``, so no trace depends on earlier runs. Runs only read the
+hub's registry and knowledge base, so hubs may share both.
 """
 from __future__ import annotations
 
@@ -22,7 +21,7 @@ from ..kb.index import KnowledgeBase, empty_entry
 from ..kb.summarize import RepositoryEntry
 from ..quant.grading import normalize_grade_label
 from ..tools import backends
-from ..tools.registry import ToolRegistry
+from ..tools.registry import LogEntry, ToolRegistry
 from ..tools.views import A2C, A4C, ALTERNATE_VIEW, DEFAULT_TAXONOMY
 from .graph import ReasoningGraph
 from .hypotheses import (
@@ -67,6 +66,7 @@ class Conclusion:
     ef_percent: float | None = None
     grade: str | None = None
     warnings: list[str] = field(default_factory=list)
+    invocation_log: tuple[LogEntry, ...] = ()
 
 
 @dataclass
@@ -132,6 +132,7 @@ class ReasoningHub:
     def run(self, query: DiagnosticQuery, trace_path: str | Path | None = None) -> Conclusion:
         cfg = self.config
         trace = TraceWriter()
+        registry = self.registry.for_run()
         anatomy_name, entry, similarity = self.resolve_repository(query)
 
         rules = parse_criteria(entry.section_items("diagnostic_criteria"))
@@ -149,7 +150,7 @@ class ReasoningHub:
             confidence=similarity,
         )
 
-        plan = plan_steps(entry, query, self.registry, self.taxonomy, cfg.n_disks)
+        plan = plan_steps(entry, query, registry, self.taxonomy, cfg.n_disks)
         trace.emit(
             t=0, event_kind="plan", posterior=posterior,
             outputs_digest=digest({
@@ -159,7 +160,7 @@ class ReasoningHub:
             }),
         )
 
-        state = _RunState(graph=graph, anchors=anchors, rules=rules,
+        state = _RunState(registry=registry, graph=graph, anchors=anchors, rules=rules,
                           hypothesis_nodes=hypothesis_nodes, labels=labels)
         queue: deque[ActionStep] = deque(plan.steps)
         pending_planned = sum(1 for s in plan.steps if s.origin == "planned")
@@ -234,6 +235,7 @@ class ReasoningHub:
             ef_percent=state.ef_value,
             grade=state.grade_value,
             warnings=list(plan.warnings),
+            invocation_log=registry.invocation_log,
         )
 
     # -- step execution ---------------------------------------------------------
@@ -252,7 +254,7 @@ class ReasoningHub:
 
     def _do_classify(self, step, state, t):
         study_dir = step.inputs["study_dir"]
-        result = backends.classify_view(self.registry, step.tool_name, study_dir, self.taxonomy)
+        result = backends.classify_view(state.registry, step.tool_name, study_dir, self.taxonomy)
         view = result.outputs["view"]
         payload = {"view": view, "study_ref": study_dir,
                    "invocation_id": result.invocation_id}
@@ -272,7 +274,7 @@ class ReasoningHub:
         if study_dir is None:
             return state.fail(step, t, f"no study classified as view {view!r}")
         result = backends.segment_structure(
-            self.registry, step.tool_name, study_dir, phase, structure
+            state.registry, step.tool_name, study_dir, phase, structure
         )
         mask = result.outputs["mask"]
         empty = bool(result.outputs.get("empty_structure", False))
@@ -291,7 +293,7 @@ class ReasoningHub:
     def _measure(self, step, state, t, inputs: dict, causes: list, **context):
         """Invoke the step's tool; add its outputs, the structure, any step
         context and the invocation id as one evidence node."""
-        result = self.registry.invoke(step.tool_name, inputs)
+        result = state.registry.invoke(step.tool_name, inputs)
         payload = {**result.outputs, "structure": step.inputs["structure"], **context,
                    "invocation_id": result.invocation_id}
         node = state.graph.add_evidence(payload, result.confidence, t, causes=causes)
@@ -444,6 +446,7 @@ class ReasoningHub:
 
 @dataclass
 class _RunState:
+    registry: ToolRegistry  # the run's own, from ToolRegistry.for_run
     graph: ReasoningGraph
     anchors: dict[str, str]
     rules: list[ThresholdRule]

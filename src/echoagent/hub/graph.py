@@ -44,7 +44,6 @@ class TypedEdge:
 
 @dataclass
 class ReasoningGraph:
-    validate: bool = True
     nodes: dict[str, EvidenceNode] = field(default_factory=dict)
     edges: list[TypedEdge] = field(default_factory=list)
     checks_run: int = 0
@@ -128,8 +127,6 @@ class ReasoningGraph:
     # -- invariants ------------------------------------------------------------
 
     def _check(self) -> None:
-        if not self.validate:
-            return
         self.checks_run += 1
         self._check_acyclic()
         self._check_anchored()

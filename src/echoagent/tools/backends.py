@@ -89,27 +89,40 @@ def mock_view_handler(inputs: dict, ctx: InvocationContext):
 
 def mock_segment_handler(inputs: dict, ctx: InvocationContext):
     study = load_study(inputs["study_dir"])
-    phase = inputs["phase"]
-    frame_path = study.frame_path(phase)
+    frame_path = study.frame_path(inputs["phase"])
     if not frame_path.exists():
         raise FixtureError(f"missing frame {frame_path}")
-    mask_path = study.mask_path(phase)
+    mask_path = study.mask_path(inputs["phase"])
     if not mask_path.exists():
         raise FixtureError(f"missing ground-truth mask {mask_path}")
-    mask, empty = _study_mask(read_pgm(mask_path), study, phase, inputs["target"])
-    confidence = 0.0 if empty else study.segmentation_confidence
-    return {"mask": mask, "empty_structure": empty}, confidence, []
+    outputs, confidence = _segmenter_outputs(read_pgm(mask_path), study, inputs,
+                                      study.segmentation_confidence)
+    return outputs, confidence, []
 
 
-def _study_mask(labels, study: StudySidecar, phase: str, target: str):
-    """The mask under the sidecar's spacing and structure map, checked against
-    the frame's dimensions; returns (mask, whether the target is absent)."""
+def wire_segment_handler(wire_handler):
+    """Decode and check a wire segmenter's PGM mask artifact as the mock does."""
+
+    def handler(inputs: dict, ctx: InvocationContext):
+        outputs, confidence, artifacts = wire_handler(inputs, ctx)
+        if not artifacts:
+            raise ContractError(f"tool {SEGMENT_TOOL!r} returned no mask payload")
+        segmented, confidence = _segmenter_outputs(decode_pgm(artifacts[0].data),
+                                            load_study(inputs["study_dir"]), inputs, confidence)
+        return {**outputs, **segmented}, confidence, artifacts  # the output check sees its fields
+
+    return handler
+
+
+def _segmenter_outputs(labels, study: StudySidecar, inputs: dict, confidence: float):
+    """Segmenter outputs for a mask under the sidecar's spacing and structure map,
+    checked against the frame's size; confidence 0 when the target is absent."""
     mask = SegmentationMask(
         labels=labels,
         pixel_spacing_mm=study.pixel_spacing_mm,
         structure_map=dict(study.structure_map),
     )
-    frame_path = study.frame_path(phase)
+    frame_path = study.frame_path(inputs["phase"])
     if frame_path.exists():
         width, height = pgm_dimensions(frame_path)
         if (mask.width, mask.height) != (width, height):
@@ -117,8 +130,9 @@ def _study_mask(labels, study: StudySidecar, phase: str, target: str):
                 f"mask dimensions {mask.width}x{mask.height} do not match "
                 f"frame {width}x{height}"
             )
-    label = mask.label_for(target)
-    return mask, label is None or mask.pixel_count(label) == 0
+    label = mask.label_for(inputs["target"])
+    empty = label is None or mask.pixel_count(label) == 0
+    return {"mask": mask, "empty_structure": empty}, 0.0 if empty else confidence
 
 
 # -- wire protocol ----------------------------------------------------------
@@ -201,22 +215,10 @@ def segment_structure(
     phase: str,
     target: str,
 ):
-    """Run the segmentation tool; decode and check a wire mask. The mock
-    handler checks its own mask, so either path reads the sidecar once."""
-    result = registry.invoke(
+    """Run the segmentation tool; its handler builds and checks the mask."""
+    return registry.invoke(
         tool_name, {"study_dir": str(study_dir), "phase": phase, "target": target}
     )
-    if "mask" not in result.outputs:
-        # wire backends return the mask as a PGM artifact
-        if not result.artifacts:
-            raise ContractError(f"tool {tool_name!r} returned no mask payload")
-        mask, empty = _study_mask(
-            decode_pgm(result.artifacts[0].data), load_study(study_dir), phase, target
-        )
-        result.outputs = {"mask": mask, "empty_structure": empty}
-        if empty:
-            result.confidence = 0.0
-    return result
 
 
 # -- default registration ----------------------------------------------------
@@ -235,10 +237,8 @@ def register_perception_tools(
     """Register the perceptual and operational layers (mock or wire)."""
     backend = "wire" if tool_url else "mock"
 
-    def handler(tool_name: str, mock_handler):
-        if tool_url:
-            return make_wire_handler(tool_url, tool_name, timeout_s, retries, backoff_s)
-        return mock_handler
+    def wire(tool_name: str):
+        return make_wire_handler(tool_url, tool_name, timeout_s, retries, backoff_s)
 
     registry.register(
         ToolDescriptor(
@@ -248,7 +248,7 @@ def register_perception_tools(
             output_schema=(FieldSpec("view", "string"),),
             backend=backend,
         ),
-        handler(VIEW_TOOL, mock_view_handler),
+        wire(VIEW_TOOL) if tool_url else mock_view_handler,
     )
     registry.register(
         ToolDescriptor(
@@ -265,5 +265,5 @@ def register_perception_tools(
             ),
             backend=backend,
         ),
-        handler(SEGMENT_TOOL, mock_segment_handler),
+        wire_segment_handler(wire(SEGMENT_TOOL)) if tool_url else mock_segment_handler,
     )

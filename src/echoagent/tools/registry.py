@@ -3,7 +3,9 @@
 Every capability, whether a mock, a native function, or a remote model
 behind the wire protocol, is registered under a descriptor and invoked
 through one validated code path. Every invocation, including failed ones,
-lands in an append-only log with a monotonically increasing id.
+lands in an append-only log with a monotonically increasing id. A run takes
+its own ids and log from ``ToolRegistry.for_run``, so it never writes to a
+shared registry.
 """
 from __future__ import annotations
 
@@ -146,6 +148,12 @@ class ToolRegistry:
                 f"picked {matches[0].name!r}"
             )
         return matches[0], warning
+
+    def for_run(self) -> "ToolRegistry":
+        """The same tools (the map is copied), with ids from ``inv-000001`` and an empty log."""
+        run = ToolRegistry()
+        run._tools = dict(self._tools)
+        return run
 
     @property
     def invocation_log(self) -> tuple[LogEntry, ...]:

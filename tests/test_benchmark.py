@@ -1,7 +1,12 @@
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from echoagent.config import EngineConfig
 from echoagent.evalharness.benchmark import run_benchmark, write_report
@@ -114,18 +119,47 @@ def test_report_roundtrips_and_is_stable_across_reruns(kb, ef_dataset, tmp_path)
     assert parsed["fixture_digest"]
 
 
-def test_mixed_dataset_reports_per_group_accuracy(kb, ef_dataset, qa_dataset, tmp_path):
-    import shutil
-
-    root = tmp_path / "mixed"
+@pytest.fixture(scope="module")
+def mixed_dataset(tmp_path_factory, ef_dataset, qa_dataset):
+    """The 12 EF records and the 4 multiple-choice records in one dataset."""
+    root = tmp_path_factory.mktemp("mixed") / "dataset"
     shutil.copytree(ef_dataset, root)
     for study in (qa_dataset / "studies").iterdir():
         shutil.copytree(study, root / "studies" / study.name)
-    records = load_dataset(root)
+    return root
+
+
+def test_mixed_dataset_reports_per_group_accuracy(kb, mixed_dataset):
+    records = load_dataset(mixed_dataset)
     assert len(records) == 16
     report = run_benchmark(records, kb, build_default_registry(), EngineConfig(),
-                           dataset_root=root)
+                           dataset_root=mixed_dataset)
     assert report.per_group_acc["pericardium"] == pytest.approx(100.0)
     assert report.per_group_acc["left atrium"] == pytest.approx(100.0)
     assert report.per_group_acc["left ventricle"] == pytest.approx(100.0)
     assert report.overall_acc == pytest.approx(100.0)
+
+
+def traces_and_records(records, kb, registry):
+    """Each record's trace bytes and report entry, by record id."""
+    with tempfile.TemporaryDirectory() as trace_dir:
+        report = run_benchmark(records, kb, registry, EngineConfig(), trace_dir=trace_dir)
+        traces = {path.name: path.read_bytes() for path in Path(trace_dir).iterdir()}
+    return traces, {entry["id"]: entry for entry in report.to_json()["records"]}
+
+
+@pytest.fixture(scope="module")
+def shared_registry():
+    """One registry for every example of the property below."""
+    return build_default_registry()
+
+
+@settings(max_examples=10, deadline=None)
+@given(order=st.permutations(range(16)))
+def test_traces_do_not_depend_on_record_order_or_earlier_runs(
+    kb, mixed_dataset, shared_registry, order
+):
+    records = load_dataset(mixed_dataset)
+    expected = traces_and_records(records, kb, build_default_registry())
+    got = traces_and_records([records[i] for i in order], kb, shared_registry)
+    assert got == expected

@@ -42,6 +42,17 @@ def test_both_truth_variants_rejected(ef_dataset, tmp_path):
         load_dataset(root)
 
 
+def test_zero_pixel_spacing_is_a_load_error_naming_the_record(ef_dataset, tmp_path):
+    root = tmp_path / "ds"
+    shutil.copytree(ef_dataset, root)
+    sidecar_path = root / "studies" / "study-02" / "a4c" / "study.json"
+    sidecar = json.loads(sidecar_path.read_text())
+    sidecar["pixel_spacing_mm"] = [0.0, 0.5]
+    sidecar_path.write_text(json.dumps(sidecar))
+    with pytest.raises(DatasetError, match="study-02.*pixel spacing must be positive"):
+        load_dataset(root)
+
+
 def test_empty_directory_warns_and_returns_empty(tmp_path):
     with pytest.warns(UserWarning):
         assert load_dataset(tmp_path) == []

@@ -13,12 +13,12 @@ LV = "left ventricle"
 
 
 @pytest.fixture()
-def a4c_only_state():
+def a4c_only_state(registry):
     """A run state holding one LV mask, on the a4c view at ED."""
     graph = ReasoningGraph()
     anchor = graph.add_anchor({"study_ref": "study"})
-    state = _RunState(graph=graph, anchors={"study": anchor}, rules=[],
-                      hypothesis_nodes={}, labels=())
+    state = _RunState(registry=registry.for_run(), graph=graph, anchors={"study": anchor},
+                      rules=[], hypothesis_nodes={}, labels=())
     labels = np.zeros((40, 30), dtype=np.uint8)
     labels[5:35, 10:20] = 1
     mask = SegmentationMask(labels, (0.5, 0.5), {1: LV})

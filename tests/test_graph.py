@@ -81,9 +81,3 @@ def test_checks_run_after_every_mutation():
     graph.add_concept("h")
     graph.add_evidence({"a": 1}, 1.0, 1, causes=[(anchor, "generates")])
     assert graph.checks_run == 3
-
-
-def test_validation_can_be_disabled_for_uninstrumented_builds():
-    graph = ReasoningGraph(validate=False)
-    graph.add_anchor("raw")
-    assert graph.checks_run == 0

@@ -258,15 +258,31 @@ def test_dmax_zero_concludes_immediately_from_the_prior(kb, registry, ef_dataset
     )
 
 
-def test_trace_replay_is_byte_identical(kb, ef_dataset, tmp_path):
+def test_trace_replay_is_byte_identical(kb, registry, ef_dataset, tmp_path):
+    """Two runs on one registry, and a run on a fresh one, write the same bytes."""
     from echoagent.hub.toolkit import build_default_registry
 
-    paths = []
-    for i in range(2):
+    traces = []
+    for i, run_registry in enumerate((registry, registry, build_default_registry())):
         path = tmp_path / f"run{i}.jsonl"
-        run_study(kb, build_default_registry(), ef_dataset, "study-07", path)
-        paths.append(path)
-    assert paths[0].read_bytes() == paths[1].read_bytes()
+        run_study(kb, run_registry, ef_dataset, "study-07", path)
+        traces.append(path.read_bytes())
+    assert traces[0] == traces[1] == traces[2]
+
+
+def test_invocation_log_lists_the_runs_calls_and_leaves_the_registry_alone(
+    kb, registry, ef_dataset
+):
+    conclusion = run_study(kb, registry, ef_dataset, "study-11")
+    log = conclusion.invocation_log
+    assert [entry.invocation_id for entry in log] == [
+        f"inv-{i:06d}" for i in range(1, len(log) + 1)
+    ]
+    steps = [r for r in conclusion.trace_records if r["event_kind"] == "step"]
+    assert [entry.tool_name for entry in log] == [r["tool"] for r in steps]
+    assert all(entry.status == "ok" and entry.attempts == 1 for entry in log)
+    assert registry.invocation_log == ()
+    assert run_study(kb, registry, ef_dataset, "study-11").invocation_log == log
 
 
 def test_posterior_snapshots_normalized_at_every_step(kb, registry, ef_dataset, tmp_path):

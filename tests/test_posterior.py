@@ -104,7 +104,7 @@ def test_scaling_all_edge_weights_preserves_argmax():
 
 def test_degenerate_likelihood_falls_back_to_prior_with_flag():
     labels = ("a", "b", "c")
-    graph = ReasoningGraph(validate=False)  # bulk construction, checks off
+    graph = ReasoningGraph()
     nodes = {label: graph.add_concept(label) for label in labels}
     anchor = graph.add_anchor("raw")
     evidence = graph.add_evidence({"v": 1}, 1.0, 1, causes=[(anchor, "generates")])

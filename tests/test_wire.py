@@ -178,9 +178,11 @@ def test_wire_mask_of_the_wrong_size_is_a_contract_error(stub_server, ef_dataset
 
     study = ef_dataset / "studies" / "study-03" / "a4c"
     stub_server.script = [(200, mask_response(np.zeros((16, 16), dtype=np.uint8)))]
+    registry = wire_segmenter(stub_server.url)
     with pytest.raises(ContractError, match="dimensions"):
-        segment_structure(wire_segmenter(stub_server.url), SEGMENTER, study, "ED",
-                          "left ventricle")
+        segment_structure(registry, SEGMENTER, study, "ED", "left ventricle")
+    [entry] = registry.invocation_log
+    assert entry.status == "contract_error"
 
 
 @pytest.mark.parametrize("backend", ["mock", "wire"])
