@@ -16,7 +16,7 @@ import numpy as np
 
 from ..anatomy import dominant_group
 from ..config import EngineConfig
-from ..errors import EchoAgentError, GraphError, ResolutionError
+from ..errors import ContractError, EchoAgentError, GraphError, ResolutionError
 from ..kb.index import KnowledgeBase, empty_entry
 from ..kb.summarize import RepositoryEntry
 from ..quant.grading import normalize_grade_label
@@ -45,11 +45,13 @@ class DiagnosticQuery:
 
     def __post_init__(self):
         if not self.text.strip():
-            raise ValueError("query text is empty")
+            raise ContractError("query text is empty")
         if not self.study_refs:
-            raise ValueError("query needs at least one study reference")
+            raise ContractError("query needs at least one study reference")
         if self.options is not None and len(self.options) < 2:
-            raise ValueError("multiple-choice query needs at least two options")
+            raise ContractError("multiple-choice query needs at least two options")
+        if self.options is not None and len(set(self.options)) != len(self.options):
+            raise ContractError(f"multiple-choice query repeats an option: {self.options}")
 
 
 @dataclass

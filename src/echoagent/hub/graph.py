@@ -1,10 +1,14 @@
 """Typed evidence graph grown during a reasoning run.
 
 Nodes are clinical concepts (hypotheses), execution evidence, or raw data
-anchors; edges are generates / supports / contradicts / derives. The
-causal subgraph (generates + derives) must stay acyclic and every evidence
-node must trace back to a raw anchor; both invariants are re-checked after
-every mutation, so a violation surfaces at the mutation that caused it.
+anchors; edges are generates / supports / contradicts / derives. Two
+invariants hold by construction. Causal edges (generates + derives) are
+created only with the new evidence node they point to, so the causal
+subgraph is acyclic in creation order. A new evidence node needs a raw
+anchor or an evidence node among its causes, and concepts never receive
+causal edges, so every evidence node traces back to a raw anchor. Each
+mutation is checked before it is applied: a rejected call leaves the graph
+unchanged.
 """
 from __future__ import annotations
 
@@ -46,7 +50,7 @@ class TypedEdge:
 class ReasoningGraph:
     nodes: dict[str, EvidenceNode] = field(default_factory=dict)
     edges: list[TypedEdge] = field(default_factory=list)
-    checks_run: int = 0
+    checks_run: int = 0  # one per mutation checked against the invariants
     _counter: int = 0
 
     # -- mutation ------------------------------------------------------------
@@ -54,13 +58,13 @@ class ReasoningGraph:
     def add_anchor(self, payload, created_at: int = 0) -> str:
         node_id = self._new_id("anchor")
         self.nodes[node_id] = EvidenceNode(node_id, "raw_anchor", payload, 1.0, created_at)
-        self._check()
+        self.checks_run += 1  # a node without edges keeps both invariants
         return node_id
 
     def add_concept(self, payload, created_at: int = 0) -> str:
         node_id = self._new_id("concept")
         self.nodes[node_id] = EvidenceNode(node_id, "concept", payload, 1.0, created_at)
-        self._check()
+        self.checks_run += 1
         return node_id
 
     def add_evidence(
@@ -73,8 +77,9 @@ class ReasoningGraph:
         """Add one evidence node atomically with its incoming causal edges.
 
         ``causes`` is a list of (source node id, edge kind) with kinds from
-        the causal set; at least one is required so the node cannot be born
-        unreachable from the raw data.
+        the causal set; at least one source must be a raw anchor or an
+        evidence node, so the node cannot be born unreachable from the raw
+        data.
         """
         if not causes:
             raise GraphError("evidence node needs at least one generates/derives cause")
@@ -85,15 +90,23 @@ class ReasoningGraph:
             if kind not in CAUSAL_KINDS:
                 raise GraphError(f"edge kind {kind!r} cannot cause evidence")
             staged.append(self._make_edge(src, node_id, kind, 1.0, pending=node))
+        self.checks_run += 1
+        if all(self.nodes[src].kind == "concept" for src, _ in causes):
+            raise GraphError(f"evidence node {node_id!r} has no path from a raw anchor")
         self.nodes[node_id] = node
         self.edges.extend(staged)
-        self._check()
         return node_id
 
     def add_edge(self, src: str, dst: str, kind: str, weight: float = 1.0) -> TypedEdge:
+        """Add a supports or contradicts edge between existing nodes."""
         edge = self._make_edge(src, dst, kind, weight)
+        self.checks_run += 1
+        if kind in CAUSAL_KINDS:
+            raise GraphError(
+                f"causal edge {src!r} -> {dst!r} could form a cycle; "
+                "causal edges come only with their evidence node"
+            )
         self.edges.append(edge)
-        self._check()
         return edge
 
     def _make_edge(self, src, dst, kind, weight, pending: EvidenceNode | None = None) -> TypedEdge:
@@ -123,46 +136,3 @@ class ReasoningGraph:
 
     def causal_parents(self, node_id: str) -> list[str]:
         return [e.src for e in self.edges if e.kind in CAUSAL_KINDS and e.dst == node_id]
-
-    # -- invariants ------------------------------------------------------------
-
-    def _check(self) -> None:
-        self.checks_run += 1
-        self._check_acyclic()
-        self._check_anchored()
-
-    def _check_acyclic(self) -> None:
-        adjacency: dict[str, list[str]] = {}
-        indegree: dict[str, int] = {n: 0 for n in self.nodes}
-        for e in self.edges:
-            if e.kind not in CAUSAL_KINDS:
-                continue
-            adjacency.setdefault(e.src, []).append(e.dst)
-            indegree[e.dst] += 1
-        frontier = [n for n, d in indegree.items() if d == 0]
-        visited = 0
-        while frontier:
-            node = frontier.pop()
-            visited += 1
-            for nxt in adjacency.get(node, ()):
-                indegree[nxt] -= 1
-                if indegree[nxt] == 0:
-                    frontier.append(nxt)
-        if visited != len(self.nodes):
-            raise GraphError("causal subgraph (generates/derives) contains a cycle")
-
-    def _check_anchored(self) -> None:
-        """Every evidence node reaches a raw anchor through causal parents."""
-        anchored: set[str] = {
-            n for n, node in self.nodes.items() if node.kind == "raw_anchor"
-        }
-        changed = True
-        while changed:
-            changed = False
-            for e in self.edges:
-                if e.kind in CAUSAL_KINDS and e.src in anchored and e.dst not in anchored:
-                    anchored.add(e.dst)
-                    changed = True
-        for node_id, node in self.nodes.items():
-            if node.kind == "evidence" and node_id not in anchored:
-                raise GraphError(f"evidence node {node_id!r} has no path from a raw anchor")

@@ -20,10 +20,23 @@ from ..tools.views import find_views_in_text
 ED = "ED"
 ES = "ES"
 
-_VOLUME_WORDS = ("volume", "method of disks", "disk summation")
 _EF_WORDS = ("ejection fraction",)
-_AREA_WORDS = ("area",)
-_DIMENSION_WORDS = ("diameter", "dimension")
+_VOLUME_WORDS = ("volume", "method of disks", "disk summation") + _EF_WORDS
+
+# One row per measurement op, in emission order: (trigger words, op, tool
+# output, capability, goal). Each (op, structure) is planned once, with one
+# tool lookup. Volume expands to ED and ES; area and dimension measure the
+# first planned view at ED.
+_MEASUREMENTS = (
+    (_VOLUME_WORDS, "volume", "volume_ml", "disk-summation volume",
+     "compute biplane {structure} volume at {phase}"),
+    (_EF_WORDS, "ef", "ef_percent", "ejection fraction", "compute {structure} ejection fraction"),
+    (_EF_WORDS, "grade", "grade", "ejection fraction grading",
+     "grade {structure} ejection fraction"),
+    (("area",), "area", "area_mm2", "cross-sectional area", "measure {structure} area"),
+    (("diameter", "dimension"), "dimension", "dimension_mm", "linear dimension",
+     "measure {structure} long-axis dimension"),
+)
 
 
 @dataclass
@@ -99,8 +112,7 @@ def plan_steps(
     plan.structures = _structures_in(segment_items, entry.anatomy)
 
     need_volumes = any(w in item.lower() for item in measure_items for w in _VOLUME_WORDS)
-    need_ef = any(w in item.lower() for item in measure_items for w in _EF_WORDS)
-    phases = [ED, ES] if (need_volumes or need_ef) else [ED]
+    phases = [ED, ES] if need_volumes else [ED]
 
     next_id = 0
 
@@ -137,70 +149,26 @@ def plan_steps(
     elif plan.structures and not plan.views:
         plan.warnings.append("structures to segment but no views to acquire; skipping segmentation")
 
-    measured: set[tuple] = set()
+    planned: set[tuple[str, str]] = set()
+    first_view = plan.views[0] if plan.views else None
     for item in measure_items:
         lowered = item.lower()
         targets = [s for s in _structures_in([item], entry.anatomy) if s in plan.structures]
-        if not targets:
-            targets = [entry.anatomy]
-        for structure in targets:
-            if any(w in lowered for w in _VOLUME_WORDS) or any(w in lowered for w in _EF_WORDS):
-                volume_tool = _find_tool(
-                    registry, "functional", structure, "volume_ml", "disk-summation volume",
-                    plan.warnings,
-                )
-                for phase in (ED, ES):
-                    key = ("volume", structure, phase)
-                    if key not in measured:
-                        measured.add(key)
-                        add(
-                            f"compute biplane {structure} volume at {phase}",
-                            volume_tool,
-                            {"op": "volume", "structure": structure, "phase": phase,
-                             "n_disks": n_disks},
-                        )
-            if any(w in lowered for w in _EF_WORDS) and ("ef", structure) not in measured:
-                measured.add(("ef", structure))
-                ef_tool = _find_tool(
-                    registry, "functional", structure, "ef_percent", "ejection fraction",
-                    plan.warnings,
-                )
-                add(
-                    f"compute {structure} ejection fraction",
-                    ef_tool,
-                    {"op": "ef", "structure": structure},
-                )
-                grade_tool = _find_tool(
-                    registry, "functional", structure, "grade", "ejection fraction grading",
-                    plan.warnings,
-                )
-                add(
-                    f"grade {structure} ejection fraction",
-                    grade_tool,
-                    {"op": "grade", "structure": structure},
-                )
-            if any(w in lowered for w in _AREA_WORDS) and ("area", structure) not in measured:
-                measured.add(("area", structure))
-                area_tool = _find_tool(
-                    registry, "functional", structure, "area_mm2", "cross-sectional area",
-                    plan.warnings,
-                )
-                view = plan.views[0] if plan.views else None
-                add(
-                    f"measure {structure} area",
-                    area_tool,
-                    {"op": "area", "structure": structure, "view": view, "phase": ED},
-                )
-            if any(w in lowered for w in _DIMENSION_WORDS) and ("dimension", structure) not in measured:
-                measured.add(("dimension", structure))
-                dim_tool = _find_tool(
-                    registry, "functional", structure, "dimension_mm", "linear dimension",
-                    plan.warnings,
-                )
-                view = plan.views[0] if plan.views else None
-                add(
-                    f"measure {structure} long-axis dimension",
-                    dim_tool,
-                    {"op": "dimension", "structure": structure, "view": view, "phase": ED},
-                )
+        for structure in targets or [entry.anatomy]:
+            for words, op, output, capability, goal in _MEASUREMENTS:
+                if (op, structure) in planned or not any(w in lowered for w in words):
+                    continue
+                planned.add((op, structure))
+                tool = _find_tool(registry, "functional", structure, output, capability,
+                                  plan.warnings)
+                inputs = {"op": op, "structure": structure}
+                if op == "volume":
+                    for phase in (ED, ES):
+                        add(goal.format(structure=structure, phase=phase), tool,
+                            {**inputs, "phase": phase, "n_disks": n_disks})
+                elif op in ("area", "dimension"):
+                    add(goal.format(structure=structure), tool,
+                        {**inputs, "view": first_view, "phase": ED})
+                else:
+                    add(goal.format(structure=structure), tool, inputs)
     return plan

@@ -1,5 +1,9 @@
 """Replayable trace records: canonical digests, JSON-lines output.
 
+A digest is the SHA-256 of a payload's compact, key-sorted JSON encoding;
+the encoder walks the payload and calls ``canonical_payload`` only for
+segmentation masks.
+
 Records deliberately carry no wall-clock fields, so two runs over the same
 fixtures and config produce byte-identical trace files.
 """
@@ -7,42 +11,26 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, is_dataclass
 from pathlib import Path
-
-import numpy as np
 
 from ..tools.masks import SegmentationMask
 from ..tools.pgm import encode_pgm
 
+
 def canonical_payload(value):
-    """Reduce any run artifact to deterministic JSON-serializable form."""
+    """JSON encoder hook for the one non-JSON type in run payloads: a mask
+    digests to its PGM bytes' SHA-256 and its pixel spacing."""
     if isinstance(value, SegmentationMask):
         return {
             "mask_sha256": hashlib.sha256(encode_pgm(value.labels)).hexdigest(),
             "pixel_spacing_mm": [float(s) for s in value.pixel_spacing_mm],
         }
-    if is_dataclass(value) and not isinstance(value, type):
-        return canonical_payload(asdict(value))
-    if isinstance(value, dict):
-        return {str(k): canonical_payload(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(value, (list, tuple)):
-        return [canonical_payload(v) for v in value]
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return [canonical_payload(v) for v in value.tolist()]
-    if isinstance(value, frozenset):
-        return sorted(value)
-    if isinstance(value, bytes):
-        return hashlib.sha256(value).hexdigest()
-    return value
+    raise TypeError(f"cannot digest a {type(value).__name__}")
 
 
 def digest(value) -> str:
-    canonical = json.dumps(canonical_payload(value), sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(value, sort_keys=True, separators=(",", ":"),
+                           default=canonical_payload)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

@@ -89,9 +89,6 @@ def mock_view_handler(inputs: dict, ctx: InvocationContext):
 
 def mock_segment_handler(inputs: dict, ctx: InvocationContext):
     study = load_study(inputs["study_dir"])
-    frame_path = study.frame_path(inputs["phase"])
-    if not frame_path.exists():
-        raise FixtureError(f"missing frame {frame_path}")
     mask_path = study.mask_path(inputs["phase"])
     if not mask_path.exists():
         raise FixtureError(f"missing ground-truth mask {mask_path}")
@@ -116,20 +113,20 @@ def wire_segment_handler(wire_handler):
 
 def _segmenter_outputs(labels, study: StudySidecar, inputs: dict, confidence: float):
     """Segmenter outputs for a mask under the sidecar's spacing and structure map,
-    checked against the frame's size; confidence 0 when the target is absent."""
+    checked against the frame, which must exist; confidence 0 when the target is absent."""
     mask = SegmentationMask(
         labels=labels,
         pixel_spacing_mm=study.pixel_spacing_mm,
         structure_map=dict(study.structure_map),
     )
     frame_path = study.frame_path(inputs["phase"])
-    if frame_path.exists():
-        width, height = pgm_dimensions(frame_path)
-        if (mask.width, mask.height) != (width, height):
-            raise ContractError(
-                f"mask dimensions {mask.width}x{mask.height} do not match "
-                f"frame {width}x{height}"
-            )
+    if not frame_path.exists():
+        raise FixtureError(f"missing frame {frame_path}")
+    width, height = pgm_dimensions(frame_path)
+    if (mask.width, mask.height) != (width, height):
+        raise ContractError(
+            f"mask dimensions {mask.width}x{mask.height} do not match frame {width}x{height}"
+        )
     label = mask.label_for(inputs["target"])
     empty = label is None or mask.pixel_count(label) == 0
     return {"mask": mask, "empty_structure": empty}, 0.0 if empty else confidence

@@ -5,8 +5,10 @@ loops and math.fsum, AUROC via all-pairs enumeration, G-mean via full
 confusion counting, chords via a per-sample python loop, component sizes
 via scipy's sum_labels, knowledge resolution via a dict of similarities and
 a keyed python sort, mask label validation via a full np.unique scan, token
-counts via one SHA-1 per token occurrence, and index bytes via the seed's
-checksum-then-serialise save.
+counts via one SHA-1 per token occurrence, index bytes via the seed's
+checksum-then-serialise save, evidence-graph invariants via the seed's
+append-then-recheck graph, measurement plans via the seed's per-op blocks,
+and trace digests via the seed's recursive canonicaliser.
 """
 from __future__ import annotations
 
@@ -15,8 +17,17 @@ import json
 import math
 import re
 
+from dataclasses import asdict, is_dataclass
+
 import numpy as np
 from scipy import ndimage
+
+from echoagent.errors import GraphError
+from echoagent.hub.graph import CAUSAL_KINDS, EvidenceNode, ReasoningGraph
+from echoagent.hub.planning import ED, ES, ActionStep, Plan, _find_tool, _structures_in
+from echoagent.tools.masks import SegmentationMask
+from echoagent.tools.pgm import encode_pgm
+from echoagent.tools.views import find_views_in_text
 
 
 def brute_force_topk(items, query_vec, k):
@@ -217,3 +228,266 @@ def seed_save_bytes(kb) -> bytes:
     }
     doc["checksum"] = _seed_checksum(doc)
     return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+# -- evidence graph -----------------------------------------------------------
+
+
+class SeedReasoningGraph(ReasoningGraph):
+    """The seed's graph: append the mutation, then re-check the whole graph.
+
+    A rejected mutation stays in ``nodes``/``edges``, as it did in the seed.
+    """
+
+    def add_anchor(self, payload, created_at: int = 0) -> str:
+        node_id = self._new_id("anchor")
+        self.nodes[node_id] = EvidenceNode(node_id, "raw_anchor", payload, 1.0, created_at)
+        self._check()
+        return node_id
+
+    def add_concept(self, payload, created_at: int = 0) -> str:
+        node_id = self._new_id("concept")
+        self.nodes[node_id] = EvidenceNode(node_id, "concept", payload, 1.0, created_at)
+        self._check()
+        return node_id
+
+    def add_evidence(self, payload, confidence, created_at, causes) -> str:
+        if not causes:
+            raise GraphError("evidence node needs at least one generates/derives cause")
+        node_id = self._new_id("evidence")
+        node = EvidenceNode(node_id, "evidence", payload, confidence, created_at)
+        staged = []
+        for src, kind in causes:
+            if kind not in CAUSAL_KINDS:
+                raise GraphError(f"edge kind {kind!r} cannot cause evidence")
+            staged.append(self._make_edge(src, node_id, kind, 1.0, pending=node))
+        self.nodes[node_id] = node
+        self.edges.extend(staged)
+        self._check()
+        return node_id
+
+    def add_edge(self, src, dst, kind, weight=1.0):
+        edge = self._make_edge(src, dst, kind, weight)
+        self.edges.append(edge)
+        self._check()
+        return edge
+
+    def _check(self) -> None:
+        self.checks_run += 1
+        self._check_acyclic()
+        self._check_anchored()
+
+    def _check_acyclic(self) -> None:
+        adjacency: dict[str, list[str]] = {}
+        indegree: dict[str, int] = {n: 0 for n in self.nodes}
+        for e in self.edges:
+            if e.kind not in CAUSAL_KINDS:
+                continue
+            adjacency.setdefault(e.src, []).append(e.dst)
+            indegree[e.dst] += 1
+        frontier = [n for n, d in indegree.items() if d == 0]
+        visited = 0
+        while frontier:
+            node = frontier.pop()
+            visited += 1
+            for nxt in adjacency.get(node, ()):
+                indegree[nxt] -= 1
+                if indegree[nxt] == 0:
+                    frontier.append(nxt)
+        if visited != len(self.nodes):
+            raise GraphError("causal subgraph (generates/derives) contains a cycle")
+
+    def _check_anchored(self) -> None:
+        """Every evidence node reaches a raw anchor through causal parents."""
+        anchored: set[str] = {
+            n for n, node in self.nodes.items() if node.kind == "raw_anchor"
+        }
+        changed = True
+        while changed:
+            changed = False
+            for e in self.edges:
+                if e.kind in CAUSAL_KINDS and e.src in anchored and e.dst not in anchored:
+                    anchored.add(e.dst)
+                    changed = True
+        for node_id, node in self.nodes.items():
+            if node.kind == "evidence" and node_id not in anchored:
+                raise GraphError(f"evidence node {node_id!r} has no path from a raw anchor")
+
+
+def seed_graph_checks(graph) -> None:
+    """The seed's whole-graph invariant checks, run on any graph."""
+    SeedReasoningGraph._check_acyclic(graph)
+    SeedReasoningGraph._check_anchored(graph)
+
+
+# -- planning -----------------------------------------------------------------
+
+_SEED_VOLUME_WORDS = ("volume", "method of disks", "disk summation")
+_SEED_EF_WORDS = ("ejection fraction",)
+_SEED_AREA_WORDS = ("area",)
+_SEED_DIMENSION_WORDS = ("diameter", "dimension")
+
+
+def seed_plan_steps(entry, query, registry, taxonomy, n_disks: int = 20) -> Plan:
+    """The seed's ``plan_steps``, with one spelled-out block per measurement."""
+    plan = Plan()
+    view_items = entry.section_items("views_to_acquire")
+    segment_items = entry.section_items("structures_to_segment")
+    measure_items = entry.section_items("measurements")
+
+    if not view_items and not segment_items and not measure_items:
+        plan.warnings.append(
+            f"repository entry for {entry.anatomy!r} offers no guidance; empty plan"
+        )
+        return plan
+
+    for item in view_items:
+        for view in find_views_in_text(item, taxonomy):
+            if view not in plan.views:
+                plan.views.append(view)
+    plan.structures = _structures_in(segment_items, entry.anatomy)
+
+    need_volumes = any(w in item.lower() for item in measure_items for w in _SEED_VOLUME_WORDS)
+    need_ef = any(w in item.lower() for item in measure_items for w in _SEED_EF_WORDS)
+    phases = [ED, ES] if (need_volumes or need_ef) else [ED]
+
+    next_id = 0
+
+    def add(goal: str, tool_name: str, inputs: dict) -> None:
+        nonlocal next_id
+        plan.steps.append(ActionStep(next_id, goal, tool_name, inputs))
+        next_id += 1
+
+    if plan.views and query.study_refs:
+        classify_tool = _find_tool(
+            registry, "perceptual", entry.anatomy, "view", "view identification",
+            plan.warnings,
+        )
+        for ref in query.study_refs:
+            add(
+                f"identify the echocardiographic view of {ref}",
+                classify_tool,
+                {"op": "classify_view", "study_dir": str(ref)},
+            )
+
+    if plan.structures and plan.views:
+        for structure in plan.structures:
+            segment_tool = _find_tool(
+                registry, "operational", structure, "mask", "structure segmentation",
+                plan.warnings,
+            )
+            for view in plan.views:
+                for phase in phases:
+                    add(
+                        f"segment {structure} on {view} at {phase}",
+                        segment_tool,
+                        {"op": "segment", "structure": structure, "view": view, "phase": phase},
+                    )
+    elif plan.structures and not plan.views:
+        plan.warnings.append("structures to segment but no views to acquire; skipping segmentation")
+
+    measured: set[tuple] = set()
+    for item in measure_items:
+        lowered = item.lower()
+        targets = [s for s in _structures_in([item], entry.anatomy) if s in plan.structures]
+        if not targets:
+            targets = [entry.anatomy]
+        for structure in targets:
+            if (any(w in lowered for w in _SEED_VOLUME_WORDS)
+                    or any(w in lowered for w in _SEED_EF_WORDS)):
+                volume_tool = _find_tool(
+                    registry, "functional", structure, "volume_ml", "disk-summation volume",
+                    plan.warnings,
+                )
+                for phase in (ED, ES):
+                    key = ("volume", structure, phase)
+                    if key not in measured:
+                        measured.add(key)
+                        add(
+                            f"compute biplane {structure} volume at {phase}",
+                            volume_tool,
+                            {"op": "volume", "structure": structure, "phase": phase,
+                             "n_disks": n_disks},
+                        )
+            if any(w in lowered for w in _SEED_EF_WORDS) and ("ef", structure) not in measured:
+                measured.add(("ef", structure))
+                ef_tool = _find_tool(
+                    registry, "functional", structure, "ef_percent", "ejection fraction",
+                    plan.warnings,
+                )
+                add(
+                    f"compute {structure} ejection fraction",
+                    ef_tool,
+                    {"op": "ef", "structure": structure},
+                )
+                grade_tool = _find_tool(
+                    registry, "functional", structure, "grade", "ejection fraction grading",
+                    plan.warnings,
+                )
+                add(
+                    f"grade {structure} ejection fraction",
+                    grade_tool,
+                    {"op": "grade", "structure": structure},
+                )
+            if (any(w in lowered for w in _SEED_AREA_WORDS)
+                    and ("area", structure) not in measured):
+                measured.add(("area", structure))
+                area_tool = _find_tool(
+                    registry, "functional", structure, "area_mm2", "cross-sectional area",
+                    plan.warnings,
+                )
+                view = plan.views[0] if plan.views else None
+                add(
+                    f"measure {structure} area",
+                    area_tool,
+                    {"op": "area", "structure": structure, "view": view, "phase": ED},
+                )
+            if (any(w in lowered for w in _SEED_DIMENSION_WORDS)
+                    and ("dimension", structure) not in measured):
+                measured.add(("dimension", structure))
+                dim_tool = _find_tool(
+                    registry, "functional", structure, "dimension_mm", "linear dimension",
+                    plan.warnings,
+                )
+                view = plan.views[0] if plan.views else None
+                add(
+                    f"measure {structure} long-axis dimension",
+                    dim_tool,
+                    {"op": "dimension", "structure": structure, "view": view, "phase": ED},
+                )
+    return plan
+
+
+# -- trace digests --------------------------------------------------------------
+
+
+def seed_canonical_payload(value):
+    """The seed's recursive reduction of a run artifact to JSON-ready form."""
+    if isinstance(value, SegmentationMask):
+        return {
+            "mask_sha256": hashlib.sha256(encode_pgm(value.labels)).hexdigest(),
+            "pixel_spacing_mm": [float(s) for s in value.pixel_spacing_mm],
+        }
+    if is_dataclass(value) and not isinstance(value, type):
+        return seed_canonical_payload(asdict(value))
+    if isinstance(value, dict):
+        return {str(k): seed_canonical_payload(v)
+                for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
+    if isinstance(value, (list, tuple)):
+        return [seed_canonical_payload(v) for v in value]
+    if isinstance(value, (np.floating,)):
+        return float(value)
+    if isinstance(value, (np.integer,)):
+        return int(value)
+    if isinstance(value, np.ndarray):
+        return [seed_canonical_payload(v) for v in value.tolist()]
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, bytes):
+        return hashlib.sha256(value).hexdigest()
+    return value
+
+
+def seed_digest(value) -> str:
+    canonical = json.dumps(seed_canonical_payload(value), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -216,3 +216,21 @@ def test_run_study_default_trace_goes_to_working_dir_not_dataset(
     assert json.loads(out)["trace_path"] == "trace.jsonl"
     assert (tmp_path / "trace.jsonl").stat().st_size > 0
     assert fixture_digest(ef_dataset) == before
+
+
+@pytest.mark.parametrize("question, options", [
+    ("Is the pericardium normal or thickened?", ["a", "a"]),
+    ("   ", []),
+])
+def test_malformed_query_exits_three_without_a_traceback(
+    capsys, saved_kb, qa_dataset, tmp_path, question, options
+):
+    study = qa_dataset / "studies" / "qa-02"
+    argv = ["run-study", str(study), question, "--kb", str(saved_kb),
+            "--trace", str(tmp_path / "t.jsonl")]
+    if options:
+        argv += ["--options", *options]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert err.startswith("error: ")
+    assert not (tmp_path / "t.jsonl").exists()

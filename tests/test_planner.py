@@ -97,3 +97,89 @@ def test_view_only_corpus_entry_plans_without_quant_steps(registry, lv_query):
     )
     plan = plan_steps(entry, lv_query, registry, DEFAULT_TAXONOMY)
     assert [s.inputs["op"] for s in plan.steps] == ["classify_view", "classify_view"]
+
+
+def _entry(anatomy, views, structures, measurements):
+    return RepositoryEntry(
+        anatomy=anatomy,
+        sections={
+            "views_to_acquire": views,
+            "structures_to_segment": structures,
+            "measurements": measurements,
+            "diagnostic_criteria": [],
+        },
+        supporting_primitive_ids=[],
+        created_from_k=8,
+    )
+
+
+_APICAL = ["Acquire the apical 4-chamber and apical 2-chamber views."]
+_PLAX = ["Use the parasternal long-axis view."]
+
+_MIXED_ENTRIES = {
+    "lv-volume-then-ef-repeated": _entry("left ventricle", _APICAL, [
+        "Segment the left ventricle.",
+    ], [
+        "Left ventricular volume by the method of disks.",
+        "Ejection fraction from the left ventricular volumes.",
+        "Left ventricular ejection fraction, again by disk summation.",
+    ]),
+    "two-structures-mixed": _entry("left ventricle", _APICAL, [
+        "Segment the left atrium and the left ventricle.",
+    ], [
+        "Left atrial area and left ventricular dimension.",
+        "Left atrial volume; left ventricular ejection fraction.",
+        "Left ventricle ejection fraction and left atrial area.",
+        "Left ventricular diameter and area.",
+    ]),
+    "unsegmented-structure-falls-back-to-the-entry": _entry("pericardium", _PLAX, [
+        "Segment the pericardium.",
+    ], [
+        "Pericardial area.",
+        "Left ventricular dimension and pericardial diameter.",
+        "Ejection fraction.",
+    ]),
+    "measurements-without-views": _entry("right ventricle", [], [
+        "Segment the right ventricle.",
+    ], [
+        "Right ventricular area, diameter and volume.",
+        "Right ventricular area.",
+    ]),
+    "every-word-in-one-item": _entry("left ventricle", _PLAX + _APICAL, [
+        "Segment the left ventricle, then the left atrium.",
+    ], [
+        "Left atrial and left ventricular area, dimension, volume and ejection fraction.",
+        "Left atrial ejection fraction.",
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MIXED_ENTRIES))
+def test_measurement_table_plans_the_seed_steps(registry, lv_query, name):
+    from oracles import seed_plan_steps
+
+    entry = _MIXED_ENTRIES[name]
+    got = plan_steps(entry, lv_query, registry, DEFAULT_TAXONOMY, n_disks=12)
+    want = seed_plan_steps(entry, lv_query, registry, DEFAULT_TAXONOMY, n_disks=12)
+    assert [(s.step_id, s.goal, s.tool_name, s.inputs) for s in got.steps] == [
+        (s.step_id, s.goal, s.tool_name, s.inputs) for s in want.steps
+    ]
+    assert got == want
+
+
+def test_a_volume_tool_tie_is_warned_once_per_structure(registry, lv_query):
+    from echoagent.hub.toolkit import VOLUME_TOOL
+
+    volume = registry.get(VOLUME_TOOL)
+    registry.register(
+        ToolDescriptor(
+            name="aaa.volume", layer="functional",
+            input_schema=volume.input_schema, output_schema=volume.output_schema,
+        ),
+        lambda inputs, ctx: ({}, 1.0, []),
+    )
+    plan = plan_steps(_MIXED_ENTRIES["lv-volume-then-ef-repeated"], lv_query, registry,
+                      DEFAULT_TAXONOMY)
+    volume_steps = [s for s in plan.steps if s.inputs["op"] == "volume"]
+    assert [s.tool_name for s in volume_steps] == ["aaa.volume", "aaa.volume"]
+    assert sum("volume_ml" in w for w in plan.warnings) == 1

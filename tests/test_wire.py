@@ -218,3 +218,20 @@ def test_non_json_body_after_a_retry_logs_both_attempts(stub_server):
     [entry] = registry.invocation_log
     assert entry.status == "contract_error"
     assert entry.attempts == 2
+
+
+def test_wire_mask_without_its_frame_is_a_fixture_error(stub_server, ef_dataset, tmp_path):
+    import shutil
+
+    from echoagent.errors import FixtureError
+    from echoagent.tools.backends import segment_structure
+
+    study = tmp_path / "a4c"
+    shutil.copytree(ef_dataset / "studies" / "study-03" / "a4c", study)
+    (study / "ed.pgm").unlink()
+    stub_server.script = [(200, mask_response(np.zeros((16, 16), dtype=np.uint8)))]
+    registry = wire_segmenter(stub_server.url)
+    with pytest.raises(FixtureError, match="missing frame"):
+        segment_structure(registry, SEGMENTER, study, "ED", "left ventricle")
+    [entry] = registry.invocation_log
+    assert entry.status == "fixture_error"
