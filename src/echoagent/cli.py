@@ -92,8 +92,7 @@ def cmd_build_kb(args, config: EngineConfig) -> int:
     build_all_entries(kb, config.k, summarizer)
     kb.save(args.out_path)
     for name in anatomy.ANATOMY_NAMES:
-        count = len(kb.index.by_group.get(name, []))
-        print(f"{name}: {count} primitives")
+        print(f"{name}: {kb.group_rows[name].size} primitives")
     print(f"saved {len(kb)} primitives, {len(kb.entries)} entries -> {args.out_path}")
     return EXIT_OK
 

@@ -114,6 +114,7 @@ def run_benchmark(
     taxonomy: tuple[str, ...] = DEFAULT_TAXONOMY,
 ) -> BenchmarkReport:
     config = config or EngineConfig()
+    hub = ReasoningHub(kb, registry, config, taxonomy=taxonomy)
     results: list[RecordResult] = []
     for record in records:
         if record.is_ef:
@@ -126,14 +127,13 @@ def run_benchmark(
             options = record.options
             truth_label = record.truth.answer_option
             group = record.truth.anatomy_group
-        query = DiagnosticQuery(
-            text=question, study_refs=record.study_refs(), options=options
-        )
         trace_path = None
         if trace_dir is not None:
             trace_path = Path(trace_dir) / f"{record.id}.trace.jsonl"
-        hub = ReasoningHub(kb, registry, config, taxonomy=taxonomy)
         try:
+            query = DiagnosticQuery(
+                text=question, study_refs=record.study_refs(), options=options
+            )
             conclusion = hub.run(query, trace_path=trace_path)
         except EchoAgentError as exc:
             results.append(RecordResult(

@@ -17,8 +17,8 @@ import numpy as np
 from ..anatomy import dominant_group
 from ..config import EngineConfig
 from ..errors import ContractError, EchoAgentError, GraphError, ResolutionError
-from ..kb.index import KnowledgeBase, empty_entry
-from ..kb.summarize import RepositoryEntry
+from ..kb.index import KnowledgeBase
+from ..kb.summarize import RepositoryEntry, empty_entry
 from ..quant.grading import normalize_grade_label
 from ..tools import backends
 from ..tools.registry import LogEntry, ToolRegistry
@@ -116,7 +116,7 @@ class ReasoningHub:
                 "no anatomy-tagged primitive matches the query",
                 nearest=self._nearest_anatomies(sims),
             )
-        winner = self.kb.primitives[self.kb.index.all_ids[tagged[np.argmax(sims[tagged])]]]
+        winner = self.kb.primitives[self.kb.ids[tagged[np.argmax(sims[tagged])]]]
         anatomy_name = dominant_group(winner.text, winner.anatomy_tags)
         entry = self.kb.entries.get(anatomy_name) or empty_entry(anatomy_name, self.config.k)
         return anatomy_name, entry, best_sim

@@ -21,28 +21,28 @@ def _volume_handler(inputs, ctx):
     result = biplane_volume(
         inputs["mask_a2c"], inputs["mask_a4c"], inputs["target_label"], inputs["n_disks"]
     )
-    return {"volume_ml": result.value}, 1.0, []
+    return {"volume_ml": result.value}, 1.0
 
 
 def _ef_handler(inputs, ctx):
     result = ejection_fraction(inputs["edv_ml"], inputs["esv_ml"])
-    return {"ef_percent": result.value, "anomalous": result.anomalous}, 1.0, []
+    return {"ef_percent": result.value, "anomalous": result.anomalous}, 1.0
 
 
 def _grade_handler(inputs, ctx):
     result = grade_ef(inputs["ef_percent"])
-    return {"grade": result.grade}, 1.0, []
+    return {"grade": result.grade}, 1.0
 
 
 def _area_handler(inputs, ctx):
     result = mask_area(inputs["mask"], inputs["target_label"])
     empty = EMPTY_STRUCTURE in result.flags
-    return {"area_mm2": result.value, "empty_structure": empty}, (0.0 if empty else 1.0), []
+    return {"area_mm2": result.value, "empty_structure": empty}, (0.0 if empty else 1.0)
 
 
 def _dimension_handler(inputs, ctx):
     axis = long_axis(inputs["mask"], inputs["target_label"])
-    return {"dimension_mm": axis.length_mm}, 1.0, []
+    return {"dimension_mm": axis.length_mm}, 1.0
 
 
 def register_quant_tools(registry: ToolRegistry) -> None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from .. import anatomy
 from ..errors import IndexLoadError
 from .chunking import KnowledgePrimitive, SourceSpan
 from .encoder import HashedBowEncoder
-from .summarize import NO_GUIDANCE, SECTION_NAMES, RepositoryEntry
+from .summarize import RepositoryEntry
 
 INDEX_FORMAT_VERSION = 1
 NORM_TOLERANCE = 1e-9
@@ -51,36 +51,6 @@ class RetrievalResult:
 
     def ids(self) -> list[str]:
         return [h.primitive_id for h in self.hits]
-
-
-@dataclass
-class AnatomyIndex:
-    """Per-group sorted id lists plus the global sorted id list."""
-
-    by_group: dict[str, list[str]] = field(default_factory=dict)
-    all_ids: list[str] = field(default_factory=list)
-
-    @classmethod
-    def from_primitives(cls, primitives: dict[str, KnowledgePrimitive]) -> "AnatomyIndex":
-        by_group: dict[str, list[str]] = {name: [] for name in anatomy.ANATOMY_NAMES}
-        all_ids = sorted(primitives)
-        for pid in all_ids:
-            for tag in primitives[pid].anatomy_tags:
-                by_group[tag].append(pid)
-        for ids in by_group.values():
-            ids.sort()
-        return cls(by_group=by_group, all_ids=all_ids)
-
-    def check_membership(self, primitives: dict[str, KnowledgePrimitive]) -> None:
-        """Membership biconditional: id in group list iff group in its tags."""
-        for name in anatomy.ANATOMY_NAMES:
-            listed = set(self.by_group.get(name, ()))
-            tagged = {pid for pid, p in primitives.items() if name in p.anatomy_tags}
-            if listed != tagged:
-                offending = sorted(listed.symmetric_difference(tagged))[0]
-                raise IndexLoadError(
-                    f"index membership violated for group {name!r} at primitive {offending!r}"
-                )
 
 
 class KnowledgeBase:
@@ -124,18 +94,21 @@ class KnowledgeBase:
             )
 
     def _rebuild_index(self) -> None:
-        self.index = AnatomyIndex.from_primitives(self.primitives)
-        self.index.check_membership(self.primitives)
-        ids = self.index.all_ids
-        row_of = {pid: i for i, pid in enumerate(ids)}
-        # ascending matrix rows of each anatomy group, and of every tagged primitive
+        # matrix rows follow ascending ids; each group's rows, and the rows of
+        # every tagged primitive, are ascending because rows are visited in order
+        self.ids = sorted(self.primitives)
+        rows: dict[str, list[int]] = {name: [] for name in anatomy.ANATOMY_NAMES}
+        for row, pid in enumerate(self.ids):
+            for tag in self.primitives[pid].anatomy_tags:
+                rows[tag].append(row)
         self.group_rows: dict[str, np.ndarray] = {
-            name: np.array([row_of[pid] for pid in group_ids], dtype=np.intp)
-            for name, group_ids in self.index.by_group.items()
+            name: np.array(group, dtype=np.intp) for name, group in rows.items()
         }
-        self.tagged_rows = np.flatnonzero([bool(self.primitives[pid].anatomy_tags) for pid in ids])
-        if ids:
-            self._matrix = np.vstack([self.primitives[pid].embedding for pid in ids])
+        self.tagged_rows = np.flatnonzero(
+            [bool(self.primitives[pid].anatomy_tags) for pid in self.ids]
+        )
+        if self.ids:
+            self._matrix = np.vstack([self.primitives[pid].embedding for pid in self.ids])
         else:
             self._matrix = np.zeros((0, self.embedding_dim), dtype=np.float64)
 
@@ -155,7 +128,7 @@ class KnowledgeBase:
         if k < 1:
             raise ValueError("k must be a positive integer")
         if anatomy_name is None:
-            rows = np.arange(len(self.index.all_ids))
+            rows = np.arange(len(self.ids))
         else:
             anatomy.group_by_name(anatomy_name)  # raises on unknown group
             rows = self.group_rows[anatomy_name]
@@ -164,11 +137,11 @@ class KnowledgeBase:
         sims = self.all_similarities(query_vec)
         ranked = rows[np.argsort(-sims[rows], kind="stable")[:k]]
         return RetrievalResult(
-            hits=[RetrievalHit(self.index.all_ids[row], float(sims[row])) for row in ranked]
+            hits=[RetrievalHit(self.ids[row], float(sims[row])) for row in ranked]
         )
 
     def all_similarities(self, query_vec: np.ndarray) -> np.ndarray:
-        """Cosine of the query with every primitive, row-aligned with ``index.all_ids``."""
+        """Cosine of the query with every primitive, row-aligned with ``ids``."""
         return self._matrix @ np.asarray(query_vec, dtype=np.float64)
 
     # -- persistence -------------------------------------------------------
@@ -176,7 +149,7 @@ class KnowledgeBase:
     def to_document(self) -> dict:
         """The index document without its checksum, which ``save`` adds."""
         primitives = []
-        for pid in self.index.all_ids:
+        for pid in self.ids:
             p = self.primitives[pid]
             primitives.append(
                 {
@@ -191,7 +164,7 @@ class KnowledgeBase:
         return {
             "version": INDEX_FORMAT_VERSION,
             "d_e": self.embedding_dim,
-            "encoder_id": self.encoder.encoder_id if self.encoder else "unknown",
+            "encoder_id": self.encoder.encoder_id,
             "primitives": primitives,
             "entries": entries,
         }
@@ -226,9 +199,16 @@ class KnowledgeBase:
             raise IndexLoadError(
                 f"knowledge index field 'd_e' is missing or not an integer: {exc!r}"
             ) from exc
-        if encoder is None:
-            if doc.get("encoder_id") == f"hashed-bow-{dim}":
-                encoder = HashedBowEncoder(dim)
+        built_with = doc.get("encoder_id")
+        if encoder is None and built_with == f"hashed-bow-{dim}":
+            encoder = HashedBowEncoder(dim)
+        if encoder is None or (encoder.encoder_id, encoder.dim) != (built_with, dim):
+            given = "no encoder" if encoder is None else (
+                f"encoder {encoder.encoder_id!r} (dim {encoder.dim})")
+            raise IndexLoadError(
+                f"index built with encoder {built_with!r} (d_e {dim}) cannot be "
+                f"loaded with {given}"
+            )
         kb = cls(encoder=encoder, embedding_dim=dim)
         loaded: list[KnowledgePrimitive] = []
         for i, raw in enumerate(_records(doc, "primitives")):
@@ -309,12 +289,3 @@ def _canonical(doc: dict) -> str:
 
 def _checksum(doc: dict) -> str:
     return hashlib.sha256(_canonical(doc).encode("utf-8")).hexdigest()
-
-
-def empty_entry(anatomy_name: str, k: int) -> RepositoryEntry:
-    return RepositoryEntry(
-        anatomy=anatomy_name,
-        sections={name: [NO_GUIDANCE] for name in SECTION_NAMES},
-        supporting_primitive_ids=[],
-        created_from_k=k,
-    )

@@ -84,6 +84,16 @@ class RepositoryEntry:
         )
 
 
+def empty_entry(anatomy_name: str, k: int) -> RepositoryEntry:
+    """The entry of an anatomy the knowledge base knows nothing about."""
+    return RepositoryEntry(
+        anatomy=anatomy_name,
+        sections={name: [NO_GUIDANCE] for name in SECTION_NAMES},
+        supporting_primitive_ids=[],
+        created_from_k=k,
+    )
+
+
 def template_sections(texts: list[str]) -> dict[str, list[str]]:
     """Bucket each primitive text verbatim into sections by keyword rules.
 
@@ -148,12 +158,7 @@ def build_repository_entry(kb, anatomy_name: str, k: int, summarizer=None) -> Re
     query = " ".join((group.canonical_name, *group.keywords))
     result = kb.retrieve_topk(query, anatomy_name=anatomy_name, k=k)
     if result.no_knowledge or not result.hits:
-        return RepositoryEntry(
-            anatomy=anatomy_name,
-            sections={name: [NO_GUIDANCE] for name in SECTION_NAMES},
-            supporting_primitive_ids=[],
-            created_from_k=k,
-        )
+        return empty_entry(anatomy_name, k)
     supporting = result.ids()
     texts = [kb.primitives[pid].text for pid in supporting]
     degraded = False

@@ -1,7 +1,6 @@
 from .masks import SegmentationMask
 from .pgm import decode_pgm, encode_pgm, read_pgm, write_pgm
 from .registry import (
-    BlobRef,
     InvocationContext,
     LogEntry,
     ToolDescriptor,
@@ -27,7 +26,6 @@ __all__ = [
     "encode_pgm",
     "read_pgm",
     "write_pgm",
-    "BlobRef",
     "InvocationContext",
     "LogEntry",
     "ToolDescriptor",

@@ -24,7 +24,7 @@ from ..errors import ContractError, FixtureError, TaxonomyError, TransportError
 from ..wire import post_json
 from .masks import SegmentationMask
 from .pgm import decode_pgm, pgm_dimensions, read_pgm
-from .registry import BlobRef, InvocationContext, ToolDescriptor, ToolRegistry
+from .registry import InvocationContext, ToolDescriptor, ToolRegistry
 from .schema import FieldSpec
 
 SIDECAR_NAME = "study.json"
@@ -84,7 +84,7 @@ def load_study(study_dir: str | Path) -> StudySidecar:
 
 def mock_view_handler(inputs: dict, ctx: InvocationContext):
     sidecar = load_study(inputs["study_dir"])
-    return {"view": sidecar.view}, sidecar.confidence, []
+    return {"view": sidecar.view}, sidecar.confidence
 
 
 def mock_segment_handler(inputs: dict, ctx: InvocationContext):
@@ -92,21 +92,21 @@ def mock_segment_handler(inputs: dict, ctx: InvocationContext):
     mask_path = study.mask_path(inputs["phase"])
     if not mask_path.exists():
         raise FixtureError(f"missing ground-truth mask {mask_path}")
-    outputs, confidence = _segmenter_outputs(read_pgm(mask_path), study, inputs,
-                                      study.segmentation_confidence)
-    return outputs, confidence, []
+    return _segmenter_outputs(read_pgm(mask_path), study, inputs,
+                              study.segmentation_confidence)
 
 
-def wire_segment_handler(wire_handler):
-    """Decode and check a wire segmenter's PGM mask artifact as the mock does."""
+def wire_segment_handler(wire_call):
+    """Decode and check a wire segmenter's first artifact, a PGM mask, as the mock does."""
 
     def handler(inputs: dict, ctx: InvocationContext):
-        outputs, confidence, artifacts = wire_handler(inputs, ctx)
-        if not artifacts:
+        outputs, confidence, mask_bytes = wire_call(inputs, ctx)
+        if mask_bytes is None:
             raise ContractError(f"tool {SEGMENT_TOOL!r} returned no mask payload")
-        segmented, confidence = _segmenter_outputs(decode_pgm(artifacts[0].data),
-                                            load_study(inputs["study_dir"]), inputs, confidence)
-        return {**outputs, **segmented}, confidence, artifacts  # the output check sees its fields
+        segmented, confidence = _segmenter_outputs(decode_pgm(mask_bytes),
+                                                   load_study(inputs["study_dir"]), inputs,
+                                                   confidence)
+        return {**outputs, **segmented}, confidence  # the output check sees its fields
 
     return handler
 
@@ -142,7 +142,16 @@ def make_wire_handler(
     retries: int = 2,
     backoff_s: float = 0.1,
 ):
-    """POST {base_url}/invoke with {tool, invocation_id, inputs}.
+    """A registry handler for a wire tool: (outputs, confidence); artifacts are
+    checked and dropped."""
+    call = _wire_call(base_url, tool_name, timeout_s, retries, backoff_s)
+    return lambda inputs, ctx: call(inputs, ctx)[:2]
+
+
+def _wire_call(base_url: str, tool_name: str, timeout_s: float, retries: int,
+               backoff_s: float):
+    """POST {base_url}/invoke with {tool, invocation_id, inputs}; the call returns
+    ``_decode_wire_response`` of the reply.
 
     Retries follow ``post_json``; the attempt count is surfaced through the
     invocation context so the registry log records it.
@@ -151,7 +160,7 @@ def make_wire_handler(
     url = base_url.rstrip("/") + "/invoke"
     what = f"tool {tool_name!r} backend"
 
-    def handler(inputs: dict, ctx: InvocationContext):
+    def call(inputs: dict, ctx: InvocationContext):
         body = {"tool": tool_name, "invocation_id": ctx.invocation_id, "inputs": inputs}
         try:
             payload, ctx.attempts = post_json(
@@ -162,10 +171,15 @@ def make_wire_handler(
             raise
         return _decode_wire_response(payload, tool_name)
 
-    return handler
+    return call
 
 
 def _decode_wire_response(payload, tool_name: str):
+    """(outputs, confidence, the first artifact's bytes or None).
+
+    Every artifact must carry base64 ``bytes_b64``; its ``id`` and
+    ``media_type`` are ignored.
+    """
     if not isinstance(payload, dict) or "outputs" not in payload or "confidence" not in payload:
         raise ContractError(
             f"tool {tool_name!r} backend response missing outputs/confidence"
@@ -176,16 +190,11 @@ def _decode_wire_response(payload, tool_name: str):
     confidence = payload["confidence"]
     if not isinstance(confidence, (int, float)) or isinstance(confidence, bool):
         raise ContractError(f"tool {tool_name!r} backend confidence is not numeric")
-    artifacts = []
-    for raw in payload.get("artifacts", []):
-        try:
-            data = base64.b64decode(raw["bytes_b64"])
-            artifacts.append(BlobRef(str(raw.get("media_type", "")), data))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ContractError(
-                f"tool {tool_name!r} backend artifact malformed: {exc}"
-            ) from exc
-    return outputs, float(confidence), artifacts
+    try:
+        blobs = [base64.b64decode(raw["bytes_b64"]) for raw in payload.get("artifacts", [])]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ContractError(f"tool {tool_name!r} backend artifact malformed: {exc}") from exc
+    return outputs, float(confidence), blobs[0] if blobs else None
 
 
 # -- fabric-level operations -------------------------------------------------
@@ -233,10 +242,6 @@ def register_perception_tools(
 ) -> None:
     """Register the perceptual and operational layers (mock or wire)."""
     backend = "wire" if tool_url else "mock"
-
-    def wire(tool_name: str):
-        return make_wire_handler(tool_url, tool_name, timeout_s, retries, backoff_s)
-
     registry.register(
         ToolDescriptor(
             name=VIEW_TOOL,
@@ -245,7 +250,8 @@ def register_perception_tools(
             output_schema=(FieldSpec("view", "string"),),
             backend=backend,
         ),
-        wire(VIEW_TOOL) if tool_url else mock_view_handler,
+        make_wire_handler(tool_url, VIEW_TOOL, timeout_s, retries, backoff_s)
+        if tool_url else mock_view_handler,
     )
     registry.register(
         ToolDescriptor(
@@ -262,5 +268,6 @@ def register_perception_tools(
             ),
             backend=backend,
         ),
-        wire_segment_handler(wire(SEGMENT_TOOL)) if tool_url else mock_segment_handler,
+        wire_segment_handler(_wire_call(tool_url, SEGMENT_TOOL, timeout_s, retries, backoff_s))
+        if tool_url else mock_segment_handler,
     )

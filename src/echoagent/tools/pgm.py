@@ -2,7 +2,9 @@
 
 Frames and masks travel as P5 files: no codec dependency, trivially
 content-addressable. Only maxval <= 255 is supported; masks use the label
-semantics defined by SegmentationMask.
+semantics defined by SegmentationMask. One header parser serves
+``decode_pgm`` and ``pgm_dimensions``, so both reject the same headers; the
+errors of the two file readers name the file.
 """
 from __future__ import annotations
 
@@ -12,32 +14,37 @@ import numpy as np
 
 from ..errors import PgmFormatError
 
+_WHITESPACE = b" \t\n\r\x0b\x0c"
 
-def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    n = len(data)
-    while pos < n:
-        if data[pos : pos + 1].isspace():
-            pos += 1
-        elif data[pos : pos + 1] == b"#":
-            while pos < n and data[pos] not in (0x0A, 0x0D):
+
+def _parse_header(data: bytes) -> tuple[int, int, int] | None:
+    """(width, height, raster offset) of the P5 header that starts ``data``.
+
+    Tokens are separated by whitespace, and a ``#`` before a token starts a
+    comment that runs to the end of its line. A token counts only once a byte
+    follows it, so while ``data`` ends inside the header the result is None,
+    never a cut-off number. A header that can only be wrong raises
+    PgmFormatError.
+    """
+    tokens: list[bytes] = []
+    pos, n = 0, len(data)
+    while len(tokens) < 4:
+        while pos < n and (data[pos] in _WHITESPACE or data[pos] == ord("#")):
+            if data[pos] == ord("#"):
+                while pos < n and data[pos] not in b"\r\n":
+                    pos += 1
+            else:
                 pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and not data[pos : pos + 1].isspace():
-        pos += 1
-    if start == pos:
-        raise PgmFormatError("truncated PGM header")
-    return data[start:pos], pos
-
-
-def decode_pgm(data: bytes) -> np.ndarray:
-    magic, pos = _next_token(data, 0)
-    if magic != b"P5":
-        raise PgmFormatError(f"not a binary PGM (magic {magic!r}, expected b'P5')")
+        start = pos
+        while pos < n and data[pos] not in _WHITESPACE:
+            pos += 1
+        if pos == n:
+            return None
+        tokens.append(data[start:pos])
+        if tokens[0] != b"P5":
+            raise PgmFormatError(f"not a binary PGM (magic {tokens[0]!r}, expected b'P5')")
     fields = []
-    for _ in range(3):
-        token, pos = _next_token(data, pos)
+    for token in tokens[1:]:
         try:
             fields.append(int(token))
         except ValueError:
@@ -47,7 +54,14 @@ def decode_pgm(data: bytes) -> np.ndarray:
         raise PgmFormatError(f"invalid PGM dimensions {width}x{height}")
     if not 0 < maxval <= 255:
         raise PgmFormatError(f"unsupported PGM maxval {maxval} (need 8-bit)")
-    pos += 1  # single whitespace byte separates header from raster
+    return width, height, pos + 1  # one whitespace byte separates header from raster
+
+
+def decode_pgm(data: bytes) -> np.ndarray:
+    header = _parse_header(data)
+    if header is None:
+        raise PgmFormatError("truncated PGM header")
+    width, height, pos = header
     raster = data[pos : pos + width * height]
     if len(raster) != width * height:
         raise PgmFormatError(
@@ -69,40 +83,31 @@ def encode_pgm(pixels: np.ndarray) -> bytes:
 
 
 def read_pgm(path: str | Path) -> np.ndarray:
-    return decode_pgm(Path(path).read_bytes())
+    try:
+        return decode_pgm(Path(path).read_bytes())
+    except PgmFormatError as exc:
+        raise PgmFormatError(f"{path}: {exc}") from None
 
 
 def write_pgm(path: str | Path, pixels: np.ndarray) -> None:
     Path(path).write_bytes(encode_pgm(pixels))
 
 
-def _dimensions_complete(data: bytes) -> bool:
-    """True once magic, width and height are each followed by another byte."""
-    pos = 0
-    try:
-        for _ in range(3):
-            _, pos = _next_token(data, pos)
-    except PgmFormatError:
-        return False
-    return pos < len(data)
-
-
 def pgm_dimensions(path: str | Path) -> tuple[int, int]:
     """(width, height) from the header without materializing the raster.
 
-    Reads a prefix that doubles until the width and height tokens are
-    complete, so a long ``#`` comment still parses.
+    Reads a prefix that doubles until the header is complete, so a long
+    ``#`` comment still parses; the header is checked as ``decode_pgm``
+    checks it.
     """
     with open(path, "rb") as fh:
         data = fh.read(64)
-        while not _dimensions_complete(data):
-            more = fh.read(len(data))
-            if not more:
-                break
-            data += more
-    magic, pos = _next_token(data, 0)
-    if magic != b"P5":
-        raise PgmFormatError(f"not a binary PGM: {path}")
-    width_tok, pos = _next_token(data, pos)
-    height_tok, _ = _next_token(data, pos)
-    return int(width_tok), int(height_tok)
+        try:
+            while (header := _parse_header(data)) is None:
+                more = fh.read(len(data))
+                if not more:
+                    raise PgmFormatError("truncated PGM header")
+                data += more
+        except PgmFormatError as exc:
+            raise PgmFormatError(f"{path}: {exc}") from None
+    return header[0], header[1]

@@ -9,16 +9,14 @@ shared registry.
 """
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 from .. import anatomy
 from ..errors import ContractError, EchoAgentError, FixtureError, RegistrationError, TransportError
 from .schema import FieldSpec, Schema, validate_value_map
 
 __all__ = [
-    "BACKENDS", "LAYERS", "BlobRef", "FieldSpec", "InvocationContext",
+    "BACKENDS", "LAYERS", "FieldSpec", "InvocationContext",
     "LogEntry", "ToolDescriptor", "ToolRegistry", "ToolResult",
 ]
 
@@ -52,28 +50,11 @@ class ToolDescriptor:
 
 
 @dataclass
-class BlobRef:
-    """Content-addressed reference to an artifact a wire backend returned.
-
-    ``id`` is the SHA-256 hex digest of ``data``, computed the first time it
-    is read, so an artifact nobody addresses is never hashed.
-    """
-
-    media_type: str
-    data: bytes = field(repr=False)
-
-    @cached_property
-    def id(self) -> str:
-        return hashlib.sha256(self.data).hexdigest()
-
-
-@dataclass
 class ToolResult:
     tool_name: str
     invocation_id: str
     outputs: dict
     confidence: float
-    artifacts: list[BlobRef] = field(default_factory=list)
 
     def __post_init__(self):
         if not 0.0 <= self.confidence <= 1.0:
@@ -107,7 +88,7 @@ class ToolRegistry:
 
     def register(self, descriptor: ToolDescriptor, handler) -> ToolDescriptor:
         """Handler signature: handler(inputs: dict, ctx: InvocationContext)
-        -> (outputs: dict, confidence: float, artifacts: list[BlobRef])."""
+        -> (outputs: dict, confidence: float)."""
         if descriptor.name in self._tools:
             raise RegistrationError(f"duplicate tool name {descriptor.name!r}")
         self._tools[descriptor.name] = (descriptor, handler)
@@ -167,14 +148,13 @@ class ToolRegistry:
         self._next_invocation += 1
         try:
             validate_value_map(inputs, descriptor.input_schema, f"{tool_name} inputs")
-            outputs, confidence, artifacts = handler(inputs, ctx)
+            outputs, confidence = handler(inputs, ctx)
             validate_value_map(outputs, descriptor.output_schema, f"{tool_name} outputs")
             result = ToolResult(
                 tool_name=tool_name,
                 invocation_id=ctx.invocation_id,
                 outputs=outputs,
                 confidence=float(confidence),
-                artifacts=list(artifacts),
             )
         except EchoAgentError as exc:
             self._log.append(

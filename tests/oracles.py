@@ -150,7 +150,8 @@ def seed_resolve(kb, query_vec, s_min):
 
     if len(kb) == 0:
         raise ResolutionError("knowledge base is empty; query unresolvable")
-    sims = {pid: float(s) for pid, s in zip(kb.index.all_ids, kb.all_similarities(query_vec))}
+    # matrix rows follow ascending primitive id
+    sims = {pid: float(s) for pid, s in zip(sorted(kb.primitives), kb.all_similarities(query_vec))}
     ranked = sorted(sims.items(), key=lambda kv: (-kv[1], kv[0]))
     best_id, best_sim = ranked[0]
     if best_sim < s_min:
@@ -163,10 +164,9 @@ def seed_resolve(kb, query_vec, s_min):
 
 def _seed_nearest_anatomies(kb, sims):
     best = {}
-    for name, ids in kb.index.by_group.items():
-        group_sims = [sims[pid] for pid in ids if pid in sims]
-        if group_sims:
-            best[name] = max(group_sims)
+    for pid, primitive in kb.primitives.items():
+        for name in primitive.anatomy_tags:
+            best[name] = max(best.get(name, sims[pid]), sims[pid])
     ranked = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
     return tuple(name for name, _ in ranked[:3])
 
@@ -207,7 +207,7 @@ def _seed_checksum(doc: dict) -> str:
 def seed_save_bytes(kb) -> bytes:
     """The bytes the seed's ``KnowledgeBase.save`` wrote for ``kb``."""
     primitives = []
-    for pid in kb.index.all_ids:
+    for pid in sorted(kb.primitives):
         p = kb.primitives[pid]
         primitives.append(
             {

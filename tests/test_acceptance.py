@@ -80,7 +80,7 @@ def test_criterion_3_retrieval_equivalence():
     kb.add_primitives([
         make_primitive(f"p{i:04d}", f"text {i}", (), vectors[i]) for i in range(n)
     ])
-    items = [(pid, kb.primitives[pid].embedding) for pid in kb.index.all_ids]
+    items = [(pid, kb.primitives[pid].embedding) for pid in kb.ids]
     ok = True
     for q in range(50):
         query = rng.normal(size=dim)

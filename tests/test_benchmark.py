@@ -68,7 +68,7 @@ def test_constant_mask_stub_degrades_gracefully(kb, ef_dataset):
             ),
             backend="mock",
         ),
-        lambda inputs, ctx: ({"mask": constant, "empty_structure": False}, 0.8, []),
+        lambda inputs, ctx: ({"mask": constant, "empty_structure": False}, 0.8),
     )
 
     records = load_dataset(ef_dataset)
@@ -163,3 +163,33 @@ def test_traces_do_not_depend_on_record_order_or_earlier_runs(
     expected = traces_and_records(records, kb, build_default_registry())
     got = traces_and_records([records[i] for i in order], kb, shared_registry)
     assert got == expected
+
+
+def test_a_malformed_record_fails_alone_and_evaluate_exits_one(
+    kb, mixed_dataset, tmp_path, capsys
+):
+    from echoagent.cli import main
+
+    root = tmp_path / "dataset"
+    shutil.copytree(mixed_dataset, root)
+    record_path = root / "studies" / "qa-01" / "record.json"
+    raw = json.loads(record_path.read_text())
+    raw["options"] = [raw["options"][0]] * 2
+    record_path.write_text(json.dumps(raw))
+    kb_path = tmp_path / "kb.json"
+    kb.save(kb_path)
+    clean = run_benchmark(load_dataset(mixed_dataset), kb, build_default_registry())
+    expected = {entry["id"]: entry for entry in clean.to_json()["records"]}
+
+    code = main(["evaluate", str(root), "--kb", str(kb_path),
+                 "--report", str(tmp_path / "report.json"), "--traces", str(tmp_path / "traces")])
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["counts"] == {"total": 16, "succeeded": 15, "failed": 1}
+    got = {entry["id"]: entry for entry in report["records"]}
+    failed = got.pop("qa-01")
+    assert "repeats an option" in failed["error"] and failed["predicted"] is None
+    del expected["qa-01"]
+    assert got == expected
+    assert len(list((tmp_path / "traces").iterdir())) == 15

@@ -234,3 +234,22 @@ def test_malformed_query_exits_three_without_a_traceback(
     assert code == 3
     assert err.startswith("error: ")
     assert not (tmp_path / "t.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["query-kb", "run-study"])
+def test_a_mismatched_encoder_exits_one_naming_both_encoders(
+    capsys, saved_kb, ef_dataset, tmp_path, command
+):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"embedding_dim": 128}))
+    argv = {
+        "query-kb": ["query-kb", "ejection fraction", "--kb", str(saved_kb)],
+        "run-study": ["run-study", str(ef_dataset / "studies" / "study-01"),
+                      "Is the ejection fraction normal?", "--kb", str(saved_kb),
+                      "--trace", str(tmp_path / "t.jsonl")],
+    }[command]
+    code, _, err = run_cli(capsys, "--config", str(config), *argv)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "'hashed-bow-256'" in err and "'hashed-bow-128'" in err
+    assert not (tmp_path / "t.jsonl").exists()

@@ -147,7 +147,7 @@ def test_http_encoder_batch_posts_the_missing_texts_once_in_input_order(stub_ser
     ]
     assert np.array_equal(kb.primitives["b#0"].embedding, [1.0, 0.0, 0.0, 0.0])
     assert np.array_equal(kb.primitives["c#0"].embedding, [0.0, 0.6, 0.8, 0.0])
-    assert kb.index.all_ids == ["a#0", "b#0", "c#0"]
+    assert kb.ids == ["a#0", "b#0", "c#0"]
 
 
 def test_http_encoder_failure_leaves_the_knowledge_base_unchanged(stub_server):
@@ -158,6 +158,6 @@ def test_http_encoder_failure_leaves_the_knowledge_base_unchanged(stub_server):
         kb.add_primitives(primitives)
     assert len(stub_server.requests) == 2
     assert len(kb) == 0
-    assert kb.index.all_ids == []
+    assert kb.ids == []
     assert kb._matrix.shape == (0, 4)
     assert all(p.embedding is None for p in primitives)

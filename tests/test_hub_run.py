@@ -12,9 +12,10 @@ from oracles import brute_force_topk, seed_resolve
 from echoagent import anatomy
 from echoagent.config import EngineConfig
 from echoagent.errors import GraphError, ResolutionError
-from echoagent.hub.engine import DiagnosticQuery, ReasoningHub
+from echoagent.hub.engine import Conclusion, DiagnosticQuery, ReasoningHub
 from echoagent.hub.graph import CAUSAL_KINDS, ReasoningGraph
-from echoagent.kb.index import KnowledgeBase, empty_entry
+from echoagent.kb.index import KnowledgeBase
+from echoagent.kb.summarize import empty_entry
 
 EF_QUESTION = "Is the ejection fraction normal?"
 
@@ -46,7 +47,7 @@ def test_ef_question_resolves_to_left_ventricle_by_brute_force(kb, registry):
         DiagnosticQuery(EF_QUESTION, study_refs=("x",))
     )
     # independent oracle: full cosine scan, winner's tags must include the pick
-    items = [(pid, kb.primitives[pid].embedding) for pid in kb.index.all_ids]
+    items = [(pid, kb.primitives[pid].embedding) for pid in kb.ids]
     query_vec = kb.encoder.embed(EF_QUESTION)
     [(winner_id, _)] = brute_force_topk(items, query_vec, 1)
     assert anatomy_name in kb.primitives[winner_id].anatomy_tags
@@ -368,3 +369,20 @@ def test_multiple_choice_answers_come_from_the_options(kb, registry, qa_dataset,
         assert conclusion.answer == expected
         assert conclusion.answer in record["options"]
         assert max(conclusion.posterior.values()) >= 0.9
+
+
+@pytest.mark.parametrize("header", [b"P5\nabc 256\n255\n", b"P6\n256 256\n255\n"],
+                         ids=["non_integer_width", "not_p5"])
+def test_a_corrupt_frame_header_fails_its_segmentation_step(
+    kb, registry, ef_dataset, tmp_path, header
+):
+    shutil.copytree(ef_dataset / "studies" / "study-03", tmp_path / "studies" / "study-03")
+    frame = tmp_path / "studies" / "study-03" / "a4c" / "ed.pgm"
+    frame.write_bytes(header + frame.read_bytes().split(b"\n", 3)[3])
+    conclusion = run_study(kb, registry, tmp_path, "study-03")
+    failed = [entry for entry in conclusion.invocation_log if entry.status != "ok"]
+    assert failed
+    for entry in failed:
+        assert entry.tool_name == "echo.segmenter"
+        assert str(frame) in entry.error
+    assert isinstance(conclusion, Conclusion)

@@ -10,6 +10,7 @@ from oracles import seed_save_bytes
 from echoagent.cli import main
 from echoagent.errors import IndexLoadError
 from echoagent.kb import index as index_module
+from echoagent.kb.encoder import HashedBowEncoder
 from echoagent.kb.index import KnowledgeBase, _checksum
 from echoagent.kb.summarize import build_all_entries
 
@@ -37,7 +38,10 @@ def test_save_load_roundtrip_is_lossless(kb, saved_kb):
         assert clone.anatomy_tags == primitive.anatomy_tags
         assert np.array_equal(clone.embedding, primitive.embedding)
     assert loaded.entries == kb.entries
-    assert loaded.index.by_group == kb.index.by_group
+    assert loaded.ids == kb.ids
+    assert {name: rows.tolist() for name, rows in loaded.group_rows.items()} == {
+        name: rows.tolist() for name, rows in kb.group_rows.items()
+    }
 
 
 def test_roundtrip_of_the_file_bytes(saved_kb, tmp_path):
@@ -188,3 +192,39 @@ def test_malformed_index_is_an_index_load_error_and_exit_one(
     assert main(["query-kb", "ejection fraction", "--kb", str(saved_kb)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+class _NamedEncoder(HashedBowEncoder):
+    """A hashed-bow encoder that reports another id."""
+
+    def __init__(self, dim, encoder_id):
+        super().__init__(dim)
+        self._id = encoder_id
+
+    @property
+    def encoder_id(self):
+        return self._id
+
+
+@pytest.mark.parametrize("built_with, encoder, message", [
+    ("hashed-bow-256", HashedBowEncoder(128), "'hashed-bow-128'"),
+    ("hashed-bow-256", _NamedEncoder(128, "hashed-bow-256"), "dim 128"),
+    ("http:http://encoder.invalid", None, "no encoder"),
+    ("http:http://encoder.invalid", HashedBowEncoder(256), "'hashed-bow-256'"),
+], ids=["other_id", "other_dim", "unnamed_remote", "remote_given_local"])
+def test_an_index_loads_only_with_the_encoder_that_built_it(
+    saved_kb, built_with, encoder, message
+):
+    doc = json.loads(saved_kb.read_text())
+    assert doc["d_e"] == 256
+    doc["encoder_id"] = built_with
+    saved_kb.write_text(json.dumps(_reseal(doc)))
+    with pytest.raises(IndexLoadError, match=message) as err:
+        KnowledgeBase.load(saved_kb, encoder=encoder)
+    assert repr(built_with) in str(err.value)
+
+
+def test_the_encoder_that_built_an_index_loads_it(saved_kb):
+    encoder = HashedBowEncoder(256)
+    assert KnowledgeBase.load(saved_kb, encoder=encoder).encoder is encoder
+    assert KnowledgeBase.load(saved_kb).encoder.encoder_id == "hashed-bow-256"

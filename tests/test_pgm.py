@@ -70,3 +70,34 @@ def test_dimensions_reject_bad_headers(tmp_path, data, match):
     path.write_bytes(data)
     with pytest.raises(PgmFormatError, match=match):
         pgm_dimensions(path)
+
+
+@pytest.mark.parametrize("data", [
+    b"P2\n2 2\n255\n" + bytes(4),
+    b"P6\n2 2\n255\n" + bytes(4),
+    b"P5x\n2 2\n255\n" + bytes(4),
+    b"P5\nabc 2\n255\n" + bytes(4),
+    b"P5\n2 2.0\n255\n" + bytes(4),
+    b"P5\n2 2\n25x\n" + bytes(4),
+    b"P5\n0 2\n255\n",
+    b"P5\n-2 2\n255\n" + bytes(4),
+    b"P5\n2 2\n0\n" + bytes(4),
+    b"P5\n2 2\n65535\n" + bytes(8),
+    b"",
+    b"P5\n2 2",
+    b"P5\n2 2\n255",
+    b"P5\n# a comment that never ends",
+], ids=["p2", "p6", "p5x", "width", "height", "maxval_token", "zero_width",
+        "negative_width", "zero_maxval", "maxval_16bit", "empty", "no_maxval",
+        "maxval_at_eof", "comment_at_eof"])
+def test_dimensions_and_decode_reject_the_same_headers(tmp_path, data):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(data)
+    with pytest.raises(PgmFormatError) as from_bytes:
+        decode_pgm(data)
+    with pytest.raises(PgmFormatError) as from_file:
+        pgm_dimensions(path)
+    with pytest.raises(PgmFormatError) as read_whole:
+        read_pgm(path)
+    # one check, one message; a file's error adds its path
+    assert str(from_file.value) == str(read_whole.value) == f"{path}: {from_bytes.value}"

@@ -3,7 +3,7 @@ import pytest
 from echoagent.errors import PlanningError
 from echoagent.hub.engine import DiagnosticQuery
 from echoagent.hub.planning import plan_steps
-from echoagent.kb.index import empty_entry
+from echoagent.kb.summarize import empty_entry
 from echoagent.kb.summarize import RepositoryEntry
 from echoagent.tools.registry import FieldSpec, ToolDescriptor
 from echoagent.tools.views import DEFAULT_TAXONOMY
@@ -53,7 +53,7 @@ def test_tool_tie_resolves_lexicographically_with_warning(kb, registry, lv_query
             output_schema=(FieldSpec("mask", "mask"),),
             backend="mock",
         ),
-        lambda inputs, ctx: ({}, 1.0, []),
+        lambda inputs, ctx: ({}, 1.0),
     )
     plan = plan_steps(kb.entries["left ventricle"], lv_query, registry, DEFAULT_TAXONOMY)
     segment_tools = {s.tool_name for s in plan.steps if s.inputs["op"] == "segment"}
@@ -176,7 +176,7 @@ def test_a_volume_tool_tie_is_warned_once_per_structure(registry, lv_query):
             name="aaa.volume", layer="functional",
             input_schema=volume.input_schema, output_schema=volume.output_schema,
         ),
-        lambda inputs, ctx: ({}, 1.0, []),
+        lambda inputs, ctx: ({}, 1.0),
     )
     plan = plan_steps(_MIXED_ENTRIES["lv-volume-then-ef-repeated"], lv_query, registry,
                       DEFAULT_TAXONOMY)

@@ -18,7 +18,7 @@ def echo_tool(name="t.echo", layer="functional", anatomy=frozenset()):
         name=name, layer=layer, input_schema=schema, output_schema=schema,
         applicable_anatomy=anatomy,
     )
-    return descriptor, lambda inputs, ctx: (dict(inputs), 1.0, [])
+    return descriptor, lambda inputs, ctx: (dict(inputs), 1.0)
 
 
 def test_register_then_list_shows_descriptor_once():
@@ -92,7 +92,7 @@ def test_confidence_outside_unit_interval_is_a_contract_error():
         name="t.bad", layer="functional",
         input_schema=(), output_schema=(),
     )
-    registry.register(descriptor, lambda inputs, ctx: ({}, 1.5, []))
+    registry.register(descriptor, lambda inputs, ctx: ({}, 1.5))
     with pytest.raises(ContractError, match="confidence"):
         registry.invoke("t.bad", {})
 
@@ -104,7 +104,7 @@ def test_find_prefers_unique_match_then_lexicographic_with_warning():
             name=name, layer="operational",
             input_schema=(), output_schema=(FieldSpec("mask", "mask"),),
         )
-        registry.register(descriptor, lambda inputs, ctx: ({}, 1.0, []))
+        registry.register(descriptor, lambda inputs, ctx: ({}, 1.0))
     descriptor, warning = registry.find("operational", None, "mask")
     assert descriptor.name == "aaa.seg"
     assert warning and "aaa.seg" in warning
@@ -119,7 +119,7 @@ def test_anatomy_scoped_tool_only_matches_its_anatomy():
         input_schema=(), output_schema=(FieldSpec("volume_ml", "number"),),
         applicable_anatomy=frozenset({"left ventricle"}),
     )
-    registry.register(descriptor, lambda inputs, ctx: ({"volume_ml": 1.0}, 1.0, []))
+    registry.register(descriptor, lambda inputs, ctx: ({"volume_ml": 1.0}, 1.0))
     assert registry.find("functional", "left ventricle", "volume_ml")[0] is descriptor
     assert registry.find("functional", "aorta", "volume_ml")[0] is None
 
@@ -161,4 +161,3 @@ def test_mock_determinism_modulo_latency(ef_dataset):
     import numpy as np
 
     assert np.array_equal(first.outputs["mask"].labels, second.outputs["mask"].labels)
-    assert [a.id for a in first.artifacts] == [a.id for a in second.artifacts]

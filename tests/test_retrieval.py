@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_primitive
 from oracles import brute_force_topk
@@ -35,7 +37,7 @@ def test_self_retrieval_hits_rank_one(kb):
 
 
 def test_k_larger_than_subset_returns_whole_subset(kb):
-    subset = kb.index.by_group["left ventricle"]
+    subset = [kb.ids[row] for row in kb.group_rows["left ventricle"]]
     result = kb.retrieve_topk("ventricular function", anatomy_name="left ventricle", k=999)
     assert sorted(result.ids()) == sorted(subset)
     sims = [h.similarity for h in result.hits]
@@ -54,7 +56,7 @@ def test_empty_anatomy_subset_flags_no_knowledge():
 
 def test_retrieval_matches_brute_force_oracle_on_random_fixture():
     kb, rng = random_kb(n=500)
-    items = [(pid, kb.primitives[pid].embedding) for pid in kb.index.all_ids]
+    items = [(pid, kb.primitives[pid].embedding) for pid in kb.ids]
     for _ in range(10):
         query = rng.normal(size=64)
         query /= np.linalg.norm(query)
@@ -69,7 +71,7 @@ def test_filtered_ranking_is_subsequence_of_unfiltered():
     query /= np.linalg.norm(query)
     unfiltered = kb.retrieve_topk_vector(query, k=300).ids()
     for name in ("left ventricle", "aorta", "pericardium"):
-        subset_ids = set(kb.index.by_group[name])
+        subset_ids = {kb.ids[row] for row in kb.group_rows[name]}
         filtered = kb.retrieve_topk_vector(query, anatomy_name=name, k=300).ids()
         assert filtered == [pid for pid in unfiltered if pid in subset_ids]
 
@@ -120,7 +122,7 @@ def test_equal_similarities_rank_by_ascending_id_filtered_and_unfiltered():
         return sorted(ids, key=lambda pid: (-sim[pid], pid))[:k], sim
 
     for name in (None, *names):
-        ids = kb.index.all_ids if name is None else kb.index.by_group[name]
+        ids = kb.ids if name is None else [kb.ids[row] for row in kb.group_rows[name]]
         for k in (7, 50, 200):
             order, sim = expected(ids, k)
             hits = kb.retrieve_topk_vector(query, anatomy_name=name, k=k).hits
@@ -128,12 +130,25 @@ def test_equal_similarities_rank_by_ascending_id_filtered_and_unfiltered():
             assert [h.similarity for h in hits] == [sim[pid] for pid in order]
 
 
-def test_index_membership_biconditional(kb):
-    kb.index.check_membership(kb.primitives)
-    for name, ids in kb.index.by_group.items():
-        for pid in ids:
-            assert name in kb.primitives[pid].anatomy_tags
-        assert ids == sorted(ids)
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.frozensets(st.sampled_from(anatomy.ANATOMY_NAMES), max_size=4),
+                max_size=30),
+       st.integers(min_value=0, max_value=30))
+def test_index_membership_biconditional(tag_sets, split):
+    # unpadded ids ("p10" sorts before "p2") and two batches, so a row is
+    # neither the insertion index nor fixed by the first build
+    primitives = [make_primitive(f"p{i}", "text", tags, np.eye(4)[i % 4])
+                  for i, tags in enumerate(tag_sets)]
+    kb = KnowledgeBase(embedding_dim=4)
+    kb.add_primitives(primitives[:split])
+    kb.add_primitives(primitives[split:])
+    assert kb.ids == sorted(p.id for p in primitives)
+    tags_of = {p.id: p.anatomy_tags for p in primitives}
+    for name in anatomy.ANATOMY_NAMES:
+        assert kb.group_rows[name].tolist() == [
+            row for row, pid in enumerate(kb.ids) if name in tags_of[pid]
+        ]
+    assert kb.tagged_rows.tolist() == [row for row, pid in enumerate(kb.ids) if tags_of[pid]]
 
 
 def test_identical_corpus_and_config_produce_identical_index_bytes(corpus_dir, tmp_path):
@@ -176,12 +191,12 @@ def test_failed_add_primitives_changes_nothing(batch, error):
     kb = KnowledgeBase(encoder=HashedBowEncoder(32))
     kb.add_primitives([make_primitive(f"old#{i}", f"left ventricle {i}", {"left ventricle"})
                        for i in range(3)])
-    ids, matrix, rows = list(kb.index.all_ids), kb._matrix.copy(), kb.group_rows
+    ids, matrix, rows = list(kb.ids), kb._matrix.copy(), kb.group_rows
     primitives = batch()
     with pytest.raises(error):
         kb.add_primitives(primitives)
     assert len(kb) == 3
-    assert kb.index.all_ids == ids
+    assert kb.ids == ids
     assert np.array_equal(kb._matrix, matrix)
     assert kb.group_rows is rows
     assert all(p.embedding is None for p in primitives)

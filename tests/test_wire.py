@@ -74,38 +74,19 @@ def test_missing_confidence_is_a_contract_error(stub_server):
         registry.invoke("remote.tool", {"x": 1.0})
 
 
-def test_artifact_bytes_decode_content_addressed(stub_server):
-    pixels = np.arange(16, dtype=np.uint8).reshape(4, 4)
-    payload = base64.b64encode(encode_pgm(pixels)).decode("ascii")
+@pytest.mark.parametrize("artifact", [
+    {"media_type": "image/x-portable-graymap"},  # no bytes
+    {"bytes_b64": "not base64!"},
+    "a bare string",
+], ids=["no_bytes", "bad_base64", "not_an_object"])
+def test_malformed_artifact_is_a_contract_error(stub_server, artifact):
     stub_server.script = [(200, {
-        "outputs": {"value": 1.0},
-        "confidence": 1.0,
-        "artifacts": [{"id": "x", "media_type": "image/x-portable-graymap",
-                       "bytes_b64": payload}],
+        "outputs": {"value": 1.0}, "confidence": 1.0, "artifacts": [artifact],
     })]
     registry = wire_registry(stub_server.url)
-    result = registry.invoke("remote.tool", {"x": 0.0})
-    [blob] = result.artifacts
-    assert blob.data == encode_pgm(pixels)
-    import hashlib
-
-    assert blob.id == hashlib.sha256(encode_pgm(pixels)).hexdigest()
-
-
-def test_wire_artifact_id_is_the_hash_of_its_decoded_bytes_on_read(stub_server):
-    import hashlib
-
-    data = encode_pgm(np.full((3, 5), 2, dtype=np.uint8))
-    stub_server.script = [(200, {
-        "outputs": {"value": 1.0},
-        "confidence": 1.0,
-        "artifacts": [{"id": "ignored", "media_type": "image/x-portable-graymap",
-                       "bytes_b64": base64.b64encode(data).decode("ascii")}],
-    })]
-    result = wire_registry(stub_server.url).invoke("remote.tool", {"x": 0.0})
-    [blob] = result.artifacts
-    assert "id" not in vars(blob)
-    assert blob.id == hashlib.sha256(data).hexdigest()
+    with pytest.raises(ContractError, match="artifact malformed"):
+        registry.invoke("remote.tool", {"x": 0.0})
+    assert registry.invocation_log[-1].status == "contract_error"
 
 
 # -- segmentation over the wire ------------------------------------------------
