@@ -133,6 +133,3 @@ class ReasoningGraph:
             e for e in self.edges
             if e.kind in kinds and (e.src == node_id or e.dst == node_id)
         ]
-
-    def causal_parents(self, node_id: str) -> list[str]:
-        return [e.src for e in self.edges if e.kind in CAUSAL_KINDS and e.dst == node_id]

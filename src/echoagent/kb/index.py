@@ -9,15 +9,25 @@ every ranking and every saved index byte-reproducible.
 
 ``add_primitives`` is all-or-nothing: it checks every id, embeds every
 missing text in one ``encoder.embed_batch`` call and checks every embedding
-before it changes anything. ``save`` serialises the document once, in
-canonical form (sorted keys, no spaces), and writes it with the SHA-256 of
-those bytes as a leading ``"checksum"`` key, which sorts before every other
-key. ``load`` verifies that checksum over the file bytes; only a file that
-fails the byte check (one not written by ``save``) is re-serialised to
-check it against its canonical form.
+in one pass over the stacked rows before it changes anything.
+
+The saved index (format version 2) is one JSON document,
+``{version, encoder_id, embeddings, primitives, entries, checksum}``. The
+embeddings are one block, ``{"dtype": "<f8", "shape": [n, d], "data": ...}``,
+whose data is the base64 of the row-major little-endian float64 matrix,
+as in a ``.npy`` file; row i is the embedding of primitive record i, and
+``save`` writes both in ascending primitive id order. ``save`` serialises
+the document once, in canonical form (sorted keys, no spaces), and writes it
+with the SHA-256 of those bytes as a leading ``"checksum"`` key, which sorts
+before every other key. ``load`` verifies that checksum over the file bytes;
+only a file that fails the byte check (one not written by ``save``) is
+re-serialised to check it against its canonical form. ``load`` decodes the
+block once and refuses a dtype, data length, row count or dimension that
+does not match, as it refuses a version 1 file, which must be rebuilt.
 """
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import re
@@ -32,8 +42,9 @@ from .chunking import KnowledgePrimitive, SourceSpan
 from .encoder import HashedBowEncoder
 from .summarize import RepositoryEntry
 
-INDEX_FORMAT_VERSION = 1
+INDEX_FORMAT_VERSION = 2
 NORM_TOLERANCE = 1e-9
+EMBEDDING_DTYPE = "<f8"
 # what ``save`` writes before the canonical document's remaining keys
 _SAVED_PREFIX = re.compile(rb'\{"checksum":"([0-9a-f]{64})",')
 
@@ -56,9 +67,8 @@ class RetrievalResult:
 class KnowledgeBase:
     """Immutable-after-build store of embedded primitives and entries."""
 
-    def __init__(self, encoder=None, embedding_dim: int | None = None):
+    def __init__(self, encoder=None):
         self.encoder = encoder if encoder is not None else HashedBowEncoder(256)
-        self.embedding_dim = embedding_dim or self.encoder.dim
         self.primitives: dict[str, KnowledgePrimitive] = {}
         self.entries: dict[str, RepositoryEntry] = {}
         self._rebuild_index()
@@ -75,22 +85,31 @@ class KnowledgeBase:
         missing = [p for p in primitives if p.embedding is None]
         computed = self.encoder.embed_batch([p.text for p in missing]) if missing else []
         embedded = {p.id: vec for p, vec in zip(missing, computed)}
-        for p in primitives:
-            self._check_embedding(p.id, embedded.get(p.id, p.embedding))
+        self._check_embeddings(
+            [p.id for p in primitives], [embedded.get(p.id, p.embedding) for p in primitives]
+        )
         for p in missing:
             p.embedding = embedded[p.id]
         self.primitives.update((p.id, p) for p in primitives)
         self._rebuild_index()
 
-    def _check_embedding(self, pid: str, embedding: np.ndarray) -> None:
-        norm = float(np.linalg.norm(embedding))
-        if abs(norm - 1.0) > NORM_TOLERANCE:
+    def _check_embeddings(self, ids: list[str], embeddings: list[np.ndarray]) -> None:
+        """Raise naming the first id, in input order, whose embedding is not a
+        unit vector of the encoder's dimension."""
+        dim = self.encoder.dim
+        shaped = next(
+            (i for i, e in enumerate(embeddings) if np.shape(e) != (dim,)), len(ids)
+        )
+        m = np.stack(embeddings[:shaped]) if shaped else np.zeros((0, dim))
+        norms = np.sqrt(np.einsum("ij,ij->i", m, m))
+        off = np.flatnonzero(np.abs(norms - 1.0) > NORM_TOLERANCE)
+        if off.size:
             raise IndexLoadError(
-                f"primitive {pid!r} embedding norm {norm:.6g} not unit"
+                f"primitive {ids[off[0]]!r} embedding norm {norms[off[0]]:.6g} not unit"
             )
-        if embedding.shape != (self.embedding_dim,):
+        if shaped < len(ids):
             raise IndexLoadError(
-                f"primitive {pid!r} embedding dim {embedding.shape} != {self.embedding_dim}"
+                f"primitive {ids[shaped]!r} embedding dim {np.shape(embeddings[shaped])} != {dim}"
             )
 
     def _rebuild_index(self) -> None:
@@ -110,7 +129,7 @@ class KnowledgeBase:
         if self.ids:
             self._matrix = np.vstack([self.primitives[pid].embedding for pid in self.ids])
         else:
-            self._matrix = np.zeros((0, self.embedding_dim), dtype=np.float64)
+            self._matrix = np.zeros((0, self.encoder.dim), dtype=np.float64)
 
     def __len__(self) -> int:
         return len(self.primitives)
@@ -157,14 +176,19 @@ class KnowledgeBase:
                     "text": p.text,
                     "source": {"doc": p.source.doc, "start": p.source.start, "end": p.source.end},
                     "tags": sorted(p.anatomy_tags),
-                    "embedding": np.asarray(p.embedding, dtype=np.float64).tolist(),
                 }
             )
         entries = [self.entries[name].to_json() for name in sorted(self.entries)]
         return {
             "version": INDEX_FORMAT_VERSION,
-            "d_e": self.embedding_dim,
             "encoder_id": self.encoder.encoder_id,
+            "embeddings": {
+                "dtype": EMBEDDING_DTYPE,
+                "shape": list(self._matrix.shape),
+                "data": base64.b64encode(
+                    self._matrix.astype(EMBEDDING_DTYPE, copy=False).tobytes()
+                ).decode("ascii"),
+            },
             "primitives": primitives,
             "entries": entries,
         }
@@ -186,19 +210,16 @@ class KnowledgeBase:
         version = doc.get("version")
         if version != INDEX_FORMAT_VERSION:
             raise IndexLoadError(
-                f"index version mismatch: file has {version!r}, expected {INDEX_FORMAT_VERSION}"
+                f"index version mismatch: file has {version!r}, expected "
+                f"{INDEX_FORMAT_VERSION}; rebuild the index with build-kb"
             )
         if not sealed and doc.get("checksum") != _checksum(
             {k: v for k, v in doc.items() if k != "checksum"}
         ):
             raise IndexLoadError("index checksum mismatch: file corrupted or edited")
 
-        try:
-            dim = int(doc["d_e"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise IndexLoadError(
-                f"knowledge index field 'd_e' is missing or not an integer: {exc!r}"
-            ) from exc
+        matrix = _embedding_matrix(doc)
+        n, dim = matrix.shape
         built_with = doc.get("encoder_id")
         if encoder is None and built_with == f"hashed-bow-{dim}":
             encoder = HashedBowEncoder(dim)
@@ -206,12 +227,17 @@ class KnowledgeBase:
             given = "no encoder" if encoder is None else (
                 f"encoder {encoder.encoder_id!r} (dim {encoder.dim})")
             raise IndexLoadError(
-                f"index built with encoder {built_with!r} (d_e {dim}) cannot be "
+                f"index built with encoder {built_with!r} (dim {dim}) cannot be "
                 f"loaded with {given}"
             )
-        kb = cls(encoder=encoder, embedding_dim=dim)
+        records = _records(doc, "primitives")
+        if len(records) != n:
+            raise IndexLoadError(
+                f"embeddings hold {n} rows for {len(records)} primitive records"
+            )
+        kb = cls(encoder=encoder)
         loaded: list[KnowledgePrimitive] = []
-        for i, raw in enumerate(_records(doc, "primitives")):
+        for i, raw in enumerate(records):
             if not isinstance(raw, dict):
                 raise IndexLoadError(f"primitive record #{i} is not an object")
             if not (isinstance(raw.get("id"), str) and isinstance(raw.get("text"), str)):
@@ -227,7 +253,7 @@ class KnowledgeBase:
                     text=raw["text"],
                     source=SourceSpan(src.get("doc", ""), int(src.get("start", 0)), int(src.get("end", 0))),
                     anatomy_tags=frozenset(raw.get("tags", [])),
-                    embedding=np.asarray(raw["embedding"], dtype=np.float64),
+                    embedding=matrix[i],
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise IndexLoadError(f"invalid primitive record {raw.get('id')!r}: {exc}") from exc
@@ -274,6 +300,34 @@ def _read_document(path: str | Path) -> tuple[dict, bool]:
     if not isinstance(doc, dict):
         raise IndexLoadError("knowledge index must be a JSON object")
     return doc, sealed
+
+
+def _embedding_matrix(doc: dict) -> np.ndarray:
+    """The (n, d) matrix the document's embeddings block holds."""
+    block = doc.get("embeddings")
+    if not isinstance(block, dict):
+        raise IndexLoadError("knowledge index field 'embeddings' is missing or not an object")
+    if block.get("dtype") != EMBEDDING_DTYPE:
+        raise IndexLoadError(
+            f"embeddings dtype {block.get('dtype')!r} is not {EMBEDDING_DTYPE!r}"
+        )
+    shape = block.get("shape")
+    if not (isinstance(shape, list) and len(shape) == 2
+            and all(type(x) is int for x in shape) and shape[0] >= 0 and shape[1] >= 1):
+        raise IndexLoadError(f"embeddings shape {shape!r} is not [rows >= 0, dim >= 1]")
+    data = block.get("data")
+    if not isinstance(data, str):
+        raise IndexLoadError("embeddings data is not a string")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError as exc:
+        raise IndexLoadError(f"embeddings data is not valid base64: {exc}") from exc
+    n, dim = shape
+    if len(raw) != n * dim * 8:
+        raise IndexLoadError(
+            f"embeddings data holds {len(raw)} bytes; shape {shape} needs {n * dim * 8}"
+        )
+    return np.frombuffer(raw, dtype=EMBEDDING_DTYPE).reshape(n, dim)
 
 
 def _records(doc: dict, key: str) -> list:

@@ -61,9 +61,6 @@ class RepositoryEntry:
         """Items of one section, with the no-guidance marker filtered out."""
         return [item for item in self.sections[name] if item != NO_GUIDANCE]
 
-    def is_empty(self) -> bool:
-        return all(not self.section_items(name) for name in SECTION_NAMES)
-
     def to_json(self) -> dict:
         return {
             "anatomy": self.anatomy,

@@ -93,29 +93,3 @@ def spheroid_volume_ml(length_mm: float, radius_mm: float) -> float:
 def cylinder_volume_ml(diameter_mm: float, length_mm: float) -> float:
     """Analytic cylinder volume: (pi/4) d^2 L, in mL."""
     return math.pi / 4.0 * diameter_mm**2 * length_mm / 1000.0
-
-
-def translate(mask: SegmentationMask, dx: int, dy: int) -> SegmentationMask:
-    labels = np.roll(np.roll(mask.labels, dy, axis=0), dx, axis=1)
-    return SegmentationMask(
-        labels=labels,
-        pixel_spacing_mm=mask.pixel_spacing_mm,
-        structure_map=dict(mask.structure_map),
-    )
-
-
-def rotate90(mask: SegmentationMask) -> SegmentationMask:
-    return SegmentationMask(
-        labels=np.ascontiguousarray(np.rot90(mask.labels)),
-        pixel_spacing_mm=(mask.pixel_spacing_mm[1], mask.pixel_spacing_mm[0]),
-        structure_map=dict(mask.structure_map),
-    )
-
-
-def rescale_spacing(mask: SegmentationMask, factor: float) -> SegmentationMask:
-    sx, sy = mask.pixel_spacing_mm
-    return SegmentationMask(
-        labels=mask.labels.copy(),
-        pixel_spacing_mm=(sx * factor, sy * factor),
-        structure_map=dict(mask.structure_map),
-    )

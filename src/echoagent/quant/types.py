@@ -50,10 +50,3 @@ class LongAxis:
     def __post_init__(self):
         if not self.length_mm > 0 or not math.isfinite(self.length_mm):
             raise DomainError(f"axis length must be positive, got {self.length_mm}")
-
-    def direction(self) -> tuple[float, float]:
-        """Unit vector (pixel space) pointing from apex toward the base."""
-        dx = self.base_mid[0] - self.apex[0]
-        dy = self.base_mid[1] - self.apex[1]
-        norm = math.hypot(dx, dy)
-        return dx / norm, dy / norm

@@ -4,14 +4,17 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import numpy as np
 import pytest
 
 from echoagent.fixtures.corpus import write_corpus
 from echoagent.fixtures.studies import generate_ef_dataset, generate_qa_dataset
+from echoagent.hub.graph import CAUSAL_KINDS
 from echoagent.hub.toolkit import build_default_registry
 from echoagent.kb.chunking import KnowledgePrimitive, SourceSpan, load_corpus
 from echoagent.kb.index import KnowledgeBase
 from echoagent.kb.summarize import build_all_entries
+from echoagent.tools.masks import SegmentationMask
 
 
 def make_primitive(pid, text, tags=(), embedding=None):
@@ -22,6 +25,36 @@ def make_primitive(pid, text, tags=(), embedding=None):
         anatomy_tags=frozenset(tags),
         embedding=embedding,
     )
+
+
+def translate(mask: SegmentationMask, dx: int, dy: int) -> SegmentationMask:
+    labels = np.roll(np.roll(mask.labels, dy, axis=0), dx, axis=1)
+    return SegmentationMask(
+        labels=labels,
+        pixel_spacing_mm=mask.pixel_spacing_mm,
+        structure_map=dict(mask.structure_map),
+    )
+
+
+def rotate90(mask: SegmentationMask) -> SegmentationMask:
+    return SegmentationMask(
+        labels=np.ascontiguousarray(np.rot90(mask.labels)),
+        pixel_spacing_mm=(mask.pixel_spacing_mm[1], mask.pixel_spacing_mm[0]),
+        structure_map=dict(mask.structure_map),
+    )
+
+
+def rescale_spacing(mask: SegmentationMask, factor: float) -> SegmentationMask:
+    sx, sy = mask.pixel_spacing_mm
+    return SegmentationMask(
+        labels=mask.labels.copy(),
+        pixel_spacing_mm=(sx * factor, sy * factor),
+        structure_map=dict(mask.structure_map),
+    )
+
+
+def causal_parents(graph, node_id: str) -> list[str]:
+    return [e.src for e in graph.edges if e.kind in CAUSAL_KINDS and e.dst == node_id]
 
 
 def build_fixture_kb(corpus_dir, k: int = 8) -> KnowledgeBase:

@@ -199,37 +199,6 @@ def seed_token_counts(text: str, dim: int) -> np.ndarray:
     return counts
 
 
-def _seed_checksum(doc: dict) -> str:
-    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def seed_save_bytes(kb) -> bytes:
-    """The bytes the seed's ``KnowledgeBase.save`` wrote for ``kb``."""
-    primitives = []
-    for pid in sorted(kb.primitives):
-        p = kb.primitives[pid]
-        primitives.append(
-            {
-                "id": p.id,
-                "text": p.text,
-                "source": {"doc": p.source.doc, "start": p.source.start, "end": p.source.end},
-                "tags": sorted(p.anatomy_tags),
-                "embedding": [float(x) for x in p.embedding],
-            }
-        )
-    entries = [kb.entries[name].to_json() for name in sorted(kb.entries)]
-    doc = {
-        "version": 1,
-        "d_e": kb.embedding_dim,
-        "encoder_id": kb.encoder.encoder_id if kb.encoder else "unknown",
-        "primitives": primitives,
-        "entries": entries,
-    }
-    doc["checksum"] = _seed_checksum(doc)
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
-
-
 # -- evidence graph -----------------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
+import base64
 import json
 import shutil
 import time
@@ -19,6 +20,7 @@ from echoagent.hub.engine import DiagnosticQuery, ReasoningHub
 from echoagent.hub.graph import CAUSAL_KINDS, ReasoningGraph
 from echoagent.hub.hypotheses import HypothesisSet, update_posteriors
 from echoagent.hub.toolkit import build_default_registry
+from echoagent.kb.encoder import HashedBowEncoder
 from echoagent.kb.index import KnowledgeBase, _checksum
 from echoagent.quant.grading import grade_ef
 from echoagent.quant.synth import cylinder_pair, cylinder_volume_ml, spheroid_pair, spheroid_volume_ml
@@ -76,7 +78,7 @@ def test_criterion_3_retrieval_equivalence():
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
     from conftest import make_primitive
 
-    kb = KnowledgeBase(embedding_dim=dim)
+    kb = KnowledgeBase(encoder=HashedBowEncoder(dim))
     kb.add_primitives([
         make_primitive(f"p{i:04d}", f"text {i}", (), vectors[i]) for i in range(n)
     ])
@@ -347,10 +349,12 @@ def test_criterion_10_kb_persistence(tmp_path, kb):
     )
 
     rejected = 0
-    doc = json.loads(path.read_text())
-
     bad_norm = json.loads(path.read_text())
-    bad_norm["primitives"][0]["embedding"] = [0.5] + [0.0] * (doc["d_e"] - 1)
+    block = bad_norm["embeddings"]
+    rows = np.frombuffer(base64.b64decode(block["data"]), dtype="<f8").reshape(block["shape"]).copy()
+    rows[0] = 0.0
+    rows[0, 0] = 0.5
+    block["data"] = base64.b64encode(rows.tobytes()).decode("ascii")
     bad_norm.pop("checksum")
     bad_norm["checksum"] = _checksum(bad_norm)
     bad_dangling = json.loads(path.read_text())

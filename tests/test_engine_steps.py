@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 
+from conftest import causal_parents
+
 from echoagent.hub.engine import ReasoningHub, _RunState
 from echoagent.hub.graph import ReasoningGraph
 from echoagent.hub.planning import ED, ActionStep
@@ -40,7 +42,7 @@ def test_area_step_falls_back_to_another_views_mask(kb, registry, a4c_only_state
     assert outcome.payload["area_mm2"] == 300 * 0.25
     assert outcome.payload["structure"] == LV
     assert outcome.payload["empty_structure"] is False
-    assert state.graph.causal_parents(newest_node(state.graph)) == [mask_node]
+    assert causal_parents(state.graph, newest_node(state.graph)) == [mask_node]
 
 
 def test_dimension_step_does_not_fall_back(kb, registry, a4c_only_state):
@@ -61,4 +63,4 @@ def test_dimension_step_measures_the_planned_views_mask(kb, registry, a4c_only_s
     assert outcome.confidence == 1.0
     assert outcome.payload["dimension_mm"] > 0
     assert set(outcome.payload) == {"dimension_mm", "structure", "invocation_id"}
-    assert state.graph.causal_parents(newest_node(state.graph)) == [mask_node]
+    assert causal_parents(state.graph, newest_node(state.graph)) == [mask_node]

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+from conftest import rotate90
 
 from echoagent.errors import GeometryError
 from echoagent.quant.geometry import (
@@ -11,7 +15,7 @@ from echoagent.quant.geometry import (
     long_axis,
     mask_area,
 )
-from echoagent.quant.synth import ellipse_mask, rect_mask, rotate90
+from echoagent.quant.synth import ellipse_mask, rect_mask
 from echoagent.quant.types import EMPTY_STRUCTURE, LongAxis
 from echoagent.tools.masks import SegmentationMask
 from oracles import (
@@ -43,11 +47,19 @@ def test_missing_label_gives_zero_area_with_flag():
     assert EMPTY_STRUCTURE in result.flags
 
 
+def _direction(axis) -> tuple[float, float]:
+    """Unit vector (pixel space) pointing from apex toward the base."""
+    dx = axis.base_mid[0] - axis.apex[0]
+    dy = axis.base_mid[1] - axis.apex[1]
+    norm = math.hypot(dx, dy)
+    return dx / norm, dy / norm
+
+
 def test_rectangle_long_axis_is_vertical_and_sixty_mm():
     mask = rect_mask(128, width_px=20, height_px=60)
     axis = long_axis(mask, 1)
     assert axis.length_mm == pytest.approx(60.0, abs=1.0)
-    dx, dy = axis.direction()
+    dx, dy = _direction(axis)
     assert abs(dx) < 1e-9 and abs(abs(dy) - 1.0) < 1e-9
     # symmetric widths tie; apex falls back to the smaller-y endpoint
     assert axis.apex[1] < axis.base_mid[1]
@@ -57,7 +69,7 @@ def test_rotated_rectangle_axis_is_horizontal_same_length():
     mask = rotate90(rect_mask(128, width_px=20, height_px=60))
     axis = long_axis(mask, 1)
     assert axis.length_mm == pytest.approx(60.0, abs=1.0)
-    dx, dy = axis.direction()
+    dx, dy = _direction(axis)
     assert abs(dy) < 1e-9 and abs(abs(dx) - 1.0) < 1e-9
 
 

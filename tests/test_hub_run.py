@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_primitive
+from conftest import causal_parents, make_primitive
 from oracles import brute_force_topk, seed_resolve
 
 from echoagent import anatomy
@@ -14,6 +14,7 @@ from echoagent.config import EngineConfig
 from echoagent.errors import GraphError, ResolutionError
 from echoagent.hub.engine import Conclusion, DiagnosticQuery, ReasoningHub
 from echoagent.hub.graph import CAUSAL_KINDS, ReasoningGraph
+from echoagent.kb.encoder import HashedBowEncoder
 from echoagent.kb.index import KnowledgeBase
 from echoagent.kb.summarize import empty_entry
 
@@ -55,7 +56,7 @@ def test_ef_question_resolves_to_left_ventricle_by_brute_force(kb, registry):
 
 
 def test_empty_knowledge_base_is_unresolvable(registry):
-    hub = ReasoningHub(KnowledgeBase(embedding_dim=16), registry)
+    hub = ReasoningHub(KnowledgeBase(encoder=HashedBowEncoder(16)), registry)
     with pytest.raises(ResolutionError):
         hub.resolve_repository(DiagnosticQuery("anything", study_refs=("x",)))
 
@@ -107,7 +108,7 @@ def resolution_cases(draw):
                                          pool[rng.integers(len(pool))].copy()))
     query = rng.normal(size=dim)
     query /= np.linalg.norm(query)
-    kb = KnowledgeBase(encoder=FixedEncoder(query), embedding_dim=dim)
+    kb = KnowledgeBase(encoder=FixedEncoder(query))
     kb.add_primitives(primitives)
     best = float(kb.all_similarities(query).max())
     s_min = draw(st.sampled_from(["low", "at", "above"]))
@@ -320,10 +321,10 @@ def test_evidence_chain_has_two_derive_hops_from_mask_to_ef(kb, registry, ef_dat
         and "ef_percent" in node.payload
     ]
     assert len(ef_nodes) == 1
-    volume_parents = graph.causal_parents(ef_nodes[0])
+    volume_parents = causal_parents(graph, ef_nodes[0])
     assert len(volume_parents) == 2
     for parent in volume_parents:
-        mask_parents = graph.causal_parents(parent)
+        mask_parents = causal_parents(graph, parent)
         assert any(
             "mask" in str(graph.nodes[gp].payload) for gp in mask_parents
         )

@@ -1,3 +1,4 @@
+import base64
 import json
 import re
 
@@ -5,11 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import make_primitive
-from oracles import seed_save_bytes
 
 from echoagent.cli import main
 from echoagent.errors import IndexLoadError
 from echoagent.kb import index as index_module
+from echoagent.kb.chunking import load_corpus
 from echoagent.kb.encoder import HashedBowEncoder
 from echoagent.kb.index import KnowledgeBase, _checksum
 from echoagent.kb.summarize import build_all_entries
@@ -20,6 +21,17 @@ def _reseal(doc: dict) -> dict:
     doc.pop("checksum", None)
     doc["checksum"] = _checksum(doc)
     return doc
+
+
+def _embeddings(doc: dict) -> np.ndarray:
+    block = doc["embeddings"]
+    data = base64.b64decode(block["data"], validate=True)
+    return np.frombuffer(data, dtype="<f8").reshape(block["shape"]).copy()
+
+
+def _set_embeddings(doc: dict, matrix: np.ndarray) -> None:
+    doc["embeddings"]["shape"] = list(matrix.shape)
+    doc["embeddings"]["data"] = base64.b64encode(matrix.astype("<f8").tobytes()).decode("ascii")
 
 
 @pytest.fixture()
@@ -53,8 +65,11 @@ def test_roundtrip_of_the_file_bytes(saved_kb, tmp_path):
 
 def test_bad_embedding_norm_rejected_naming_the_id(saved_kb):
     doc = json.loads(saved_kb.read_text())
-    doc["primitives"][0]["embedding"] = [0.5] + [0.0] * (doc["d_e"] - 1)
-    offender = doc["primitives"][0]["id"]
+    matrix = _embeddings(doc)
+    matrix[1] = 0.0
+    matrix[1, 0] = 0.5
+    _set_embeddings(doc, matrix)
+    offender = doc["primitives"][1]["id"]
     saved_kb.write_text(json.dumps(_reseal(doc)))
     with pytest.raises(IndexLoadError, match=offender):
         KnowledgeBase.load(saved_kb)
@@ -88,28 +103,48 @@ def test_version_mismatch_rejected(saved_kb):
 def test_duplicate_primitive_id_rejected(saved_kb):
     doc = json.loads(saved_kb.read_text())
     doc["primitives"].append(dict(doc["primitives"][0]))
+    matrix = _embeddings(doc)
+    _set_embeddings(doc, np.vstack([matrix, matrix[:1]]))
     saved_kb.write_text(json.dumps(_reseal(doc)))
     with pytest.raises(IndexLoadError, match="duplicate"):
         KnowledgeBase.load(saved_kb)
 
 
-def _awkward_kb() -> KnowledgeBase:
+def _built(primitives: list, reverse: bool) -> KnowledgeBase:
     kb = KnowledgeBase()
-    kb.add_primitives([
-        make_primitive("q#0", 'The "left ventricle" ejection fraction', {"left ventricle"}),
-        make_primitive("q#1", "C:\\echo\\a4c \\n backslashes in the aorta", {"aorta"}),
-        make_primitive("q#2", "Größe des Vorhofs — left atrium, 日本", {"left atrium"}),
-    ])
-    build_all_entries(kb, 8)
+    if primitives:
+        kb.add_primitives(primitives[::-1] if reverse else primitives)
+        build_all_entries(kb, 8)
     return kb
 
 
+def _awkward_primitives() -> list:
+    return [
+        make_primitive("q#0", 'The "left ventricle" ejection fraction', {"left ventricle"}),
+        make_primitive("q#1", "C:\\echo\\a4c \\n backslashes in the aorta", {"aorta"}),
+        make_primitive("q#2", "Größe des Vorhofs — left atrium, 日本", {"left atrium"}),
+    ]
+
+
 @pytest.mark.parametrize("which", ["fixture", "empty", "awkward_text"])
-def test_saved_bytes_equal_the_seed_save(which, kb, tmp_path):
-    subject = {"fixture": lambda: kb, "empty": KnowledgeBase, "awkward_text": _awkward_kb}[which]()
-    path = tmp_path / "kb.json"
-    subject.save(path)
-    assert path.read_bytes() == seed_save_bytes(subject)
+def test_saved_bytes_are_a_function_of_the_index(which, corpus_dir, tmp_path):
+    primitives = {
+        "fixture": lambda: load_corpus(corpus_dir), "empty": list, "awkward_text": _awkward_primitives,
+    }[which]
+    # equal indexes, their primitives added in opposite orders
+    first, second = _built(primitives(), False), _built(primitives(), True)
+    first.save(tmp_path / "first.json")
+    second.save(tmp_path / "second.json")
+    saved = (tmp_path / "first.json").read_bytes()
+    assert saved == (tmp_path / "second.json").read_bytes()
+
+    doc = json.loads(saved)
+    assert sorted(doc) == ["checksum", "embeddings", "encoder_id", "entries", "primitives", "version"]
+    assert doc["embeddings"]["dtype"] == "<f8"
+    assert [record["id"] for record in doc["primitives"]] == first.ids
+    assert all("embedding" not in record for record in doc["primitives"])
+    expected = np.array([first.primitives[pid].embedding for pid in first.ids]).reshape(-1, 256)
+    assert np.array_equal(_embeddings(doc), expected)
 
 
 def test_loading_a_saved_file_never_reserialises_it(saved_kb, monkeypatch):
@@ -131,17 +166,41 @@ def test_loading_a_saved_file_never_reserialises_it(saved_kb, monkeypatch):
 
 def test_one_digit_edit_in_a_canonical_file_rejected(saved_kb):
     text = saved_kb.read_text()
-    # the first digit after "0." of the first nonzero embedding value
-    match = re.search(r'"embedding":\[[^\]]*?-?0\.0*([1-9])', text)
+    # flip the first digit of the base64 embedding data to another digit,
+    # which keeps the data valid base64 of the same length
+    match = re.search(r'"data":"[^"0-9]*([0-9])', text)
     digit = match.group(1)
-    edited = text[:match.start(1)] + str(int(digit) % 9 + 1) + text[match.end(1):]
+    edited = text[:match.start(1)] + str((int(digit) + 1) % 10) + text[match.end(1):]
     saved_kb.write_text(edited)
     with pytest.raises(IndexLoadError, match="checksum"):
         KnowledgeBase.load(saved_kb)
 
 
-def _drop_d_e(doc):
-    del doc["d_e"]
+def _v1_file(doc):
+    for record, row in zip(doc["primitives"], _embeddings(doc)):
+        record["embedding"] = row.tolist()
+    doc["d_e"] = doc.pop("embeddings")["shape"][1]
+    doc["version"] = 1
+
+
+def _drop_embeddings(doc):
+    del doc["embeddings"]
+
+
+def _bad_base64(doc):
+    doc["embeddings"]["data"] = "!" + doc["embeddings"]["data"][1:]
+
+
+def _wrong_dtype(doc):
+    doc["embeddings"]["dtype"] = "<f4"
+
+
+def _shape_disagrees_with_data(doc):
+    doc["embeddings"]["shape"][0] += 1
+
+
+def _rows_disagree_with_records(doc):
+    doc["primitives"].pop()
 
 
 def _primitive_not_object(doc):
@@ -170,14 +229,20 @@ def _primitives_not_a_list(doc):
 
 @pytest.mark.parametrize("corrupt, message", [
     (None, "UTF-8"),
-    (_drop_d_e, "d_e"),
+    (_v1_file, "rebuild the index with build-kb"),
+    (_drop_embeddings, "'embeddings'"),
+    (_bad_base64, "not valid base64"),
+    (_wrong_dtype, "dtype '<f4'"),
+    (_shape_disagrees_with_data, "embeddings data holds"),
+    (_rows_disagree_with_records, "primitive records"),
     (_primitive_not_object, "primitive record #0"),
     (_id_not_string, "primitive record #0 needs a string 'id' and 'text'"),
     (_text_not_string, "primitive record #0 needs a string 'id' and 'text'"),
     (_source_not_object, "'source'"),
     (_entry_not_object, "entry record #0"),
     (_primitives_not_a_list, "'primitives' is not a list"),
-], ids=["not_utf8", "no_d_e", "primitive", "id", "text", "source", "entry", "primitives_field"])
+], ids=["not_utf8", "v1_file", "no_embeddings", "bad_base64", "wrong_dtype", "shape_vs_data",
+        "rows_vs_records", "primitive", "id", "text", "source", "entry", "primitives_field"])
 def test_malformed_index_is_an_index_load_error_and_exit_one(
     corrupt, message, saved_kb, capsys
 ):
@@ -216,7 +281,7 @@ def test_an_index_loads_only_with_the_encoder_that_built_it(
     saved_kb, built_with, encoder, message
 ):
     doc = json.loads(saved_kb.read_text())
-    assert doc["d_e"] == 256
+    assert doc["embeddings"]["shape"][1] == 256
     doc["encoder_id"] = built_with
     saved_kb.write_text(json.dumps(_reseal(doc)))
     with pytest.raises(IndexLoadError, match=message) as err:

@@ -37,14 +37,15 @@ def test_fixture_criterion_lands_in_lv_diagnostic_criteria(kb):
 
 
 def test_anatomy_with_no_primitives_yields_no_guidance_entry():
+    from echoagent.kb.encoder import HashedBowEncoder
     from echoagent.kb.index import KnowledgeBase
 
-    empty = KnowledgeBase(embedding_dim=16)
+    empty = KnowledgeBase(encoder=HashedBowEncoder(16))
     entry = build_repository_entry(empty, "pulmonic valve", k=8)
     for name in SECTION_NAMES:
         assert entry.sections[name] == [NO_GUIDANCE]
     assert entry.supporting_primitive_ids == []
-    assert entry.is_empty()
+    assert not any(entry.section_items(name) for name in SECTION_NAMES)
 
 
 def test_supporting_ids_equal_topk_for_same_anatomy_and_k(kb):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ def random_kb(n=500, dim=64, seed=7):
         primitives.append(
             make_primitive(f"p{i:04d}", f"synthetic text {i}", tags, vectors[i])
         )
-    kb = KnowledgeBase(embedding_dim=dim)
+    kb = KnowledgeBase(encoder=HashedBowEncoder(dim))
     kb.add_primitives(primitives)
     return kb, rng
 
@@ -45,7 +47,7 @@ def test_k_larger_than_subset_returns_whole_subset(kb):
 
 
 def test_empty_anatomy_subset_flags_no_knowledge():
-    kb = KnowledgeBase(embedding_dim=16)
+    kb = KnowledgeBase(encoder=HashedBowEncoder(16))
     kb.add_primitives([
         make_primitive("a#0", "text", {"aorta"}, normalize(token_counts("text", 16)))
     ])
@@ -91,9 +93,9 @@ def test_rankings_are_invariant_to_raw_embedding_scale():
         make_primitive(f"p{i:02d}", f"text {i}", (), normalize(raw[i] * scales[i]))
         for i in range(40)
     ]
-    kb_a = KnowledgeBase(embedding_dim=dim)
+    kb_a = KnowledgeBase(encoder=HashedBowEncoder(dim))
     kb_a.add_primitives(plain)
-    kb_b = KnowledgeBase(embedding_dim=dim)
+    kb_b = KnowledgeBase(encoder=HashedBowEncoder(dim))
     kb_b.add_primitives(scaled)
     for _ in range(5):
         qvec = normalize(rng.normal(size=dim))
@@ -113,7 +115,7 @@ def test_equal_similarities_rank_by_ascending_id_filtered_and_unfiltered():
     for i in rng.permutation(120):  # unpadded ids: "t10" sorts before "t2"
         tags = {names[i % 2]} if i % 3 else set()
         primitives.append(make_primitive(f"t{i}", "text", tags, np.eye(dim)[i % dim]))
-    kb = KnowledgeBase(embedding_dim=dim)
+    kb = KnowledgeBase(encoder=HashedBowEncoder(dim))
     kb.add_primitives(primitives)
     query = normalize(np.array([4.0, 3.0, 3.0, 1.0]))
 
@@ -139,7 +141,7 @@ def test_index_membership_biconditional(tag_sets, split):
     # neither the insertion index nor fixed by the first build
     primitives = [make_primitive(f"p{i}", "text", tags, np.eye(4)[i % 4])
                   for i, tags in enumerate(tag_sets)]
-    kb = KnowledgeBase(embedding_dim=4)
+    kb = KnowledgeBase(encoder=HashedBowEncoder(4))
     kb.add_primitives(primitives[:split])
     kb.add_primitives(primitives[split:])
     assert kb.ids == sorted(p.id for p in primitives)
@@ -202,3 +204,19 @@ def test_failed_add_primitives_changes_nothing(batch, error):
     assert all(p.embedding is None for p in primitives)
     kb.add_primitives([make_primitive("new#9", "aortic root", {"aorta"})])
     assert len(kb) == 4 and kb._matrix.shape == (4, 32)
+
+
+@pytest.mark.parametrize("embeddings, offender, message", [
+    ([np.eye(4)[0], np.eye(4)[1] * 0.5, np.eye(3)[0]], "c", "embedding norm 0.5 not unit"),
+    ([np.eye(4)[0], np.eye(3)[0], np.eye(4)[1] * 0.5], "c", "embedding dim (3,) != 4"),
+    ([np.eye(4)[0], np.eye(4)[1], np.ones(4), np.ones(4) * 3], "b", "embedding norm 2 not unit"),
+], ids=["norm_first", "dim_first", "norm_only"])
+def test_add_primitives_names_the_first_bad_embedding_in_input_order(
+    embeddings, offender, message
+):
+    kb = KnowledgeBase(encoder=HashedBowEncoder(4))
+    # ids descend, so the first offender in input order is the last by id
+    primitives = [make_primitive(pid, "text", (), e) for pid, e in zip("dcba", embeddings)]
+    with pytest.raises(IndexLoadError, match=re.escape(f"primitive {offender!r} {message}")):
+        kb.add_primitives(primitives)
+    assert kb.ids == []

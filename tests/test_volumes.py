@@ -5,15 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from echoagent.errors import DomainError, VolumeError
+from conftest import rescale_spacing, rotate90, translate
+
 from echoagent.quant.synth import (
     cylinder_pair,
     cylinder_volume_ml,
     rect_mask,
-    rescale_spacing,
-    rotate90,
     spheroid_pair,
     spheroid_volume_ml,
-    translate,
 )
 from echoagent.quant.types import ANOMALOUS
 from echoagent.quant.volume import biplane_volume, ejection_fraction
