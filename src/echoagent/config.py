@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,7 +31,6 @@ class EngineConfig:
     e_max: float = 0.8             # normalized posterior entropy ceiling
     p_stop: float = 0.9            # consistency (max posterior) needed to stop early
     d_max: int = 40                # hard cap on executed steps
-    r_max: int = 3                 # sub-goal generations allowed per parent step
     beta: float = 1.0              # support edge boost, log(1 + beta) per unit weight
     gamma: float = 0.8             # contradiction damping, log(1 - gamma) per unit weight
     # quantification
@@ -46,6 +46,10 @@ class EngineConfig:
     http_backoff_s: float = 0.1
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         checks = [
             (-1.0 <= self.s_min <= 1.0, "s_min must be in [-1, 1]"),
             (self.k >= 1, "k must be >= 1"),
@@ -55,7 +59,6 @@ class EngineConfig:
             (0.0 <= self.e_max <= 1.0, "e_max must be in [0, 1]"),
             (0.0 <= self.p_stop <= 1.0, "p_stop must be in [0, 1]"),
             (self.d_max >= 0, "d_max must be >= 0"),
-            (self.r_max >= 0, "r_max must be >= 0"),
             (self.beta >= 0.0, "beta must be >= 0"),
             (0.0 <= self.gamma < 1.0, "gamma must be in [0, 1)"),
             (self.n_disks >= 1, "n_disks must be >= 1"),

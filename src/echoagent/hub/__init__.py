@@ -1,6 +1,5 @@
 from .graph import EvidenceNode, ReasoningGraph, TypedEdge
 from .hypotheses import (
-    HypothesisSet,
     ThresholdRule,
     normalized_entropy,
     parse_criteria,
@@ -15,7 +14,6 @@ __all__ = [
     "EvidenceNode",
     "ReasoningGraph",
     "TypedEdge",
-    "HypothesisSet",
     "ThresholdRule",
     "normalized_entropy",
     "parse_criteria",

@@ -25,7 +25,6 @@ from ..tools.registry import LogEntry, ToolRegistry
 from ..tools.views import A2C, A4C, ALTERNATE_VIEW, DEFAULT_TAXONOMY
 from .graph import ReasoningGraph
 from .hypotheses import (
-    HypothesisSet,
     ThresholdRule,
     hypothesis_labels,
     labels_match,
@@ -75,7 +74,6 @@ class Conclusion:
 class _StepOutcome:
     confidence: float
     payload: dict
-    op: str
     anomalous: bool = False
 
 
@@ -139,8 +137,7 @@ class ReasoningHub:
 
         rules = parse_criteria(entry.section_items("diagnostic_criteria"))
         labels = hypothesis_labels(query.options, rules, entry.section_items("diagnostic_criteria"))
-        hyp = HypothesisSet.uniform(labels)
-        posterior = hyp.prior.copy()
+        posterior = np.full(len(labels), 1.0 / len(labels))
 
         graph = ReasoningGraph()
         hypothesis_nodes = {label: graph.add_concept(label) for label in labels}
@@ -167,7 +164,6 @@ class ReasoningHub:
         queue: deque[ActionStep] = deque(plan.steps)
         pending_planned = sum(1 for s in plan.steps if s.origin == "planned")
         next_step_id = len(plan.steps)
-        triggers_by_parent: dict[int, int] = {}
         executed = 0
         subgoal_steps = 0
 
@@ -179,25 +175,14 @@ class ReasoningHub:
             else:
                 subgoal_steps += 1
             outcome = self._execute_step(step, state, executed)
-            posterior, degenerate = update_posteriors(
-                graph, hypothesis_nodes, labels, hyp.prior, cfg.beta, cfg.gamma
-            )
+            posterior = update_posteriors(graph, hypothesis_nodes, labels, cfg.beta, cfg.gamma)
             total = float(posterior.sum())
-            if abs(total - 1.0) > 1e-9 or np.any(posterior < 0):
+            if not abs(total - 1.0) <= 1e-9 or np.any(posterior < 0):
                 raise GraphError(f"posterior left the simplex (sum={total!r})")
-            fired, recipes = self._adaptive_trigger(step, outcome, posterior)
-            if fired and recipes:
-                used = triggers_by_parent.get(step.step_id, 0)
-                if used < cfg.r_max:
-                    triggers_by_parent[step.step_id] = used + 1
-                    staged = []
-                    for goal, tool_name, inputs in recipes:
-                        staged.append(ActionStep(
-                            step_id=next_step_id, goal=goal, tool_name=tool_name,
-                            inputs=inputs, origin="subgoal", parent_step_id=step.step_id,
-                        ))
-                        next_step_id += 1
-                    queue.extendleft(reversed(staged))
+            fired, subgoal = self._adaptive_trigger(step, outcome, posterior, next_step_id)
+            if subgoal is not None:
+                queue.appendleft(subgoal)
+                next_step_id += 1
             trace.emit(
                 t=executed,
                 event_kind="step" if step.origin == "planned" else "subgoal_step",
@@ -266,7 +251,7 @@ class ReasoningHub:
         )
         state.study_of_view[view] = study_dir
         state.classify_node[view] = node
-        return _StepOutcome(result.confidence, payload, "classify_view")
+        return _StepOutcome(result.confidence, payload)
 
     def _do_segment(self, step, state, t):
         view = step.inputs["view"]
@@ -290,7 +275,7 @@ class ReasoningHub:
             causes.append((state.classify_node[view], "derives"))
         node = state.graph.add_evidence(payload, result.confidence, t, causes=causes)
         state.masks[(view, phase, structure)] = (node, mask, result.confidence)
-        return _StepOutcome(result.confidence, payload, "segment")
+        return _StepOutcome(result.confidence, payload)
 
     def _measure(self, step, state, t, inputs: dict, causes: list, **context):
         """Invoke the step's tool; add its outputs, the structure, any step
@@ -299,7 +284,7 @@ class ReasoningHub:
         payload = {**result.outputs, "structure": step.inputs["structure"], **context,
                    "invocation_id": result.invocation_id}
         node = state.graph.add_evidence(payload, result.confidence, t, causes=causes)
-        return node, _StepOutcome(result.confidence, payload, step.inputs["op"])
+        return node, _StepOutcome(result.confidence, payload)
 
     def _do_volume(self, step, state, t):
         phase = step.inputs["phase"]
@@ -412,38 +397,29 @@ class ReasoningHub:
     # -- adaptation ---------------------------------------------------------------
 
     def _adaptive_trigger(self, step: ActionStep, outcome: _StepOutcome,
-                          posterior: np.ndarray) -> tuple[bool, list[tuple[str, str, dict]]]:
-        """Fixed recipe table; returns (fired, [(goal, tool, inputs), ...])."""
+                          posterior: np.ndarray, subgoal_id: int) -> tuple[bool, ActionStep | None]:
+        """Returns (fired, sub-goal or None).
+
+        Low confidence, an anomalous EF or high posterior entropy fire the
+        trigger. Only a planned segmentation below ``c_min`` spawns a
+        sub-goal: the same structure and phase on the other apical view."""
         cfg = self.config
-        fired = False
-        recipes: list[tuple[str, str, dict]] = []
-        if outcome.confidence < cfg.c_min:
-            fired = True
-            if outcome.op == "segment":
-                alternate = ALTERNATE_VIEW.get(step.inputs.get("view", ""))
-                if alternate:
-                    recipes.append((
-                        f"re-measure {step.inputs['structure']} from the alternate view {alternate}",
-                        step.tool_name,
-                        {"op": "segment", "structure": step.inputs["structure"],
-                         "view": alternate, "phase": step.inputs["phase"]},
-                    ))
-        if outcome.op == "ef" and outcome.anomalous:
-            fired = True
-            volume_tool, _ = self.registry.find(
-                "functional", step.inputs.get("structure"), "volume_ml"
-            )
-            if volume_tool is not None:
-                for phase in (ED, ES):
-                    recipes.append((
-                        f"re-run {step.inputs['structure']} volume at {phase}",
-                        volume_tool.name,
-                        {"op": "volume", "structure": step.inputs["structure"],
-                         "phase": phase, "n_disks": cfg.n_disks},
-                    ))
-        if normalized_entropy(posterior) > cfg.e_max:
-            fired = True
-        return fired, recipes
+        low_confidence = outcome.confidence < cfg.c_min
+        fired = (low_confidence or outcome.anomalous
+                 or normalized_entropy(posterior) > cfg.e_max)
+        alternate = ALTERNATE_VIEW.get(step.inputs.get("view", ""))
+        if not (low_confidence and alternate and step.origin == "planned"
+                and step.inputs.get("op") == "segment"):
+            return fired, None
+        structure = step.inputs["structure"]
+        return fired, ActionStep(
+            step_id=subgoal_id,
+            goal=f"re-measure {structure} from the alternate view {alternate}",
+            tool_name=step.tool_name,
+            inputs={"op": "segment", "structure": structure,
+                    "view": alternate, "phase": step.inputs["phase"]},
+            origin="subgoal",
+        )
 
 
 @dataclass
@@ -468,7 +444,7 @@ class _RunState:
         payload = {"failure": message, "goal": step.goal}
         causes = [(anchor, "generates") for anchor in self.anchors.values()]
         self.graph.add_evidence(payload, 0.0, t, causes=causes)
-        return _StepOutcome(0.0, payload, step.inputs.get("op", ""))
+        return _StepOutcome(0.0, payload)
 
 
 _MASK_METRICS = {"area": "area_mm2", "dimension": "dimension_mm"}

@@ -1,7 +1,7 @@
-"""Hypothesis sets, criteria threshold rules, and posterior scoring.
+"""Hypothesis labels, criteria threshold rules, and posterior scoring.
 
-The posterior over hypotheses is proportional to prior times a log-linear
-likelihood over the graph's supports/contradicts edges:
+The posterior over hypotheses is proportional to a uniform prior times a
+log-linear likelihood over the graph's supports/contradicts edges:
 
     loglik(h) = sum_supports w * log(1 + beta) + sum_contradicts w * log(1 - gamma)
 
@@ -107,30 +107,6 @@ def parse_criteria(items: list[str]) -> list[ThresholdRule]:
     return rules
 
 
-@dataclass
-class HypothesisSet:
-    labels: tuple[str, ...]
-    prior: np.ndarray
-
-    def __post_init__(self):
-        if not self.labels:
-            raise ValueError("hypothesis set cannot be empty")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError(f"duplicate hypothesis labels: {self.labels}")
-        self.prior = np.asarray(self.prior, dtype=np.float64)
-        if self.prior.shape != (len(self.labels),):
-            raise ValueError("prior length does not match hypothesis count")
-        if np.any(self.prior < 0) or abs(float(self.prior.sum()) - 1.0) > 1e-9:
-            raise ValueError("prior must be a probability vector")
-
-    @classmethod
-    def uniform(cls, labels: tuple[str, ...]) -> "HypothesisSet":
-        if not labels:
-            raise ValueError("hypothesis set cannot be empty")
-        n = len(labels)
-        return cls(labels=tuple(labels), prior=np.full(n, 1.0 / n))
-
-
 def hypothesis_labels(options: tuple[str, ...] | None, rules: list[ThresholdRule],
                       criteria_items: list[str]) -> tuple[str, ...]:
     """Multiple-choice options win; otherwise rule labels; otherwise the
@@ -166,14 +142,15 @@ def update_posteriors(
     graph: ReasoningGraph,
     hypothesis_nodes: dict[str, str],
     labels: tuple[str, ...],
-    prior: np.ndarray,
     beta: float = 1.0,
     gamma: float = 0.8,
-) -> tuple[np.ndarray, bool]:
-    """Posterior vector over hypotheses, plus a numerical-degeneracy flag.
+) -> np.ndarray:
+    """Posterior vector over hypotheses under a uniform prior.
 
     Supports/contradicts edges are counted symmetrically: an edge touches a
-    hypothesis whichever direction it was stored in.
+    hypothesis whichever direction it was stored in. The best hypothesis
+    keeps weight 1/n after the shift, so the total is positive whenever the
+    log-likelihoods are finite.
     """
     support_term = math.log(1.0 + beta)
     contradict_term = math.log(1.0 - gamma)
@@ -183,12 +160,8 @@ def update_posteriors(
         for edge in graph.edges_touching(node_id, ("supports", "contradicts")):
             term = support_term if edge.kind == "supports" else contradict_term
             loglik[i] += edge.weight * term
-    shifted = loglik - loglik.max()
-    weights = np.asarray(prior, dtype=np.float64) * np.exp(shifted)
-    total = float(weights.sum())
-    if not math.isfinite(total) or total <= 0.0:
-        return np.asarray(prior, dtype=np.float64).copy(), True
-    return weights / total, False
+    weights = (1.0 / len(labels)) * np.exp(loglik - loglik.max())
+    return weights / float(weights.sum())
 
 
 def normalized_entropy(posterior: np.ndarray) -> float:

@@ -46,7 +46,6 @@ class ActionStep:
     tool_name: str
     inputs: dict
     origin: str = "planned"  # planned | subgoal
-    parent_step_id: int | None = None
 
 
 @dataclass

@@ -18,7 +18,7 @@ from echoagent.errors import ContractError, IndexLoadError
 from echoagent.evalharness.metrics import auroc, gmean
 from echoagent.hub.engine import DiagnosticQuery, ReasoningHub
 from echoagent.hub.graph import CAUSAL_KINDS, ReasoningGraph
-from echoagent.hub.hypotheses import HypothesisSet, update_posteriors
+from echoagent.hub.hypotheses import update_posteriors
 from echoagent.hub.toolkit import build_default_registry
 from echoagent.kb.encoder import HashedBowEncoder
 from echoagent.kb.index import KnowledgeBase, _checksum
@@ -185,8 +185,7 @@ def test_criterion_6_posterior_contract(tmp_path):
     labels = ("h1", "h2", "h3")
     graph = ReasoningGraph()
     nodes = {label: graph.add_concept(label) for label in labels}
-    prior = HypothesisSet.uniform(labels).prior
-    posterior, _ = update_posteriors(graph, nodes, labels, prior)
+    posterior = update_posteriors(graph, nodes, labels)
     uniform_ok = bool(np.all(np.abs(posterior - 1.0 / 3.0) <= 1e-9))
 
     rng = np.random.default_rng(77)
@@ -209,9 +208,7 @@ def test_criterion_6_posterior_contract(tmp_path):
             evidence = g.add_evidence({"v": 1}, 1.0, 1, causes=[(anchor, "generates")])
             for index, kind, weight in edge_plan:
                 g.add_edge(evidence, node_ids[labs[index]], kind, weight * factor)
-            p, _ = update_posteriors(
-                g, node_ids, labs, HypothesisSet.uniform(labs).prior
-            )
+            p = update_posteriors(g, node_ids, labs)
             argmaxes.append(int(np.argmax(p)))
         if argmaxes[0] != argmaxes[1]:
             argmax_ok = False

@@ -1,8 +1,12 @@
+import dataclasses
 import json
+import math
 
 import pytest
 
 from echoagent.cli import main
+from echoagent.config import EngineConfig
+from echoagent.errors import ConfigError
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +115,36 @@ def test_unknown_config_key_exits_three(capsys, tmp_path, saved_kb, ef_dataset):
     )
     assert code == 3
     assert "unknown config keys" in err
+
+
+def test_removed_r_max_key_exits_three(capsys, tmp_path):
+    config = tmp_path / "old.json"
+    config.write_text(json.dumps({"r_max": 3}))
+    code, _, err = run_cli(capsys, "--config", str(config), "tools")
+    assert code == 3
+    assert "r_max" in err
+
+
+FLOAT_KEYS = [f.name for f in dataclasses.fields(EngineConfig) if f.type == "float"]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan],
+                         ids=["Infinity", "-Infinity", "NaN"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_config_exits_three(capsys, tmp_path, saved_kb, ef_dataset,
+                                             key, value):
+    with pytest.raises(ConfigError, match=key):
+        EngineConfig.from_dict({key: value})
+    config = tmp_path / "nonfinite.json"
+    config.write_text(json.dumps({key: value}))  # json writes Infinity / -Infinity / NaN
+    study = ef_dataset / "studies" / "study-11"
+    code, _, err = run_cli(
+        capsys, "--config", str(config),
+        "run-study", str(study), "Is the ejection fraction normal?", "--kb", str(saved_kb),
+        "--trace", str(tmp_path / "t.jsonl"),
+    )
+    assert code == 3
+    assert f"{key} must be finite" in err
 
 
 def test_evaluate_writes_report_and_prints_accuracy(capsys, saved_kb, ef_dataset, tmp_path):

@@ -198,7 +198,7 @@ def test_subgoal_step_ids_are_monotone_and_follow_their_parents(kb, registry, ef
     assert len(set(executed_order)) == len(executed_order)
 
 
-def test_every_step_hits_the_hard_cap_when_all_segmentations_are_noisy(
+def test_noisy_segmentations_spawn_one_subgoal_each_and_still_grade(
     kb, registry, ef_dataset, tmp_path
 ):
     noisy_root = tmp_path / "allnoisy"
@@ -208,11 +208,14 @@ def test_every_step_hits_the_hard_cap_when_all_segmentations_are_noisy(
         sidecar = json.loads(sidecar_path.read_text())
         sidecar["segmentation_confidence"] = 0.2
         sidecar_path.write_text(json.dumps(sidecar))
-    config = EngineConfig()
-    conclusion = run_study(kb, registry, noisy_root, "study-02", tmp_path / "h.jsonl",
-                           config=config)
-    # endless re-measurement chain is cut by the executed-step cap
-    assert conclusion.executed_steps == config.d_max
+    record = json.loads((ef_dataset / "studies" / "study-02" / "record.json").read_text())
+    conclusion = run_study(kb, registry, noisy_root, "study-02", tmp_path / "h.jsonl")
+    # each planned segmentation re-segments on the other view once; the
+    # sub-goals, noisy too, spawn none, so volume, EF and grade still run
+    assert conclusion.executed_steps == 14
+    assert conclusion.subgoal_steps == 4
+    assert conclusion.ef_percent == pytest.approx(record["truth"]["ef_percent"])
+    assert conclusion.grade == record["truth"]["grade"]
 
 
 def test_evidence_payloads_carry_invocation_provenance(kb, registry, ef_dataset, tmp_path):
@@ -330,7 +333,9 @@ def test_evidence_chain_has_two_derive_hops_from_mask_to_ef(kb, registry, ef_dat
         )
 
 
-def test_anomalous_ef_triggers_volume_reruns(kb, registry, tmp_path, ef_dataset):
+def test_anomalous_ef_fires_the_trigger_and_withholds_the_grade(
+    kb, registry, tmp_path, ef_dataset
+):
     # swap ED and ES masks so ESV > EDV and the computed EF is negative
     swapped_root = tmp_path / "swapped"
     shutil.copytree(ef_dataset / "studies" / "study-09", swapped_root / "studies" / "study-09")
@@ -341,13 +346,24 @@ def test_anomalous_ef_triggers_volume_reruns(kb, registry, tmp_path, ef_dataset)
         ed.rename(tmp)
         es.rename(ed)
         tmp.rename(es)
-    conclusion = run_study(kb, registry, swapped_root, "study-09", tmp_path / "a.jsonl")
-    rerun_volumes = [
-        r for r in conclusion.trace_records
-        if r["event_kind"] == "subgoal_step" and r["tool"] == "quant.biplane_volume"
+    # e_max 1.0: entropy cannot fire the trigger, so only the anomalous EF can
+    conclusion = run_study(kb, registry, swapped_root, "study-09", tmp_path / "a.jsonl",
+                           config=EngineConfig(e_max=1.0))
+    fired = {r["tool"]: r["trigger"] for r in conclusion.trace_records if r.get("tool")}
+    assert fired["quant.ejection_fraction"]
+    assert not fired["quant.biplane_volume"]
+    assert conclusion.subgoal_steps == 0
+    assert "subgoal_step" not in [r["event_kind"] for r in conclusion.trace_records]
+    assert conclusion.grade is None
+    failures = [
+        node.payload["failure"] for node in conclusion.graph.nodes.values()
+        if node.kind == "evidence" and "failure" in node.payload
     ]
-    assert len(rerun_volumes) == 2
-    assert conclusion.executed_steps <= EngineConfig().d_max
+    assert failures == ["ejection fraction flagged anomalous; grading withheld"]
+    assert conclusion.answer == "Normal"  # first hypothesis on a flat posterior
+    assert all(p == pytest.approx(1 / 3) for p in conclusion.posterior.values())
+    assert conclusion.ef_percent == pytest.approx(-41.67, abs=0.005)
+    assert conclusion.executed_steps == 10
 
 
 def test_multiple_choice_answers_come_from_the_options(kb, registry, qa_dataset, tmp_path):

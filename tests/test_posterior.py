@@ -5,7 +5,6 @@ import pytest
 
 from echoagent.hub.graph import ReasoningGraph
 from echoagent.hub.hypotheses import (
-    HypothesisSet,
     normalized_entropy,
     parse_criteria,
     update_posteriors,
@@ -22,9 +21,7 @@ def graph_with_hypotheses(labels):
 def test_empty_graph_posterior_is_uniform():
     labels = ("h1", "h2", "h3")
     graph, nodes, _ = graph_with_hypotheses(labels)
-    hyp = HypothesisSet.uniform(labels)
-    posterior, degenerate = update_posteriors(graph, nodes, labels, hyp.prior)
-    assert not degenerate
+    posterior = update_posteriors(graph, nodes, labels)
     assert np.allclose(posterior, [1 / 3] * 3, atol=1e-9)
     assert abs(posterior.sum() - 1.0) <= 1e-9
 
@@ -34,8 +31,7 @@ def test_single_unit_supports_edge_gives_half():
     graph, nodes, anchor = graph_with_hypotheses(labels)
     evidence = graph.add_evidence({"v": 1}, 1.0, 1, causes=[(anchor, "generates")])
     graph.add_edge(evidence, nodes["h1"], "supports", 1.0)
-    hyp = HypothesisSet.uniform(labels)
-    posterior, _ = update_posteriors(graph, nodes, labels, hyp.prior, beta=1.0)
+    posterior = update_posteriors(graph, nodes, labels, beta=1.0)
     # likelihoods (2, 1, 1) -> normalized (0.5, 0.25, 0.25)
     assert posterior[0] == pytest.approx(0.5, abs=1e-12)
     assert posterior[1] == pytest.approx(0.25, abs=1e-12)
@@ -46,8 +42,7 @@ def test_edge_direction_does_not_matter_for_scoring():
     graph, nodes, anchor = graph_with_hypotheses(labels)
     evidence = graph.add_evidence({"v": 1}, 1.0, 1, causes=[(anchor, "generates")])
     graph.add_edge(nodes["h1"], evidence, "supports", 1.0)  # stored hypothesis-first
-    hyp = HypothesisSet.uniform(labels)
-    posterior, _ = update_posteriors(graph, nodes, labels, hyp.prior, beta=1.0)
+    posterior = update_posteriors(graph, nodes, labels, beta=1.0)
     assert posterior[0] > posterior[1]
 
 
@@ -64,15 +59,14 @@ def test_posterior_invariant_to_global_likelihood_scale():
             weight = float(rng.uniform(0.1, 1.0))
             plan.append((label, kind, weight))
             graph.add_edge(evidence, nodes[label], kind, weight)
-        prior = HypothesisSet.uniform(labels).prior
-        posterior, _ = update_posteriors(graph, nodes, labels, prior, beta, gamma)
+        posterior = update_posteriors(graph, nodes, labels, beta, gamma)
         # independent unshifted evaluation, likelihoods scaled by arbitrary c>0
         c = float(rng.uniform(1e-6, 1e6))
         loglik = np.zeros(3)
         for label, kind, weight in plan:
             term = math.log(1 + beta) if kind == "supports" else math.log(1 - gamma)
             loglik[labels.index(label)] += weight * term
-        manual = prior * np.exp(loglik) * c
+        manual = np.exp(loglik) * c
         manual /= manual.sum()
         assert np.allclose(posterior, manual, atol=1e-12)
         assert abs(posterior.sum() - 1.0) <= 1e-9
@@ -96,28 +90,24 @@ def test_scaling_all_edge_weights_preserves_argmax():
             evidence = graph.add_evidence({"v": 1}, 1.0, 1, causes=[(anchor, "generates")])
             for index, kind, weight in edge_plan:
                 graph.add_edge(evidence, nodes[labels[index]], kind, weight * factor)
-            prior = HypothesisSet.uniform(labels).prior
-            posterior, _ = update_posteriors(graph, nodes, labels, prior)
+            posterior = update_posteriors(graph, nodes, labels)
             argmaxes.append(int(np.argmax(posterior)))
         assert argmaxes[0] == argmaxes[1]
 
 
-def test_degenerate_likelihood_falls_back_to_prior_with_flag():
+def test_extreme_contradiction_stays_finite_on_the_simplex():
     labels = ("a", "b", "c")
-    graph = ReasoningGraph()
-    nodes = {label: graph.add_concept(label) for label in labels}
-    anchor = graph.add_anchor("raw")
+    graph, nodes, anchor = graph_with_hypotheses(labels)
     evidence = graph.add_evidence({"v": 1}, 1.0, 1, causes=[(anchor, "generates")])
-    # 500 unit contradictions drive exp(loglik) below the smallest double
+    # 500 unit contradictions drive exp(loglik) of a and b below the smallest double
     for _ in range(500):
         graph.add_edge(evidence, nodes["a"], "contradicts", 1.0)
         graph.add_edge(evidence, nodes["b"], "contradicts", 1.0)
-    prior = np.array([0.5, 0.5, 0.0])  # no mass on the only finite hypothesis
-    posterior, degenerate = update_posteriors(
-        graph, nodes, labels, prior, beta=1.0, gamma=0.8
-    )
-    assert degenerate
-    assert np.array_equal(posterior, prior)
+    posterior = update_posteriors(graph, nodes, labels, beta=1.0, gamma=0.8)
+    assert np.all(np.isfinite(posterior))
+    assert np.all(posterior >= 0)
+    assert abs(posterior.sum() - 1.0) <= 1e-9
+    assert posterior[2] == pytest.approx(1.0)
 
 
 def test_entropy_examples():
@@ -126,15 +116,6 @@ def test_entropy_examples():
     assert normalized_entropy(np.array([0.98, 0.01, 0.01])) < 0.2
     assert normalized_entropy(np.array([1.0])) == 0.0
     assert normalized_entropy(np.array([1.0, 0.0])) == 0.0
-
-
-def test_hypothesis_set_validation():
-    with pytest.raises(ValueError):
-        HypothesisSet.uniform(())
-    with pytest.raises(ValueError):
-        HypothesisSet(labels=("a", "a"), prior=np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        HypothesisSet(labels=("a", "b"), prior=np.array([0.9, 0.9]))
 
 
 def test_criteria_parsing_produces_grade_rules():
