@@ -1,18 +1,3 @@
 """Knowledge-grounded, tool-orchestrating interpretation of echo studies."""
 
-from .config import EngineConfig
-from .hub.engine import Conclusion, DiagnosticQuery, ReasoningHub
-from .hub.toolkit import build_default_registry
-from .kb.index import KnowledgeBase
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "EngineConfig",
-    "Conclusion",
-    "DiagnosticQuery",
-    "ReasoningHub",
-    "build_default_registry",
-    "KnowledgeBase",
-    "__version__",
-]

@@ -29,8 +29,6 @@ from .errors import (
     TaxonomyError,
     VolumeError,
 )
-from .hub.engine import DiagnosticQuery, ReasoningHub
-from .hub.toolkit import build_default_registry
 from .kb.chunking import load_corpus
 from .kb.encoder import HashedBowEncoder, HttpEncoder
 from .kb.index import KnowledgeBase
@@ -175,6 +173,8 @@ def _study_refs(study_dir: Path) -> tuple[str, ...]:
 
 
 def cmd_run_study(args, config: EngineConfig) -> int:
+    from .hub.engine import DiagnosticQuery, ReasoningHub
+    from .hub.toolkit import build_default_registry
     from .tools.views import load_taxonomy
 
     study_dir = Path(args.study_dir)
@@ -220,6 +220,7 @@ def cmd_run_study(args, config: EngineConfig) -> int:
 def cmd_evaluate(args, config: EngineConfig) -> int:
     from .evalharness.benchmark import run_benchmark, write_report
     from .evalharness.dataset import load_dataset
+    from .hub.toolkit import build_default_registry
     from .tools.views import load_taxonomy
 
     kb = _load_kb(args.kb, config)
@@ -244,6 +245,8 @@ def cmd_evaluate(args, config: EngineConfig) -> int:
 
 
 def cmd_tools(args, config: EngineConfig) -> int:
+    from .hub.toolkit import build_default_registry
+
     registry = build_default_registry(config)
     tools = registry.list_tools(layer=args.layer)
     if args.json:

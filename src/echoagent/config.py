@@ -29,7 +29,7 @@ class EngineConfig:
     # reasoning loop
     c_min: float = 0.5             # evidence confidence floor before re-measurement
     e_max: float = 0.8             # normalized posterior entropy ceiling
-    p_stop: float = 0.9            # consistency (max posterior) needed to stop early
+    p_stop: float = 0.9            # max posterior below which a conclusion is low-consistency
     d_max: int = 40                # hard cap on executed steps
     beta: float = 1.0              # support edge boost, log(1 + beta) per unit weight
     gamma: float = 0.8             # contradiction damping, log(1 - gamma) per unit weight

@@ -162,7 +162,6 @@ class ReasoningHub:
         state = _RunState(registry=registry, graph=graph, anchors=anchors, rules=rules,
                           hypothesis_nodes=hypothesis_nodes, labels=labels)
         queue: deque[ActionStep] = deque(plan.steps)
-        pending_planned = sum(1 for s in plan.steps if s.origin == "planned")
         next_step_id = len(plan.steps)
         executed = 0
         subgoal_steps = 0
@@ -170,9 +169,7 @@ class ReasoningHub:
         while queue and executed < cfg.d_max:
             step = queue.popleft()
             executed += 1
-            if step.origin == "planned":
-                pending_planned -= 1
-            else:
+            if step.origin != "planned":
                 subgoal_steps += 1
             outcome = self._execute_step(step, state, executed)
             posterior = update_posteriors(graph, hypothesis_nodes, labels, cfg.beta, cfg.gamma)
@@ -193,8 +190,6 @@ class ReasoningHub:
                 posterior=posterior,
                 trigger=fired,
             )
-            if float(posterior.max()) >= cfg.p_stop and pending_planned == 0:
-                break
 
         answer_index = int(np.argmax(posterior))
         answer = labels[answer_index]
@@ -274,17 +269,21 @@ class ReasoningHub:
         if view in state.classify_node:
             causes.append((state.classify_node[view], "derives"))
         node = state.graph.add_evidence(payload, result.confidence, t, causes=causes)
-        state.masks[(view, phase, structure)] = (node, mask, result.confidence)
+        state.masks[(view, phase, structure)] = (node, mask)
         return _StepOutcome(result.confidence, payload)
 
     def _measure(self, step, state, t, inputs: dict, causes: list, **context):
         """Invoke the step's tool; add its outputs, the structure, any step
-        context and the invocation id as one evidence node."""
+        context and the invocation id as one evidence node. Its confidence is
+        the lowest of the tool's and those of the evidence it derives from,
+        so a low-confidence mask weakens every measurement built on it."""
         result = state.registry.invoke(step.tool_name, inputs)
         payload = {**result.outputs, "structure": step.inputs["structure"], **context,
                    "invocation_id": result.invocation_id}
-        node = state.graph.add_evidence(payload, result.confidence, t, causes=causes)
-        return node, _StepOutcome(result.confidence, payload)
+        confidence = min(result.confidence,
+                         *(state.graph.nodes[src].confidence for src, _ in causes))
+        node = state.graph.add_evidence(payload, confidence, t, causes=causes)
+        return node, _StepOutcome(confidence, payload)
 
     def _do_volume(self, step, state, t):
         phase = step.inputs["phase"]
@@ -297,7 +296,7 @@ class ReasoningHub:
                     step, t, f"missing {view} mask of {structure} at {phase}"
                 )
             pair.append(got)
-        (node_a2c, mask_a2c, _), (node_a4c, mask_a4c, _) = pair
+        (node_a2c, mask_a2c), (node_a4c, mask_a4c) = pair
         label = mask_a2c.label_for(structure)
         if label is None:
             return state.fail(step, t, f"structure {structure!r} not in mask label map")
@@ -306,7 +305,7 @@ class ReasoningHub:
             "target_label": label, "n_disks": step.inputs.get("n_disks", self.config.n_disks),
         }, [(node_a2c, "derives"), (node_a4c, "derives")], phase=phase)
         value = float(outcome.payload["volume_ml"])
-        state.volumes[(structure, phase)] = (node, value, outcome.confidence)
+        state.volumes[(structure, phase)] = (node, value)
         self._link_criteria(state, node, "volume_ml", value, outcome.confidence)
         return outcome
 
@@ -365,7 +364,7 @@ class ReasoningHub:
             )
         if got is None:
             return state.fail(step, t, f"no mask available for {structure} at {phase}")
-        node_mask, mask, _ = got
+        node_mask, mask = got
         label = mask.label_for(structure)
         if label is None:
             return state.fail(step, t, f"structure {structure!r} not in mask label map")
@@ -432,6 +431,7 @@ class _RunState:
     labels: tuple[str, ...]
     study_of_view: dict[str, str] = field(default_factory=dict)
     classify_node: dict[str, str] = field(default_factory=dict)
+    # (view, phase, structure) -> (node, mask); (structure, phase) -> (node, mL)
     masks: dict[tuple, tuple] = field(default_factory=dict)
     volumes: dict[tuple, tuple] = field(default_factory=dict)
     ef_node: dict[str, str] = field(default_factory=dict)

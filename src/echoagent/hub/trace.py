@@ -74,10 +74,3 @@ class TraceWriter:
         path.write_text(self.to_jsonl(), encoding="utf-8")
         return path
 
-
-def read_trace(path: str | Path) -> list[dict]:
-    records = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            records.append(json.loads(line))
-    return records

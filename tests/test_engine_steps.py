@@ -25,7 +25,7 @@ def a4c_only_state(registry):
     labels[5:35, 10:20] = 1
     mask = SegmentationMask(labels, (0.5, 0.5), {1: LV})
     node = graph.add_evidence({"mask": "a4c"}, 1.0, 1, causes=[(anchor, "generates")])
-    state.masks[(A4C, ED, LV)] = (node, mask, 1.0)
+    state.masks[(A4C, ED, LV)] = (node, mask)
     return state, node
 
 
@@ -64,3 +64,16 @@ def test_dimension_step_measures_the_planned_views_mask(kb, registry, a4c_only_s
     assert outcome.payload["dimension_mm"] > 0
     assert set(outcome.payload) == {"dimension_mm", "structure", "invocation_id"}
     assert causal_parents(state.graph, newest_node(state.graph)) == [mask_node]
+
+
+def test_a_measurement_is_no_more_confident_than_its_mask(kb, registry, a4c_only_state):
+    state, _ = a4c_only_state
+    anchor = state.anchors["study"]
+    weak = state.graph.add_evidence({"mask": "weak"}, 0.2, 1, causes=[(anchor, "generates")])
+    _, mask = state.masks[(A4C, ED, LV)]
+    state.masks[(A4C, ED, LV)] = (weak, mask)
+    step = ActionStep(3, "measure area", AREA_TOOL,
+                      {"op": "area", "structure": LV, "view": A4C, "phase": ED})
+    outcome = ReasoningHub(kb, registry)._execute_step(step, state, 2)
+    assert outcome.confidence == 0.2
+    assert state.graph.nodes[newest_node(state.graph)].confidence == 0.2

@@ -26,6 +26,17 @@ def study_refs(dataset, study_id):
     return tuple(str(p) for p in sorted(root.iterdir()) if (p / "study.json").exists())
 
 
+def copy_with_segmentation_confidence(dataset, root, study_id, views, confidence):
+    """Copy one study under ``root`` with its views' segmentation confidence set."""
+    shutil.copytree(dataset / "studies" / study_id, root / "studies" / study_id)
+    for view in views:
+        sidecar_path = root / "studies" / study_id / view / "study.json"
+        sidecar = json.loads(sidecar_path.read_text())
+        sidecar["segmentation_confidence"] = confidence
+        sidecar_path.write_text(json.dumps(sidecar))
+    return root
+
+
 def run_study(kb, registry, dataset, study_id, trace_path=None, config=None):
     hub = ReasoningHub(kb, registry, config or EngineConfig())
     query = DiagnosticQuery(EF_QUESTION, study_refs=study_refs(dataset, study_id))
@@ -201,13 +212,9 @@ def test_subgoal_step_ids_are_monotone_and_follow_their_parents(kb, registry, ef
 def test_noisy_segmentations_spawn_one_subgoal_each_and_still_grade(
     kb, registry, ef_dataset, tmp_path
 ):
-    noisy_root = tmp_path / "allnoisy"
-    shutil.copytree(ef_dataset / "studies" / "study-02", noisy_root / "studies" / "study-02")
-    for view in ("a2c", "a4c"):
-        sidecar_path = noisy_root / "studies" / "study-02" / view / "study.json"
-        sidecar = json.loads(sidecar_path.read_text())
-        sidecar["segmentation_confidence"] = 0.2
-        sidecar_path.write_text(json.dumps(sidecar))
+    noisy_root = copy_with_segmentation_confidence(
+        ef_dataset, tmp_path / "allnoisy", "study-02", ("a2c", "a4c"), 0.2
+    )
     record = json.loads((ef_dataset / "studies" / "study-02" / "record.json").read_text())
     conclusion = run_study(kb, registry, noisy_root, "study-02", tmp_path / "h.jsonl")
     # each planned segmentation re-segments on the other view once; the
@@ -216,6 +223,35 @@ def test_noisy_segmentations_spawn_one_subgoal_each_and_still_grade(
     assert conclusion.subgoal_steps == 4
     assert conclusion.ef_percent == pytest.approx(record["truth"]["ef_percent"])
     assert conclusion.grade == record["truth"]["grade"]
+
+
+def test_low_confidence_masks_weaken_every_measurement_built_on_them(
+    kb, registry, ef_dataset, tmp_path
+):
+    noisy_root = copy_with_segmentation_confidence(
+        ef_dataset, tmp_path / "allnoisy", "study-02", ("a2c", "a4c"), 0.2
+    )
+    conclusion = run_study(kb, registry, noisy_root, "study-02", tmp_path / "w.jsonl")
+    # a clean study-02 concludes Normal at 0.98; here every mask is at 0.2
+    assert conclusion.answer == "Normal"
+    assert max(conclusion.posterior.values()) < 0.9
+    assert conclusion.low_consistency
+    measured = [
+        node for node in conclusion.graph.nodes.values()
+        if node.kind == "evidence"
+        and {"volume_ml", "ef_percent", "grade"} & set(node.payload)
+    ]
+    assert len(measured) == 4  # EDV, ESV, EF, grade
+    assert all(node.confidence == 0.2 for node in measured)
+    derived = [
+        r for r in conclusion.trace_records
+        if (r.get("tool") or "").startswith("quant.")
+    ]
+    assert [r["tool"] for r in derived] == [
+        "quant.biplane_volume", "quant.biplane_volume",
+        "quant.ejection_fraction", "quant.grade_ef",
+    ]
+    assert all(r["confidence"] == 0.2 and r["trigger"] for r in derived)
 
 
 def test_evidence_payloads_carry_invocation_provenance(kb, registry, ef_dataset, tmp_path):
@@ -236,12 +272,9 @@ def test_restoring_the_fixture_removes_all_subgoals(kb, registry, ef_dataset, tm
 
 
 def test_low_confidence_segmentation_requests_alternate_view(kb, registry, ef_dataset, tmp_path):
-    noisy_root = tmp_path / "noisy"
-    shutil.copytree(ef_dataset / "studies" / "study-01", noisy_root / "studies" / "study-01")
-    sidecar_path = noisy_root / "studies" / "study-01" / "a2c" / "study.json"
-    sidecar = json.loads(sidecar_path.read_text())
-    sidecar["segmentation_confidence"] = 0.3
-    sidecar_path.write_text(json.dumps(sidecar))
+    noisy_root = copy_with_segmentation_confidence(
+        ef_dataset, tmp_path / "noisy", "study-01", ("a2c",), 0.3
+    )
     conclusion = run_study(kb, registry, noisy_root, "study-01", tmp_path / "n.jsonl")
     assert conclusion.subgoal_steps >= 1
     subgoal_records = [
