@@ -175,14 +175,13 @@ def _study_refs(study_dir: Path) -> tuple[str, ...]:
 def cmd_run_study(args, config: EngineConfig) -> int:
     from .hub.engine import DiagnosticQuery, ReasoningHub
     from .hub.toolkit import build_default_registry
-    from .tools.views import load_taxonomy
 
     study_dir = Path(args.study_dir)
     if not study_dir.is_dir():
         return _fail(f"study directory not found: {study_dir}", EXIT_IO)
     kb = _load_kb(args.kb, config)
     registry = build_default_registry(config)
-    hub = ReasoningHub(kb, registry, config, taxonomy=load_taxonomy(config.taxonomy_path))
+    hub = ReasoningHub(kb, registry, config)
     options = tuple(args.options) if args.options else None
     query = DiagnosticQuery(
         text=args.question, study_refs=_study_refs(study_dir), options=options
@@ -221,7 +220,6 @@ def cmd_evaluate(args, config: EngineConfig) -> int:
     from .evalharness.benchmark import run_benchmark, write_report
     from .evalharness.dataset import load_dataset
     from .hub.toolkit import build_default_registry
-    from .tools.views import load_taxonomy
 
     kb = _load_kb(args.kb, config)
     registry = build_default_registry(config)
@@ -230,7 +228,6 @@ def cmd_evaluate(args, config: EngineConfig) -> int:
         records, kb, registry, config,
         dataset_root=args.dataset_dir, trace_dir=args.traces,
         extra_threshold=args.auroc_threshold,
-        taxonomy=load_taxonomy(config.taxonomy_path),
     )
     payload = report.to_json()
     if args.report:

@@ -12,7 +12,6 @@ from ..hub.engine import DiagnosticQuery, ReasoningHub
 from ..kb.index import KnowledgeBase
 from ..quant.grading import GRADES
 from ..tools.registry import ToolRegistry
-from ..tools.views import DEFAULT_TAXONOMY
 from .dataset import StudyRecord
 from .metrics import auroc, gmean, ovr_accuracy, overall_accuracy
 
@@ -111,10 +110,8 @@ def run_benchmark(
     dataset_root: str | Path | None = None,
     trace_dir: str | Path | None = None,
     extra_threshold: float = DEFAULT_EXTRA_THRESHOLD,
-    taxonomy: tuple[str, ...] = DEFAULT_TAXONOMY,
 ) -> BenchmarkReport:
-    config = config or EngineConfig()
-    hub = ReasoningHub(kb, registry, config, taxonomy=taxonomy)
+    hub = ReasoningHub(kb, registry, config)
     results: list[RecordResult] = []
     for record in records:
         if record.is_ef:
@@ -197,7 +194,7 @@ def run_benchmark(
         total=len(records),
         succeeded=len(ok),
         failed=failed,
-        config_digest=config.digest(),
+        config_digest=hub.config.digest(),
         fixture_digest=fixture_digest(dataset_root) if dataset_root else "",
         results=results,
     )

@@ -75,7 +75,7 @@ def _parse_record(record_path: Path) -> StudyRecord:
     if has_ef:
         ef = float(truth_raw["ef_percent"])
         grade = str(truth_raw["grade"])
-        expected = grade_ef(ef).grade
+        expected = grade_ef(ef)
         if grade != expected:
             raise DatasetError(
                 f"record {record_id}: grade {grade!r} inconsistent with "

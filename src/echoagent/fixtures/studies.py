@@ -151,10 +151,10 @@ def generate_ef_dataset(root: str | Path, seed: int = 0) -> list[dict]:
                 study_root / view_dir, view, 0.97, masks,
                 {LV_LABEL: "left ventricle"}, rng,
             )
-        edv = biplane_volume(masks["ED"], masks["ED"], LV_LABEL).value
-        esv = biplane_volume(masks["ES"], masks["ES"], LV_LABEL).value
-        ef = ejection_fraction(edv, esv).value
-        grade = grade_ef(ef).grade
+        edv = biplane_volume(masks["ED"], masks["ED"], LV_LABEL)
+        esv = biplane_volume(masks["ES"], masks["ES"], LV_LABEL)
+        ef = ejection_fraction(edv, esv)
+        grade = grade_ef(ef)
         record = {
             "id": spec.study_id,
             "studies": {"a2c": "a2c", "a4c": "a4c"},

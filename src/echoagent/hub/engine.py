@@ -22,7 +22,7 @@ from ..kb.summarize import RepositoryEntry, empty_entry
 from ..quant.grading import normalize_grade_label
 from ..tools import backends
 from ..tools.registry import LogEntry, ToolRegistry
-from ..tools.views import A2C, A4C, ALTERNATE_VIEW, DEFAULT_TAXONOMY
+from ..tools.views import A2C, A4C, ALTERNATE_VIEW, load_taxonomy
 from .graph import ReasoningGraph
 from .hypotheses import (
     ThresholdRule,
@@ -78,17 +78,11 @@ class _StepOutcome:
 
 
 class ReasoningHub:
-    def __init__(
-        self,
-        kb: KnowledgeBase,
-        registry: ToolRegistry,
-        config: EngineConfig | None = None,
-        taxonomy: tuple[str, ...] = DEFAULT_TAXONOMY,
-    ):
+    def __init__(self, kb: KnowledgeBase, registry: ToolRegistry, config: EngineConfig | None = None):
         self.kb = kb
         self.registry = registry
         self.config = config or EngineConfig()
-        self.taxonomy = taxonomy
+        self.taxonomy = load_taxonomy(self.config.taxonomy_path)
 
     # -- knowledge resolution -------------------------------------------------
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 from ..config import EngineConfig
 from ..quant.geometry import long_axis, mask_area
 from ..quant.grading import grade_ef
-from ..quant.types import EMPTY_STRUCTURE
 from ..quant.volume import biplane_volume, ejection_fraction
 from ..tools.backends import register_perception_tools
 from ..tools.registry import ToolDescriptor, ToolRegistry
@@ -18,26 +17,25 @@ DIMENSION_TOOL = "quant.long_axis_dimension"
 
 
 def _volume_handler(inputs, ctx):
-    result = biplane_volume(
+    volume = biplane_volume(
         inputs["mask_a2c"], inputs["mask_a4c"], inputs["target_label"], inputs["n_disks"]
     )
-    return {"volume_ml": result.value}, 1.0
+    return {"volume_ml": volume}, 1.0
 
 
 def _ef_handler(inputs, ctx):
-    result = ejection_fraction(inputs["edv_ml"], inputs["esv_ml"])
-    return {"ef_percent": result.value, "anomalous": result.anomalous}, 1.0
+    ef = ejection_fraction(inputs["edv_ml"], inputs["esv_ml"])
+    return {"ef_percent": ef, "anomalous": ef < 0}, 1.0
 
 
 def _grade_handler(inputs, ctx):
-    result = grade_ef(inputs["ef_percent"])
-    return {"grade": result.grade}, 1.0
+    return {"grade": grade_ef(inputs["ef_percent"])}, 1.0
 
 
 def _area_handler(inputs, ctx):
-    result = mask_area(inputs["mask"], inputs["target_label"])
-    empty = EMPTY_STRUCTURE in result.flags
-    return {"area_mm2": result.value, "empty_structure": empty}, (0.0 if empty else 1.0)
+    area = mask_area(inputs["mask"], inputs["target_label"])
+    empty = area == 0.0  # exactly a zero pixel count under a valid spacing
+    return {"area_mm2": area, "empty_structure": empty}, (0.0 if empty else 1.0)
 
 
 def _dimension_handler(inputs, ctx):

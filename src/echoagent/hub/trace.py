@@ -13,16 +13,21 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
+
 from ..tools.masks import SegmentationMask
-from ..tools.pgm import encode_pgm
+from ..tools.pgm import pgm_header
 
 
 def canonical_payload(value):
     """JSON encoder hook for the one non-JSON type in run payloads: a mask
-    digests to its PGM bytes' SHA-256 and its pixel spacing."""
+    digests to its PGM bytes' SHA-256, hashed without building them, and its pixel spacing."""
     if isinstance(value, SegmentationMask):
+        height, width = value.labels.shape
+        sha = hashlib.sha256(pgm_header(width, height))
+        sha.update(np.ascontiguousarray(value.labels))
         return {
-            "mask_sha256": hashlib.sha256(encode_pgm(value.labels)).hexdigest(),
+            "mask_sha256": sha.hexdigest(),
             "pixel_spacing_mm": [float(s) for s in value.pixel_spacing_mm],
         }
     raise TypeError(f"cannot digest a {type(value).__name__}")

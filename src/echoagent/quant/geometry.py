@@ -19,13 +19,13 @@ hit counts, and with them the chords, are exact.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from ..errors import GeometryError
+from ..errors import DomainError, GeometryError
 from ..tools.masks import SegmentationMask
-from .types import EMPTY_STRUCTURE, LongAxis, MeasurementResult
 
 MIN_REGION_PIXELS = 20
 
@@ -36,12 +36,30 @@ _CONNECTIVITY = np.ones((3, 3), dtype=int)
 Box = tuple[slice, slice]
 
 
-def mask_area(mask: SegmentationMask, target_label: int) -> MeasurementResult:
-    """Pixel count times the pixel footprint, in mm²."""
+@dataclass(frozen=True)
+class LongAxis:
+    """Principal axis of a mask region, apex first.
+
+    ``apex`` and ``base_mid`` are pixel coordinates (x, y) of the extreme
+    region pixels projected onto the principal direction; ``length_mm`` is
+    their euclidean distance under the mask's pixel spacing.
+    """
+
+    apex: tuple[float, float]
+    base_mid: tuple[float, float]
+    length_mm: float
+
+    def __post_init__(self):
+        if not self.length_mm > 0 or not math.isfinite(self.length_mm):
+            raise DomainError(f"axis length must be positive, got {self.length_mm}")
+
+
+def mask_area(mask: SegmentationMask, target_label: int) -> float:
+    """Pixel count times the pixel footprint, in mm²: 0.0 exactly when the
+    count is 0, since ``valid_spacing`` keeps the footprint above 0."""
     count = mask.pixel_count(target_label)
     sx, sy = mask.pixel_spacing_mm
-    flags = (EMPTY_STRUCTURE,) if count == 0 else ()
-    return MeasurementResult(kind="area_mm2", value=count * sx * sy, flags=flags)
+    return float(count * sx * sy)
 
 
 def largest_component(binary: np.ndarray) -> np.ndarray:

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ..errors import DomainError
 
@@ -24,13 +23,7 @@ GRADE_SYNONYMS = {
 }
 
 
-@dataclass(frozen=True)
-class GradingResult:
-    grade: str
-    ef_percent: float
-
-
-def grade_ef(ef_percent: float) -> GradingResult:
+def grade_ef(ef_percent: float) -> str:
     """Boundaries are inclusive exactly as written: >=50 Normal,
     40 <= EF < 50 mildly reduced, < 40 considerably reduced."""
     if isinstance(ef_percent, bool) or not isinstance(ef_percent, (int, float)):
@@ -38,12 +31,10 @@ def grade_ef(ef_percent: float) -> GradingResult:
     if math.isnan(ef_percent) or math.isinf(ef_percent):
         raise DomainError(f"ef_percent must be finite, got {ef_percent}")
     if ef_percent >= 50.0:
-        grade = NORMAL
-    elif ef_percent >= 40.0:
-        grade = MILDLY_REDUCED
-    else:
-        grade = CONSIDERABLY_REDUCED
-    return GradingResult(grade=grade, ef_percent=float(ef_percent))
+        return NORMAL
+    if ef_percent >= 40.0:
+        return MILDLY_REDUCED
+    return CONSIDERABLY_REDUCED
 
 
 def normalize_grade_label(text: str) -> str | None:

@@ -6,7 +6,6 @@ import math
 from ..errors import DomainError, VolumeError
 from ..tools.masks import SegmentationMask
 from .geometry import disk_diameters, long_axis
-from .types import ANOMALOUS, MeasurementResult
 
 
 def biplane_volume(
@@ -14,7 +13,7 @@ def biplane_volume(
     mask_a4c: SegmentationMask,
     target_label: int,
     n_disks: int = 20,
-) -> MeasurementResult:
+) -> float:
     """Stack of n elliptical disks over the two orthogonal views.
 
     The common long axis L is the longer of the two per-view axes; disk i
@@ -37,23 +36,20 @@ def biplane_volume(
         * sum(a * b for a, b in zip(d_a2c, d_a4c))
         * (length_mm / n_disks)
     )
-    return MeasurementResult(kind="volume_ml", value=volume_mm3 / 1000.0)
+    return volume_mm3 / 1000.0
 
 
-def ejection_fraction(edv_ml: float, esv_ml: float) -> MeasurementResult:
-    """(EDV - ESV) / EDV * 100.
+def ejection_fraction(edv_ml: float, esv_ml: float) -> float:
+    """(EDV - ESV) / EDV * 100, in [-100, 100].
 
-    ESV above EDV yields a negative value flagged anomalous rather than an
-    error: the reasoning loop uses it as a re-measurement signal. The value
-    is floored at -100 to stay within the declared range.
+    ESV above EDV yields a negative value rather than an error: the caller
+    reads it as anomalous, a re-measurement signal. The value is floored at
+    -100; a non-negative ESV keeps it at or below 100.
     """
     if not math.isfinite(edv_ml) or not math.isfinite(esv_ml):
         raise DomainError("volumes must be finite")
     if edv_ml <= 0:
         raise DomainError(f"end-diastolic volume must be positive, got {edv_ml}")
-    ef = (edv_ml - esv_ml) / edv_ml * 100.0
-    flags = ()
-    if ef < 0:
-        flags = (ANOMALOUS,)
-        ef = max(ef, -100.0)
-    return MeasurementResult(kind="ef_percent", value=ef, flags=flags)
+    if esv_ml < 0:
+        raise DomainError(f"end-systolic volume cannot be negative, got {esv_ml}")
+    return float(max((edv_ml - esv_ml) / edv_ml * 100.0, -100.0))

@@ -22,7 +22,7 @@ import requests
 
 from ..errors import ContractError, FixtureError, TaxonomyError, TransportError
 from ..wire import post_json
-from .masks import SegmentationMask
+from .masks import SegmentationMask, valid_spacing
 from .pgm import decode_pgm, pgm_dimensions, read_pgm
 from .registry import InvocationContext, ToolDescriptor, ToolRegistry
 from .schema import FieldSpec
@@ -74,8 +74,8 @@ def load_study(study_dir: str | Path) -> StudySidecar:
         )
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise FixtureError(f"malformed study sidecar {sidecar_path}: {exc}") from exc
-    if sidecar.pixel_spacing_mm[0] <= 0 or sidecar.pixel_spacing_mm[1] <= 0:
-        raise FixtureError(f"{sidecar_path}: pixel spacing must be positive")
+    if not valid_spacing(*sidecar.pixel_spacing_mm):
+        raise FixtureError(f"{sidecar_path}: pixel spacing must be positive and finite")
     return sidecar
 
 

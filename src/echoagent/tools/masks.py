@@ -1,6 +1,7 @@
 """Segmentation mask payload shared by the tool layer and quantification."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -8,12 +9,18 @@ import numpy as np
 from ..errors import ContractError
 
 
+def valid_spacing(sx: float, sy: float) -> bool:
+    """Each spacing and the pixel footprint ``sx * sy`` are finite and > 0,
+    so no footprint underflows and only an empty region has area 0.0."""
+    return all(math.isfinite(v) and v > 0 for v in (sx, sy, sx * sy))
+
+
 @dataclass
 class SegmentationMask:
     """8-bit label image: 0 = background, nonzero = structure labels.
 
     Every nonzero label present in the pixel data must be named in
-    structure_map, and pixel spacing must be strictly positive. The label
+    structure_map, and pixel spacing must pass ``valid_spacing``. The label
     check counts the pixels equal to 0 and to each mapped label in 0-255;
     the mask is valid iff those disjoint counts cover every pixel. Only an
     invalid mask pays for a full ``np.unique`` scan, to name its strays.
@@ -28,8 +35,8 @@ class SegmentationMask:
         if self.labels.ndim != 2:
             raise ContractError("mask labels must be a 2-D array")
         sx, sy = self.pixel_spacing_mm
-        if sx <= 0 or sy <= 0:
-            raise ContractError(f"pixel spacing must be positive, got {(sx, sy)}")
+        if not valid_spacing(sx, sy):
+            raise ContractError(f"pixel spacing must be positive and finite, got {(sx, sy)}")
         # range membership also drops non-integer keys, which numpy could broadcast
         counted = {0} | {v for v in self.structure_map if v in range(256)}
         if sum(np.count_nonzero(self.labels == v) for v in counted) != self.labels.size:

@@ -62,12 +62,17 @@ def decode_pgm(data: bytes) -> np.ndarray:
     if header is None:
         raise PgmFormatError("truncated PGM header")
     width, height, pos = header
-    raster = data[pos : pos + width * height]
-    if len(raster) != width * height:
+    if len(data) - pos < width * height:
         raise PgmFormatError(
-            f"PGM raster truncated: expected {width * height} bytes, got {len(raster)}"
+            f"PGM raster truncated: expected {width * height} bytes, got {len(data) - pos}"
         )
-    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
+    raster = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
+    return raster.reshape(height, width).copy()  # the one copy: a writable array
+
+
+def pgm_header(width: int, height: int) -> bytes:
+    """The header ``encode_pgm`` writes before a width x height 8-bit raster."""
+    return b"P5\n%d %d\n255\n" % (width, height)
 
 
 def encode_pgm(pixels: np.ndarray) -> bytes:
@@ -79,7 +84,7 @@ def encode_pgm(pixels: np.ndarray) -> bytes:
             raise PgmFormatError("pixel values outside 8-bit range")
         arr = arr.astype(np.uint8)
     height, width = arr.shape
-    return b"P5\n%d %d\n255\n" % (width, height) + arr.tobytes()
+    return pgm_header(width, height) + arr.tobytes()
 
 
 def read_pgm(path: str | Path) -> np.ndarray:

@@ -36,16 +36,16 @@ def test_criterion_1_disk_summation_oracles():
     started = time.monotonic()
     s2, s4 = spheroid_pair(length_mm=80, radius_mm=25, spacing_mm=0.5, size=256)
     spheroid_true = spheroid_volume_ml(80, 25)
-    spheroid_value = biplane_volume(s2, s4, 1, 20).value
+    spheroid_value = biplane_volume(s2, s4, 1, 20)
     spheroid_ok = abs(spheroid_value - spheroid_true) / spheroid_true <= 0.02
 
     c2, c4 = cylinder_pair(width_px=20, height_px=60, spacing_mm=1.0)
     cylinder_true = cylinder_volume_ml(20, 60)
-    cylinder_value = biplane_volume(c2, c4, 1, 20).value
+    cylinder_value = biplane_volume(c2, c4, 1, 20)
     cylinder_ok = abs(cylinder_value - cylinder_true) / cylinder_true <= 0.02
 
     errors = [
-        abs(biplane_volume(s2, s4, 1, n).value - spheroid_true) / spheroid_true
+        abs(biplane_volume(s2, s4, 1, n) - spheroid_true) / spheroid_true
         for n in (5, 10, 20, 40)
     ]
     monotone_ok = all(b <= a + 0.002 for a, b in zip(errors, errors[1:]))
@@ -62,10 +62,10 @@ def test_criterion_1_disk_summation_oracles():
 
 def test_criterion_2_grading_exactness():
     ok = (
-        grade_ef(50.0).grade == "Normal"
-        and grade_ef(40.0).grade == "MildlyReduced"
-        and grade_ef(39.999).grade == "ConsiderablyReduced"
-        and grade_ef(33.5).grade == "ConsiderablyReduced"
+        grade_ef(50.0) == "Normal"
+        and grade_ef(40.0) == "MildlyReduced"
+        and grade_ef(39.999) == "ConsiderablyReduced"
+        and grade_ef(33.5) == "ConsiderablyReduced"
     )
     assert report(2, "grade boundaries 50/40/39.999 and worked value 33.5", ok)
 

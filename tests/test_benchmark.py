@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from echoagent.config import EngineConfig
 from echoagent.evalharness.benchmark import run_benchmark, write_report
 from echoagent.evalharness.dataset import load_dataset
+from echoagent.hub.engine import ReasoningHub
 from echoagent.hub.toolkit import build_default_registry, register_quant_tools
 from echoagent.quant.grading import GRADES
 from echoagent.tools.masks import SegmentationMask
@@ -31,6 +32,19 @@ def test_ground_truth_mocks_give_full_marks(kb, ef_dataset, tmp_path):
     for key in ("50", "40", "45"):
         assert report.auroc_by_threshold[key] == pytest.approx(1.0)
     assert (tmp_path / "traces" / "study-01.trace.jsonl").exists()
+
+
+def test_library_runs_honour_the_config_taxonomy(kb, ef_dataset, tmp_path):
+    # without the four-chamber view no biplane volume, and so no EF, is possible
+    taxonomy = tmp_path / "views.txt"
+    taxonomy.write_text("apical-2-chamber\nparasternal-long-axis\n")
+    config = EngineConfig(taxonomy_path=str(taxonomy))
+    assert ReasoningHub(kb, build_default_registry(), config).taxonomy == (
+        "apical-2-chamber", "parasternal-long-axis",
+    )
+    records = load_dataset(ef_dataset)[:2]
+    report = run_benchmark(records, kb, build_default_registry(), config)
+    assert [r.predicted_ef for r in report.results] == [None, None]
 
 
 def test_constant_mask_stub_degrades_gracefully(kb, ef_dataset):

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from conftest import rotate90
 
 from echoagent.errors import GeometryError
+from echoagent.hub.toolkit import AREA_TOOL, build_default_registry
 from echoagent.quant.geometry import (
+    LongAxis,
     _principal_direction,
     disk_diameters,
     largest_component,
@@ -16,7 +18,6 @@ from echoagent.quant.geometry import (
     mask_area,
 )
 from echoagent.quant.synth import ellipse_mask, rect_mask
-from echoagent.quant.types import EMPTY_STRUCTURE, LongAxis
 from echoagent.tools.masks import SegmentationMask
 from oracles import (
     scalar_disk_diameters,
@@ -34,17 +35,46 @@ def full_mask(n=10, spacing=(1.0, 1.0)):
 
 
 def test_area_counts_pixels_times_footprint():
-    assert mask_area(full_mask(10, (1.0, 1.0)), 1).value == pytest.approx(100.0)
+    assert mask_area(full_mask(10, (1.0, 1.0)), 1) == pytest.approx(100.0)
 
 
 def test_area_scales_with_spacing():
-    assert mask_area(full_mask(10, (0.5, 0.5)), 1).value == pytest.approx(25.0)
+    assert mask_area(full_mask(10, (0.5, 0.5)), 1) == pytest.approx(25.0)
+
+
+def _area_tool(mask, target_label):
+    return build_default_registry().invoke(
+        AREA_TOOL, {"mask": mask, "target_label": target_label}
+    )
 
 
 def test_missing_label_gives_zero_area_with_flag():
-    result = mask_area(full_mask(), 7)
-    assert result.value == 0.0
-    assert EMPTY_STRUCTURE in result.flags
+    result = _area_tool(full_mask(), 7)
+    assert result.outputs == {"area_mm2": 0.0, "empty_structure": True}
+    assert result.confidence == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    height=st.integers(1, 16),
+    width=st.integers(1, 16),
+    target=st.integers(0, 3),
+    spacing=st.tuples(
+        st.floats(1e-150, 1e150, allow_subnormal=False),
+        st.floats(1e-150, 1e150, allow_subnormal=False),
+    ),
+)
+def test_area_tool_empty_flag_is_a_zero_pixel_count(data, height, width, target, spacing):
+    labels = np.array(
+        data.draw(st.lists(st.integers(0, 3), min_size=height * width, max_size=height * width)),
+        dtype=np.uint8,
+    ).reshape(height, width)
+    mask = SegmentationMask(labels, spacing, {1: "a", 2: "b", 3: "c"})
+    count = int(np.count_nonzero(labels == target))
+    outputs = _area_tool(mask, target).outputs
+    assert outputs["empty_structure"] is (count == 0)
+    assert outputs["area_mm2"] == count * spacing[0] * spacing[1]
 
 
 def _direction(axis) -> tuple[float, float]:

@@ -13,14 +13,14 @@ from echoagent.quant.grading import (
 
 
 def test_boundaries_exact_at_the_cutoffs():
-    assert grade_ef(50.0).grade == NORMAL
-    assert grade_ef(40.0).grade == MILDLY_REDUCED
-    assert grade_ef(39.999).grade == CONSIDERABLY_REDUCED
-    assert grade_ef(49.999).grade == MILDLY_REDUCED
+    assert grade_ef(50.0) == NORMAL
+    assert grade_ef(40.0) == MILDLY_REDUCED
+    assert grade_ef(39.999) == CONSIDERABLY_REDUCED
+    assert grade_ef(49.999) == MILDLY_REDUCED
 
 
 def test_worked_value_is_considerably_reduced():
-    assert grade_ef(33.5).grade == CONSIDERABLY_REDUCED
+    assert grade_ef(33.5) == CONSIDERABLY_REDUCED
 
 
 def test_nan_and_infinity_rejected():
@@ -36,7 +36,7 @@ def test_million_random_efs_partition_into_exactly_one_grade_each():
     severity = {NORMAL: 0, MILDLY_REDUCED: 1, CONSIDERABLY_REDUCED: 2}
     graded = np.empty(efs.shape, dtype=np.int8)
     for i, ef in enumerate(efs):
-        grade = grade_ef(float(ef)).grade
+        grade = grade_ef(float(ef))
         assert grade in GRADES
         graded[i] = severity[grade]
     # monotone: lower EF never earns a less severe grade

@@ -88,3 +88,18 @@ def test_every_structure_mapped_including_background_key():
     structure_map = {v: f"s{v}" for v in range(256)}
     mask = SegmentationMask(labels, (1.0, 1.0), structure_map)
     assert mask.pixel_count(255) == 1
+
+
+_BAD_SPACINGS = [
+    (float("nan"), 0.5),
+    (0.5, float("nan")),
+    (float("inf"), 0.5),
+    (0.5, float("-inf")),
+    (1e-200, 1e-200),  # each positive, but the pixel footprint underflows to 0
+]
+
+
+@pytest.mark.parametrize("spacing", _BAD_SPACINGS)
+def test_non_finite_or_underflowing_spacing_is_a_contract_error(spacing):
+    with pytest.raises(ContractError, match="pixel spacing"):
+        SegmentationMask(np.ones((4, 4), dtype=np.uint8), spacing, {1: "left ventricle"})

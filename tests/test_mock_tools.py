@@ -37,6 +37,21 @@ def test_batch_of_two_studies_keeps_order(registry, ef_dataset):
     assert views == ["apical-2-chamber", "apical-4-chamber"]
 
 
+@pytest.mark.parametrize("spacing", [
+    [float("nan"), 0.5], [float("inf"), 0.5], [0.5, float("-inf")], [1e-200, 1e-200],
+])
+def test_non_finite_or_underflowing_sidecar_spacing_is_a_fixture_error(ef_dataset, tmp_path, spacing):
+    import shutil
+
+    study = tmp_path / "a2c"
+    shutil.copytree(ef_dataset / "studies" / "study-02" / "a2c", study)
+    sidecar = json.loads((study / "study.json").read_text())
+    sidecar["pixel_spacing_mm"] = spacing
+    (study / "study.json").write_text(json.dumps(sidecar))
+    with pytest.raises(FixtureError, match="pixel spacing"):
+        load_study(study)
+
+
 def test_mock_segmentation_returns_ground_truth_bit_equal(registry, ef_dataset):
     study = ef_dataset / "studies" / "study-02" / "a4c"
     result = segment_structure(registry, "echo.segmenter", study, "ED", "left ventricle")

@@ -64,7 +64,11 @@ def test_hand_built_payload_digests_equal_the_seed_digests():
     labels = np.zeros((6, 5), dtype=np.uint8)
     labels[1:4, 2:4] = 1
     mask = SegmentationMask(labels, (0.25, 0.5), {1: "left ventricle"})
+    transposed = SegmentationMask(labels.T, (0.5, 0.25), {1: "left ventricle"})
+    assert not transposed.labels.flags.c_contiguous
     payloads = [
+        {"mask": transposed, "same_bytes_other_shape": SegmentationMask(
+            labels.reshape(5, 6), (0.25, 0.5), {1: "left ventricle"})},
         {"dimension_mm": 14.25, "structure": "left ventricle", "invocation_id": "inv-000007"},
         {"steps": [(0, "echo.view_classifier", "identify"), (1, "quant.area", "area")],
          "warnings": [], "hypotheses": ["a", "b"]},

@@ -14,21 +14,21 @@ from echoagent.quant.synth import (
     spheroid_pair,
     spheroid_volume_ml,
 )
-from echoagent.quant.types import ANOMALOUS
+from echoagent.hub.toolkit import EF_TOOL, build_default_registry
 from echoagent.quant.volume import biplane_volume, ejection_fraction
 
 
 def test_cylinder_volume_within_two_percent():
     a2c, a4c = cylinder_pair(width_px=20, height_px=60, spacing_mm=1.0)
     expected = cylinder_volume_ml(20.0, 60.0)  # 18.85 mL
-    value = biplane_volume(a2c, a4c, 1, 20).value
+    value = biplane_volume(a2c, a4c, 1, 20)
     assert value == pytest.approx(expected, rel=0.02)
 
 
 def test_spheroid_volume_within_two_percent():
     a2c, a4c = spheroid_pair(length_mm=80, radius_mm=25, spacing_mm=0.5, size=256)
     expected = spheroid_volume_ml(80, 25)  # 104.72 mL
-    value = biplane_volume(a2c, a4c, 1, 20).value
+    value = biplane_volume(a2c, a4c, 1, 20)
     assert value == pytest.approx(expected, rel=0.02)
 
 
@@ -37,7 +37,7 @@ def test_convergence_error_non_increasing_in_disk_count():
     expected = spheroid_volume_ml(80, 25)
     errors = []
     for n in (5, 10, 20, 40):
-        value = biplane_volume(a2c, a4c, 1, n).value
+        value = biplane_volume(a2c, a4c, 1, n)
         errors.append(abs(value - expected) / expected)
     for previous, current in zip(errors, errors[1:]):
         assert current <= previous + 0.002  # pixelization slack per step
@@ -48,8 +48,8 @@ def test_halving_one_view_halves_the_volume():
     full_a2c = rect_mask(128, width_px=20, height_px=60)
     full_a4c = rect_mask(128, width_px=20, height_px=60)
     half_a4c = rect_mask(128, width_px=10, height_px=60)
-    symmetric = biplane_volume(full_a2c, full_a4c, 1, 20).value
-    halved = biplane_volume(full_a2c, half_a4c, 1, 20).value
+    symmetric = biplane_volume(full_a2c, full_a4c, 1, 20)
+    halved = biplane_volume(full_a2c, half_a4c, 1, 20)
     assert halved == pytest.approx(symmetric / 2.0, rel=1e-12)
 
 
@@ -65,31 +65,31 @@ def test_empty_view_names_the_view():
 def test_translation_changes_volume_by_under_two_percent():
     a2c, a4c = spheroid_pair()
     moved = translate(a2c, 7, -5)
-    baseline = biplane_volume(a2c, a4c, 1, 20).value
-    shifted = biplane_volume(moved, a4c, 1, 20).value
+    baseline = biplane_volume(a2c, a4c, 1, 20)
+    shifted = biplane_volume(moved, a4c, 1, 20)
     assert abs(shifted - baseline) / baseline < 0.02
 
 
 def test_rotation_by_ninety_degrees_changes_volume_by_under_two_percent():
     a2c, a4c = spheroid_pair()
-    baseline = biplane_volume(a2c, a4c, 1, 20).value
-    rotated = biplane_volume(rotate90(a2c), a4c, 1, 20).value
+    baseline = biplane_volume(a2c, a4c, 1, 20)
+    rotated = biplane_volume(rotate90(a2c), a4c, 1, 20)
     assert abs(rotated - baseline) / baseline < 0.02
 
 
 def test_doubling_spacing_scales_volume_by_exactly_eight():
     a2c, a4c = spheroid_pair(size=256)
-    baseline = biplane_volume(a2c, a4c, 1, 20).value
+    baseline = biplane_volume(a2c, a4c, 1, 20)
     doubled = biplane_volume(
         rescale_spacing(a2c, 2.0), rescale_spacing(a4c, 2.0), 1, 20
-    ).value
+    )
     assert doubled == pytest.approx(8.0 * baseline, rel=1e-9)
 
 
 def test_ef_definitional_values():
-    assert ejection_fraction(100.0, 50.0).value == pytest.approx(50.0)
-    assert ejection_fraction(120.0, 120.0).value == pytest.approx(0.0)
-    assert ejection_fraction(120.0, 79.8).value == pytest.approx(33.5)
+    assert ejection_fraction(100.0, 50.0) == pytest.approx(50.0)
+    assert ejection_fraction(120.0, 120.0) == pytest.approx(0.0)
+    assert ejection_fraction(120.0, 79.8) == pytest.approx(33.5)
 
 
 def test_ef_domain_errors():
@@ -101,17 +101,34 @@ def test_ef_domain_errors():
         ejection_fraction(float("nan"), 1.0)
 
 
+def test_negative_esv_is_a_domain_error():
+    # the only way to an EF above 100
+    with pytest.raises(DomainError, match="end-systolic"):
+        ejection_fraction(100.0, -1.0)
+    assert ejection_fraction(100.0, 0.0) == 100.0
+
+
+def _ef_tool(edv_ml, esv_ml) -> dict:
+    return build_default_registry().invoke(EF_TOOL, {"edv_ml": edv_ml, "esv_ml": esv_ml}).outputs
+
+
 def test_esv_above_edv_is_flagged_anomalous_not_an_error():
-    result = ejection_fraction(80.0, 100.0)
-    assert result.value < 0
-    assert ANOMALOUS in result.flags
-    assert result.anomalous
+    outputs = _ef_tool(80.0, 100.0)
+    assert outputs["ef_percent"] < 0
+    assert outputs["anomalous"] is True
 
 
 def test_extreme_anomaly_clamps_at_minus_hundred():
-    result = ejection_fraction(10.0, 1000.0)
-    assert result.value == -100.0
-    assert result.anomalous
+    outputs = _ef_tool(10.0, 1000.0)
+    assert outputs["ef_percent"] == -100.0
+    assert outputs["anomalous"] is True
+
+
+@pytest.mark.parametrize("esv", [0.0, 50.0, 80.0])
+def test_esv_at_or_below_edv_is_not_anomalous(esv):
+    outputs = _ef_tool(80.0, esv)
+    assert outputs["ef_percent"] >= 0
+    assert outputs["anomalous"] is False
 
 
 @settings(max_examples=300, deadline=None)
@@ -122,6 +139,6 @@ def test_extreme_anomaly_clamps_at_minus_hundred():
 )
 def test_ef_is_scale_invariant(edv, esv_fraction, scale):
     esv = edv * esv_fraction
-    base = ejection_fraction(edv, esv).value
-    scaled = ejection_fraction(edv * scale, esv * scale).value
+    base = ejection_fraction(edv, esv)
+    scaled = ejection_fraction(edv * scale, esv * scale)
     assert math.isclose(base, scaled, rel_tol=1e-12, abs_tol=1e-12)
