@@ -1,7 +1,8 @@
 """Classification metrics: one-vs-rest accuracy, G-mean, and AUROC.
 
 AUROC equals the pairwise concordance probability (ties count one half)
-and is computed here via average ranks; the test suite checks it against a
+and is computed here by counting, for each positive, the negatives below and
+tied with it in the sorted negatives; the test suite checks it against a
 brute-force all-pairs enumeration.
 """
 from __future__ import annotations
@@ -9,7 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
 
 from ..errors import MetricError
 
@@ -61,14 +61,15 @@ def overall_accuracy(y_true: list, y_pred: list) -> float:
 
 
 def auroc(scores: list[float], labels: list[int]) -> float:
-    """Rank-statistic AUROC over binary labels; undefined for one class."""
+    """Pairwise-concordance AUROC over binary labels; undefined for one class."""
     _check_lengths(scores, labels)
     y = np.asarray(labels)
     s = np.asarray(scores, dtype=np.float64)
-    n_pos = int((y == 1).sum())
-    n_neg = int((y == 0).sum())
-    if n_pos == 0 or n_neg == 0:
+    pos, neg = s[y == 1], np.sort(s[y == 0])
+    if pos.size == 0 or neg.size == 0:
         raise MetricError("AUROC undefined: both classes must be present")
-    ranks = stats.rankdata(s)  # average ranks handle ties as half-concordant
-    u = float(ranks[y == 1].sum()) - n_pos * (n_pos + 1) / 2.0
-    return u / (n_pos * n_neg)
+    below = np.searchsorted(neg, pos, side="left")
+    tied = np.searchsorted(neg, pos, side="right") - below
+    # an integer plus halves, as exact as the rank-sum statistic
+    u = float(below.sum()) + float(tied.sum()) / 2.0
+    return u / (pos.size * neg.size)

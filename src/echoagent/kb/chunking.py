@@ -9,10 +9,8 @@ length invariant holds unconditionally.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .. import anatomy
 from ..errors import IngestError
@@ -34,7 +32,6 @@ class KnowledgePrimitive:
     text: str
     source: SourceSpan
     anatomy_tags: frozenset[str] = frozenset()
-    embedding: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not self.text:

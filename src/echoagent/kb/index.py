@@ -7,9 +7,11 @@ row arrays, computed once per build, select candidates; ranking is a stable
 argsort over those rows, so ties break by ascending primitive id, making
 every ranking and every saved index byte-reproducible.
 
-``add_primitives`` is all-or-nothing: it checks every id, embeds every
-missing text in one ``encoder.embed_batch`` call and checks every embedding
-in one pass over the stacked rows before it changes anything.
+The matrix is the only copy of the embeddings; primitives carry none.
+``add_primitives`` is all-or-nothing: it checks every id, takes the (n, d)
+embeddings it is given or embeds every text in one ``encoder.embed_batch``
+call, and checks the batch's shape and every row's norm in one pass before
+it merges the rows into the matrix in ascending id order.
 
 The saved index (format version 2) is one JSON document,
 ``{version, encoder_id, embeddings, primitives, entries, checksum}``. The
@@ -71,51 +73,55 @@ class KnowledgeBase:
         self.encoder = encoder if encoder is not None else HashedBowEncoder(256)
         self.primitives: dict[str, KnowledgePrimitive] = {}
         self.entries: dict[str, RepositoryEntry] = {}
-        self._rebuild_index()
+        self.ids: list[str] = []
+        self._matrix = np.zeros((0, self.encoder.dim), dtype=np.float64)
+        self._index_groups()
 
     # -- construction ------------------------------------------------------
 
-    def add_primitives(self, primitives: list[KnowledgePrimitive]) -> None:
-        """Add all of ``primitives`` or, on any error, none of them."""
+    def add_primitives(
+        self, primitives: list[KnowledgePrimitive], embeddings: np.ndarray | None = None
+    ) -> None:
+        """Add all of ``primitives`` or, on any error, none of them.
+
+        Row i of the (n, d) ``embeddings`` embeds ``primitives[i]``; without
+        it the encoder embeds every text in one batch.
+        """
         seen: set[str] = set()
         for p in primitives:
             if p.id in self.primitives or p.id in seen:
                 raise IndexLoadError(f"duplicate primitive id {p.id!r}")
             seen.add(p.id)
-        missing = [p for p in primitives if p.embedding is None]
-        computed = self.encoder.embed_batch([p.text for p in missing]) if missing else []
-        embedded = {p.id: vec for p, vec in zip(missing, computed)}
-        self._check_embeddings(
-            [p.id for p in primitives], [embedded.get(p.id, p.embedding) for p in primitives]
-        )
-        for p in missing:
-            p.embedding = embedded[p.id]
-        self.primitives.update((p.id, p) for p in primitives)
-        self._rebuild_index()
-
-    def _check_embeddings(self, ids: list[str], embeddings: list[np.ndarray]) -> None:
-        """Raise naming the first id, in input order, whose embedding is not a
-        unit vector of the encoder's dimension."""
         dim = self.encoder.dim
-        shaped = next(
-            (i for i, e in enumerate(embeddings) if np.shape(e) != (dim,)), len(ids)
-        )
-        m = np.stack(embeddings[:shaped]) if shaped else np.zeros((0, dim))
-        norms = np.sqrt(np.einsum("ij,ij->i", m, m))
-        off = np.flatnonzero(np.abs(norms - 1.0) > NORM_TOLERANCE)
+        if embeddings is None:
+            embeddings = (self.encoder.embed_batch([p.text for p in primitives])
+                          if primitives else np.zeros((0, dim)))
+        added = np.asarray(embeddings, dtype=np.float64)
+        if added.shape != (len(primitives), dim):
+            raise IndexLoadError(
+                f"embeddings shape {added.shape} is not ({len(primitives)}, {dim})"
+            )
+        norms = np.sqrt(np.einsum("ij,ij->i", added, added))
+        off = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOLERANCE))  # NaN is off too
         if off.size:
             raise IndexLoadError(
-                f"primitive {ids[off[0]]!r} embedding norm {norms[off[0]]:.6g} not unit"
+                f"primitive {primitives[off[0]].id!r} embedding norm {norms[off[0]]:.6g} not unit"
             )
-        if shaped < len(ids):
-            raise IndexLoadError(
-                f"primitive {ids[shaped]!r} embedding dim {np.shape(embeddings[shaped])} != {dim}"
-            )
+        # scatter the held rows and the added rows to their ascending-id rows
+        ids = self.ids + [p.id for p in primitives]
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        row_of = np.argsort(order)
+        matrix = np.empty((len(ids), dim), dtype=np.float64)
+        matrix[row_of[:len(self.ids)]] = self._matrix
+        matrix[row_of[len(self.ids):]] = added
+        self.primitives.update((p.id, p) for p in primitives)
+        self.ids = [ids[i] for i in order]
+        self._matrix = matrix
+        self._index_groups()
 
-    def _rebuild_index(self) -> None:
-        # matrix rows follow ascending ids; each group's rows, and the rows of
-        # every tagged primitive, are ascending because rows are visited in order
-        self.ids = sorted(self.primitives)
+    def _index_groups(self) -> None:
+        # each group's rows, and the rows of every tagged primitive, are
+        # ascending because rows are visited in order
         rows: dict[str, list[int]] = {name: [] for name in anatomy.ANATOMY_NAMES}
         for row, pid in enumerate(self.ids):
             for tag in self.primitives[pid].anatomy_tags:
@@ -126,10 +132,6 @@ class KnowledgeBase:
         self.tagged_rows = np.flatnonzero(
             [bool(self.primitives[pid].anatomy_tags) for pid in self.ids]
         )
-        if self.ids:
-            self._matrix = np.vstack([self.primitives[pid].embedding for pid in self.ids])
-        else:
-            self._matrix = np.zeros((0, self.encoder.dim), dtype=np.float64)
 
     def __len__(self) -> int:
         return len(self.primitives)
@@ -253,12 +255,11 @@ class KnowledgeBase:
                     text=raw["text"],
                     source=SourceSpan(src.get("doc", ""), int(src.get("start", 0)), int(src.get("end", 0))),
                     anatomy_tags=frozenset(raw.get("tags", [])),
-                    embedding=matrix[i],
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise IndexLoadError(f"invalid primitive record {raw.get('id')!r}: {exc}") from exc
             loaded.append(p)
-        kb.add_primitives(loaded)
+        kb.add_primitives(loaded, matrix)
 
         for i, raw in enumerate(_records(doc, "entries")):
             try:

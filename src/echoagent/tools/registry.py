@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 from .. import anatomy
 from ..errors import ContractError, EchoAgentError, FixtureError, RegistrationError, TransportError
-from .schema import FieldSpec, Schema, validate_value_map
-
-__all__ = [
-    "BACKENDS", "LAYERS", "FieldSpec", "InvocationContext",
-    "LogEntry", "ToolDescriptor", "ToolRegistry", "ToolResult",
-]
+from .schema import Schema, validate_value_map
 
 LAYERS = ("perceptual", "operational", "functional")
 BACKENDS = ("wire", "mock", "native")

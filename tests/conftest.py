@@ -17,13 +17,12 @@ from echoagent.kb.summarize import build_all_entries
 from echoagent.tools.masks import SegmentationMask
 
 
-def make_primitive(pid, text, tags=(), embedding=None):
+def make_primitive(pid, text, tags=()):
     return KnowledgePrimitive(
         id=pid,
         text=text,
         source=SourceSpan("test", 0, len(text)),
         anatomy_tags=frozenset(tags),
-        embedding=embedding,
     )
 
 

@@ -79,10 +79,8 @@ def test_criterion_3_retrieval_equivalence():
     from conftest import make_primitive
 
     kb = KnowledgeBase(encoder=HashedBowEncoder(dim))
-    kb.add_primitives([
-        make_primitive(f"p{i:04d}", f"text {i}", (), vectors[i]) for i in range(n)
-    ])
-    items = [(pid, kb.primitives[pid].embedding) for pid in kb.ids]
+    kb.add_primitives([make_primitive(f"p{i:04d}", f"text {i}") for i in range(n)], vectors)
+    items = [(pid, kb._matrix[row]) for row, pid in enumerate(kb.ids)]
     ok = True
     for q in range(50):
         query = rng.normal(size=dim)
@@ -301,7 +299,8 @@ def test_criterion_8_graph_invariants_in_fixture_runs(tmp_path):
 
 
 def test_criterion_9_wire_protocol(stub_server):
-    from echoagent.tools.registry import FieldSpec, ToolDescriptor, ToolRegistry
+    from echoagent.tools.registry import ToolDescriptor, ToolRegistry
+    from echoagent.tools.schema import FieldSpec
     from echoagent.tools.backends import make_wire_handler
 
     registry = ToolRegistry()
@@ -339,10 +338,8 @@ def test_criterion_10_kb_persistence(tmp_path, kb):
     roundtrip_ok = (
         set(loaded.primitives) == set(kb.primitives)
         and loaded.entries == kb.entries
-        and all(
-            np.array_equal(loaded.primitives[pid].embedding, kb.primitives[pid].embedding)
-            for pid in kb.primitives
-        )
+        and loaded.ids == kb.ids
+        and np.array_equal(loaded._matrix, kb._matrix)
     )
 
     rejected = 0

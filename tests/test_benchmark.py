@@ -15,7 +15,8 @@ from echoagent.hub.engine import ReasoningHub
 from echoagent.hub.toolkit import build_default_registry, register_quant_tools
 from echoagent.quant.grading import GRADES
 from echoagent.tools.masks import SegmentationMask
-from echoagent.tools.registry import FieldSpec, ToolDescriptor, ToolRegistry
+from echoagent.tools.registry import ToolDescriptor, ToolRegistry
+from echoagent.tools.schema import FieldSpec
 
 
 def test_ground_truth_mocks_give_full_marks(kb, ef_dataset, tmp_path):

@@ -138,16 +138,14 @@ def test_http_encoder_batch_posts_the_missing_texts_once_in_input_order(stub_ser
     kb = KnowledgeBase(encoder=HttpEncoder(stub_server.url, dim=dim, backoff_s=0.0))
     primitives = [
         make_primitive("b#0", "second by id, first in input"),
-        make_primitive("a#0", "already embedded", embedding=np.array([0.0, 0.0, 0.0, 1.0])),
-        make_primitive("c#0", "third"),
+        make_primitive("a#0", "third by id, second in input"),
     ]
     kb.add_primitives(primitives)
     assert stub_server.requests == [
-        ("/embed", {"texts": ["second by id, first in input", "third"]})
+        ("/embed", {"texts": ["second by id, first in input", "third by id, second in input"]})
     ]
-    assert np.array_equal(kb.primitives["b#0"].embedding, [1.0, 0.0, 0.0, 0.0])
-    assert np.array_equal(kb.primitives["c#0"].embedding, [0.0, 0.6, 0.8, 0.0])
-    assert kb.ids == ["a#0", "b#0", "c#0"]
+    assert kb.ids == ["a#0", "b#0"]
+    assert np.array_equal(kb._matrix, [[0.0, 0.6, 0.8, 0.0], [1.0, 0.0, 0.0, 0.0]])
 
 
 def test_http_encoder_failure_leaves_the_knowledge_base_unchanged(stub_server):
@@ -160,4 +158,3 @@ def test_http_encoder_failure_leaves_the_knowledge_base_unchanged(stub_server):
     assert len(kb) == 0
     assert kb.ids == []
     assert kb._matrix.shape == (0, 4)
-    assert all(p.embedding is None for p in primitives)

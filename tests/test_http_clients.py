@@ -10,7 +10,8 @@ from echoagent.errors import ContractError, TransportError
 from echoagent.kb.encoder import HttpEncoder
 from echoagent.kb.summarize import SECTION_NAMES, HttpSummarizer, build_repository_entry
 from echoagent.tools.backends import make_wire_handler
-from echoagent.tools.registry import FieldSpec, ToolDescriptor, ToolRegistry
+from echoagent.tools.registry import ToolDescriptor, ToolRegistry
+from echoagent.tools.schema import FieldSpec
 
 
 class WireClient:

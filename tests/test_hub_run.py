@@ -59,7 +59,7 @@ def test_ef_question_resolves_to_left_ventricle_by_brute_force(kb, registry):
         DiagnosticQuery(EF_QUESTION, study_refs=("x",))
     )
     # independent oracle: full cosine scan, winner's tags must include the pick
-    items = [(pid, kb.primitives[pid].embedding) for pid in kb.ids]
+    items = [(pid, kb._matrix[row]) for row, pid in enumerate(kb.ids)]
     query_vec = kb.encoder.embed(EF_QUESTION)
     [(winner_id, _)] = brute_force_topk(items, query_vec, 1)
     assert anatomy_name in kb.primitives[winner_id].anatomy_tags
@@ -108,19 +108,19 @@ def resolution_cases(draw):
                                                                    keepdims=True)])
     tag_rate = draw(st.sampled_from([0.0, 0.1, 0.6]))
     names = anatomy.ANATOMY_NAMES
-    primitives = []
+    primitives, vectors = [], []
     for i in rng.permutation(draw(st.integers(1, 80))):
         tags = set()
         if rng.random() < tag_rate:
             tags = {names[int(g)] for g in rng.integers(0, len(names), rng.integers(1, 3))}
         keywords = [anatomy.group_by_name(names[int(g)]).keywords[0]
                     for g in rng.integers(0, len(names), 3)]
-        primitives.append(make_primitive(f"p{i}", " ".join(keywords), tags,
-                                         pool[rng.integers(len(pool))].copy()))
+        primitives.append(make_primitive(f"p{i}", " ".join(keywords), tags))
+        vectors.append(pool[rng.integers(len(pool))])
     query = rng.normal(size=dim)
     query /= np.linalg.norm(query)
     kb = KnowledgeBase(encoder=FixedEncoder(query))
-    kb.add_primitives(primitives)
+    kb.add_primitives(primitives, np.array(vectors))
     best = float(kb.all_similarities(query).max())
     s_min = draw(st.sampled_from(["low", "at", "above"]))
     s_min = {"low": -1.0, "at": best, "above": float(np.nextafter(best, np.inf))}[s_min]

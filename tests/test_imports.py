@@ -1,12 +1,15 @@
 """Each module imports only what it uses: no package re-exports a heavy
 dependency into modules that do not need it. Every case runs in a fresh
 interpreter, since this process has already imported everything."""
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import build_fixture_kb
 
 import echoagent
 
@@ -33,6 +36,7 @@ def has(modules: set[str], name: str) -> bool:
     ("echoagent.kb.index", ("scipy", "echoagent.hub.engine")),
     ("echoagent.tools.pgm", ("requests",)),
     ("echoagent.evalharness.dataset", ("scipy.stats",)),
+    ("echoagent.evalharness.benchmark", ("scipy.stats",)),
 ])
 def test_importing_a_module_loads_only_its_dependencies(module, absent):
     modules = loaded_after(f"import {module}")
@@ -49,3 +53,16 @@ def test_build_kb_runs_without_scipy(corpus_dir, tmp_path):
     )
     assert out.exists()
     assert not has(modules, "scipy")
+
+
+def test_evaluate_runs_without_scipy_stats(corpus_dir, ef_dataset, tmp_path):
+    kb, report = tmp_path / "kb.json", tmp_path / "report.json"
+    build_fixture_kb(corpus_dir).save(kb)
+    modules = loaded_after(
+        "from echoagent.cli import main\n"
+        f"assert main(['evaluate', {str(ef_dataset)!r}, '--kb', {str(kb)!r}, "
+        f"'--report', {str(report)!r}]) == 0"
+    )
+    # the report's AUROC is computed, so the metric ran in that process
+    assert json.loads(report.read_text())["auroc"]["45"] == 1.0
+    assert not has(modules, "scipy.stats")

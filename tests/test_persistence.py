@@ -48,9 +48,9 @@ def test_save_load_roundtrip_is_lossless(kb, saved_kb):
         clone = loaded.primitives[pid]
         assert clone.text == primitive.text
         assert clone.anatomy_tags == primitive.anatomy_tags
-        assert np.array_equal(clone.embedding, primitive.embedding)
     assert loaded.entries == kb.entries
     assert loaded.ids == kb.ids
+    assert np.array_equal(loaded._matrix, kb._matrix)
     assert {name: rows.tolist() for name, rows in loaded.group_rows.items()} == {
         name: rows.tolist() for name, rows in kb.group_rows.items()
     }
@@ -74,6 +74,21 @@ def test_bad_embedding_norm_rejected_naming_the_id(saved_kb):
     with pytest.raises(IndexLoadError, match=offender):
         KnowledgeBase.load(saved_kb)
 
+
+
+def test_records_and_rows_in_any_order_load_to_the_same_index(saved_kb, tmp_path):
+    doc = json.loads(saved_kb.read_text())
+    doc["primitives"].reverse()
+    _set_embeddings(doc, _embeddings(doc)[::-1])
+    reordered = tmp_path / "reordered.json"
+    reordered.write_text(json.dumps(_reseal(doc)))
+    saved, loaded = KnowledgeBase.load(saved_kb), KnowledgeBase.load(reordered)
+    assert loaded.ids == saved.ids
+    assert {name: rows.tolist() for name, rows in loaded.group_rows.items()} == {
+        name: rows.tolist() for name, rows in saved.group_rows.items()
+    }
+    assert loaded.tagged_rows.tolist() == saved.tagged_rows.tolist()
+    assert np.array_equal(loaded._matrix, saved._matrix)
 
 def test_dangling_supporting_id_rejected(saved_kb):
     doc = json.loads(saved_kb.read_text())
@@ -143,8 +158,7 @@ def test_saved_bytes_are_a_function_of_the_index(which, corpus_dir, tmp_path):
     assert doc["embeddings"]["dtype"] == "<f8"
     assert [record["id"] for record in doc["primitives"]] == first.ids
     assert all("embedding" not in record for record in doc["primitives"])
-    expected = np.array([first.primitives[pid].embedding for pid in first.ids]).reshape(-1, 256)
-    assert np.array_equal(_embeddings(doc), expected)
+    assert np.array_equal(_embeddings(doc), first._matrix)
 
 
 def test_loading_a_saved_file_never_reserialises_it(saved_kb, monkeypatch):

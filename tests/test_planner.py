@@ -5,7 +5,8 @@ from echoagent.hub.engine import DiagnosticQuery
 from echoagent.hub.planning import plan_steps
 from echoagent.kb.summarize import empty_entry
 from echoagent.kb.summarize import RepositoryEntry
-from echoagent.tools.registry import FieldSpec, ToolDescriptor
+from echoagent.tools.registry import ToolDescriptor
+from echoagent.tools.schema import FieldSpec
 from echoagent.tools.views import DEFAULT_TAXONOMY
 
 

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from echoagent.errors import ContractError, RegistrationError
-from echoagent.tools.registry import FieldSpec, ToolDescriptor, ToolRegistry
+from echoagent.tools.registry import ToolDescriptor, ToolRegistry
+from echoagent.tools.schema import FieldSpec
 
 
 def echo_tool(name="t.echo", layer="functional", anatomy=frozenset()):

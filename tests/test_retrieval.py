@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,11 +23,9 @@ def random_kb(n=500, dim=64, seed=7):
     primitives = []
     for i in range(n):
         tags = {names[int(g)] for g in rng.integers(0, len(names), rng.integers(0, 3))}
-        primitives.append(
-            make_primitive(f"p{i:04d}", f"synthetic text {i}", tags, vectors[i])
-        )
+        primitives.append(make_primitive(f"p{i:04d}", f"synthetic text {i}", tags))
     kb = KnowledgeBase(encoder=HashedBowEncoder(dim))
-    kb.add_primitives(primitives)
+    kb.add_primitives(primitives, vectors)
     return kb, rng
 
 
@@ -48,9 +47,8 @@ def test_k_larger_than_subset_returns_whole_subset(kb):
 
 def test_empty_anatomy_subset_flags_no_knowledge():
     kb = KnowledgeBase(encoder=HashedBowEncoder(16))
-    kb.add_primitives([
-        make_primitive("a#0", "text", {"aorta"}, normalize(token_counts("text", 16)))
-    ])
+    kb.add_primitives([make_primitive("a#0", "text", {"aorta"})],
+                      normalize(token_counts("text", 16))[None])
     result = kb.retrieve_topk("anything", anatomy_name="pericardium", k=3)
     assert result.hits == []
     assert result.no_knowledge
@@ -58,7 +56,7 @@ def test_empty_anatomy_subset_flags_no_knowledge():
 
 def test_retrieval_matches_brute_force_oracle_on_random_fixture():
     kb, rng = random_kb(n=500)
-    items = [(pid, kb.primitives[pid].embedding) for pid in kb.ids]
+    items = [(pid, kb._matrix[row]) for row, pid in enumerate(kb.ids)]
     for _ in range(10):
         query = rng.normal(size=64)
         query /= np.linalg.norm(query)
@@ -85,18 +83,12 @@ def test_rankings_are_invariant_to_raw_embedding_scale():
     rng = np.random.default_rng(3)
     raw = rng.normal(size=(40, dim))
     scales = rng.uniform(0.01, 100.0, size=40)
-    plain = [
-        make_primitive(f"p{i:02d}", f"text {i}", (), normalize(raw[i]))
-        for i in range(40)
-    ]
-    scaled = [
-        make_primitive(f"p{i:02d}", f"text {i}", (), normalize(raw[i] * scales[i]))
-        for i in range(40)
-    ]
+    primitives = [make_primitive(f"p{i:02d}", f"text {i}") for i in range(40)]
     kb_a = KnowledgeBase(encoder=HashedBowEncoder(dim))
-    kb_a.add_primitives(plain)
+    kb_a.add_primitives(primitives, np.array([normalize(raw[i]) for i in range(40)]))
     kb_b = KnowledgeBase(encoder=HashedBowEncoder(dim))
-    kb_b.add_primitives(scaled)
+    kb_b.add_primitives(primitives,
+                        np.array([normalize(raw[i] * scales[i]) for i in range(40)]))
     for _ in range(5):
         qvec = normalize(rng.normal(size=dim))
         assert (
@@ -111,16 +103,16 @@ def test_equal_similarities_rank_by_ascending_id_filtered_and_unfiltered():
     dim = 4
     rng = np.random.default_rng(11)
     names = ("left ventricle", "aorta")
-    primitives = []
-    for i in rng.permutation(120):  # unpadded ids: "t10" sorts before "t2"
-        tags = {names[i % 2]} if i % 3 else set()
-        primitives.append(make_primitive(f"t{i}", "text", tags, np.eye(dim)[i % dim]))
+    order = rng.permutation(120)  # unpadded ids: "t10" sorts before "t2"
+    primitives = [make_primitive(f"t{i}", "text", {names[i % 2]} if i % 3 else set())
+                  for i in order]
     kb = KnowledgeBase(encoder=HashedBowEncoder(dim))
-    kb.add_primitives(primitives)
+    kb.add_primitives(primitives, np.eye(dim)[order % dim])
     query = normalize(np.array([4.0, 3.0, 3.0, 1.0]))
+    row_of = {pid: row for row, pid in enumerate(kb.ids)}
 
     def expected(ids, k):
-        sim = {pid: float(query[int(np.argmax(kb.primitives[pid].embedding))]) for pid in ids}
+        sim = {pid: float(query[int(np.argmax(kb._matrix[row_of[pid]]))]) for pid in ids}
         return sorted(ids, key=lambda pid: (-sim[pid], pid))[:k], sim
 
     for name in (None, *names):
@@ -139,12 +131,13 @@ def test_equal_similarities_rank_by_ascending_id_filtered_and_unfiltered():
 def test_index_membership_biconditional(tag_sets, split):
     # unpadded ids ("p10" sorts before "p2") and two batches, so a row is
     # neither the insertion index nor fixed by the first build
-    primitives = [make_primitive(f"p{i}", "text", tags, np.eye(4)[i % 4])
-                  for i, tags in enumerate(tag_sets)]
+    primitives = [make_primitive(f"p{i}", "text", tags) for i, tags in enumerate(tag_sets)]
+    vectors = np.eye(4)[np.arange(len(tag_sets)) % 4]
     kb = KnowledgeBase(encoder=HashedBowEncoder(4))
-    kb.add_primitives(primitives[:split])
-    kb.add_primitives(primitives[split:])
+    kb.add_primitives(primitives[:split], vectors[:split])
+    kb.add_primitives(primitives[split:], vectors[split:])
     assert kb.ids == sorted(p.id for p in primitives)
+    assert np.array_equal(kb._matrix, np.eye(4)[[int(pid[1:]) % 4 for pid in kb.ids]])
     tags_of = {p.id: p.anatomy_tags for p in primitives}
     for name in anatomy.ANATOMY_NAMES:
         assert kb.group_rows[name].tolist() == [
@@ -201,22 +194,52 @@ def test_failed_add_primitives_changes_nothing(batch, error):
     assert kb.ids == ids
     assert np.array_equal(kb._matrix, matrix)
     assert kb.group_rows is rows
-    assert all(p.embedding is None for p in primitives)
     kb.add_primitives([make_primitive("new#9", "aortic root", {"aorta"})])
     assert len(kb) == 4 and kb._matrix.shape == (4, 32)
 
 
 @pytest.mark.parametrize("embeddings, offender, message", [
-    ([np.eye(4)[0], np.eye(4)[1] * 0.5, np.eye(3)[0]], "c", "embedding norm 0.5 not unit"),
-    ([np.eye(4)[0], np.eye(3)[0], np.eye(4)[1] * 0.5], "c", "embedding dim (3,) != 4"),
+    ([np.eye(4)[0], np.eye(4)[1] * 0.5, np.eye(4)[2] * 2], "c", "embedding norm 0.5 not unit"),
     ([np.eye(4)[0], np.eye(4)[1], np.ones(4), np.ones(4) * 3], "b", "embedding norm 2 not unit"),
-], ids=["norm_first", "dim_first", "norm_only"])
+    ([np.eye(4)[0], np.full(4, np.nan), np.eye(4)[1]], "c", "embedding norm nan not unit"),
+], ids=["norm_first", "norm_only", "nan"])
 def test_add_primitives_names_the_first_bad_embedding_in_input_order(
     embeddings, offender, message
 ):
     kb = KnowledgeBase(encoder=HashedBowEncoder(4))
     # ids descend, so the first offender in input order is the last by id
-    primitives = [make_primitive(pid, "text", (), e) for pid, e in zip("dcba", embeddings)]
+    primitives = [make_primitive(pid, "text") for pid in "dcba"[:len(embeddings)]]
     with pytest.raises(IndexLoadError, match=re.escape(f"primitive {offender!r} {message}")):
-        kb.add_primitives(primitives)
+        kb.add_primitives(primitives, np.array(embeddings))
     assert kb.ids == []
+
+
+@pytest.mark.parametrize("embeddings, message", [
+    (np.eye(3), "embeddings shape (3, 3) is not (3, 4)"),
+    (np.eye(4)[:2], "embeddings shape (2, 4) is not (3, 4)"),
+    (np.eye(4)[0], "embeddings shape (4,) is not (3, 4)"),
+], ids=["other_dim", "fewer_rows", "one_vector"])
+def test_add_primitives_refuses_a_batch_of_the_wrong_shape(embeddings, message):
+    kb = KnowledgeBase(encoder=HashedBowEncoder(4))
+    kb.add_primitives([make_primitive("old", "aortic root")])
+    matrix = kb._matrix.copy()
+    with pytest.raises(IndexLoadError, match=re.escape(message)):
+        kb.add_primitives([make_primitive(pid, "text") for pid in "abc"], embeddings)
+    assert kb.ids == ["old"]
+    assert np.array_equal(kb._matrix, matrix)
+
+
+def test_added_embeddings_are_held_once():
+    # the matrix is the only copy: neither the primitives nor the encoder's
+    # batch keep a second one alive
+    primitives = [make_primitive(f"p{i}", f"left ventricle note {i}", {"left ventricle"})
+                  for i in range(2000)]
+    kb = KnowledgeBase(encoder=HashedBowEncoder(256))
+    tracemalloc.start()
+    try:
+        kb.add_primitives(primitives)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kb._matrix.shape == (2000, 256)
+    assert held < 1.25 * kb._matrix.nbytes

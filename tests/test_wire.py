@@ -5,7 +5,8 @@ import pytest
 
 from echoagent.errors import ContractError, TransportError
 from echoagent.tools.pgm import encode_pgm
-from echoagent.tools.registry import FieldSpec, ToolDescriptor, ToolRegistry
+from echoagent.tools.registry import ToolDescriptor, ToolRegistry
+from echoagent.tools.schema import FieldSpec
 from echoagent.tools.backends import make_wire_handler
 
 
