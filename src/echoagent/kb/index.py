@@ -1,23 +1,31 @@
 """Anatomy-indexed knowledge base: exact cosine retrieval and persistence.
 
 Corpora are desk-scale, so retrieval is an exact scan over unit-norm
-embeddings (dot product == cosine): one matrix-vector product over the
-embedding matrix, whose rows are in ascending primitive id order. Per-group
-row arrays, computed once per build, select candidates; ranking is a stable
-argsort over those rows, so ties break by ascending primitive id, making
-every ranking and every saved index byte-reproducible.
+embeddings (dot product == cosine) held in one column-major matrix whose
+rows are in ascending primitive id order. The scan adds ``column_j * q_j``
+over the query's nonzero buckets ``j`` in ascending order, with elementwise
+multiplies and adds: each is one correctly rounded IEEE operation, so unlike
+a BLAS product no kernel choice can change the order of the sum or its bits.
+A hashed bag-of-words question touches a handful of the 256 columns; a dense
+query from a remote encoder touches all of them and costs more than a BLAS
+product would. Per-group row arrays, computed once per build, select
+candidates; ranking is a stable argsort over those rows, so ties break by
+ascending primitive id, making every ranking and every saved index
+byte-reproducible.
 
 The matrix is the only copy of the embeddings; primitives carry none.
 ``add_primitives`` is all-or-nothing: it checks every id, takes the (n, d)
 embeddings it is given or embeds every text in one ``encoder.embed_batch``
 call, and checks the batch's shape and every row's norm in one pass before
-it merges the rows into the matrix in ascending id order.
+it scatters the held and added rows into one new column-major matrix in
+ascending id order.
 
 The saved index (format version 2) is one JSON document,
 ``{version, encoder_id, embeddings, primitives, entries, checksum}``. The
 embeddings are one block, ``{"dtype": "<f8", "shape": [n, d], "data": ...}``,
 whose data is the base64 of the row-major little-endian float64 matrix,
-as in a ``.npy`` file; row i is the embedding of primitive record i, and
+as in a ``.npy`` file (``tobytes`` writes C order whatever the layout in
+memory); row i is the embedding of primitive record i, and
 ``save`` writes both in ascending primitive id order. ``save`` serialises
 the document once, in canonical form (sorted keys, no spaces), and writes it
 with the SHA-256 of those bytes as a leading ``"checksum"`` key, which sorts
@@ -111,7 +119,7 @@ class KnowledgeBase:
         ids = self.ids + [p.id for p in primitives]
         order = sorted(range(len(ids)), key=ids.__getitem__)
         row_of = np.argsort(order)
-        matrix = np.empty((len(ids), dim), dtype=np.float64)
+        matrix = np.empty((len(ids), dim), dtype=np.float64, order="F")
         matrix[row_of[:len(self.ids)]] = self._matrix
         matrix[row_of[len(self.ids):]] = added
         self.primitives.update((p.id, p) for p in primitives)
@@ -162,8 +170,21 @@ class KnowledgeBase:
         )
 
     def all_similarities(self, query_vec: np.ndarray) -> np.ndarray:
-        """Cosine of the query with every primitive, row-aligned with ``ids``."""
-        return self._matrix @ np.asarray(query_vec, dtype=np.float64)
+        """Cosine of the query with every primitive, row-aligned with ``ids``.
+
+        Sums ``column_j * q_j`` over the query's nonzero buckets in ascending
+        ``j``, one elementwise multiply and add each, so the bits do not
+        depend on the host's BLAS kernel.
+        """
+        query = np.asarray(query_vec, dtype=np.float64)
+        if query.shape != (self.encoder.dim,):
+            raise ValueError(f"query shape {query.shape} is not ({self.encoder.dim},)")
+        sims = np.zeros(len(self.ids))
+        term = np.empty_like(sims)
+        for j in np.flatnonzero(query):
+            np.multiply(self._matrix[:, j], query[j], out=term)
+            np.add(sims, term, out=sims)
+        return sims
 
     # -- persistence -------------------------------------------------------
 

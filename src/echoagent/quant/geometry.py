@@ -1,12 +1,16 @@
 """Mask geometry: areas, principal long axis, and perpendicular chords.
 
 Axis finding is PCA over the pixel coordinates of the largest connected
-component of the target label. A chord is measured by counting target
-pixels along a ray perpendicular to the axis, scaled by the physical step
-length of that ray (which handles anisotropic spacing). The rays of one
-call (the probe chords of ``long_axis``, the disks of ``disk_diameters``)
-are sampled together in one numpy gather over ``mask.labels``, so target
-pixels off the largest component still count.
+component of the target label, with no BLAS or LAPACK call, so its bits do
+not depend on the host's kernels: the covariance comes from exact integer
+moments, rounded once per entry, the principal direction from the closed
+form of a symmetric 2x2 matrix (only +, -, *, / and sqrt), and the
+projections onto it from elementwise multiplies and adds. A chord is
+measured by counting target pixels along a ray perpendicular to the axis,
+scaled by the physical step length of that ray (which handles anisotropic
+spacing). The rays of one call (the probe chords of ``long_axis``, the
+disks of ``disk_diameters``) are sampled together in one numpy gather over
+``mask.labels``, so target pixels off the largest component still count.
 
 All of this works inside the target label's bounding box. Every component
 of the label lies in that box, and ``np.nonzero`` on the crop keeps raster
@@ -22,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from ..errors import DomainError, GeometryError
 from ..tools.masks import SegmentationMask
@@ -56,13 +59,18 @@ class LongAxis:
 
 def mask_area(mask: SegmentationMask, target_label: int) -> float:
     """Pixel count times the pixel footprint, in mm²: 0.0 exactly when the
-    count is 0, since ``valid_spacing`` keeps the footprint above 0."""
+    count is 0, since ``valid_spacing`` keeps the footprint above 0 and
+    finite. The footprint is taken first, so a finite footprint of extreme
+    spacings such as (1e308, 1e-300) does not overflow."""
     count = mask.pixel_count(target_label)
     sx, sy = mask.pixel_spacing_mm
-    return float(count * sx * sy)
+    return float(count * (sx * sy))
 
 
 def largest_component(binary: np.ndarray) -> np.ndarray:
+    # imported here, so that listing the tools does not load scipy
+    from scipy import ndimage
+
     labeled, n = ndimage.label(binary, structure=_CONNECTIVITY)
     if n == 0:
         return np.zeros_like(binary, dtype=bool)
@@ -79,15 +87,35 @@ def _label_box(binary: np.ndarray) -> Box | None:
     return slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
 
 
-def _principal_direction(centered: np.ndarray) -> np.ndarray:
-    """Unit principal direction of (N, 2) coordinates centred on their mean."""
-    cov = centered.T @ centered / len(centered)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    direction = eigvecs[:, int(np.argmax(eigvals))]
-    # canonical sign: positive y, then positive x, so reruns agree bit-for-bit
-    if direction[1] < 0 or (direction[1] == 0 and direction[0] < 0):
-        direction = -direction
-    return direction
+def _principal_direction(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Unit principal direction of the integer pixel coordinates (xs, ys).
+
+    The moments n, Σx, Σy, Σx², Σy² and Σxy are exact integers: the int64
+    sums cannot overflow on any canvas up to 2**15 px a side (Σx² stays
+    below 2**60). Each covariance entry, n²·cov as an exact Python integer
+    divided by n², is rounded once. The direction is the eigenvector of the
+    larger eigenvalue of [[a, c], [c, b]], taken from whichever of the two
+    closed forms involves no cancellation. An isotropic region (a == b,
+    c == 0) has no principal direction; it gets (1, 0).
+    """
+    n = len(xs)
+    sum_x, sum_y = int(xs.sum()), int(ys.sum())
+    a = (n * int((xs * xs).sum()) - sum_x * sum_x) / (n * n)
+    b = (n * int((ys * ys).sum()) - sum_y * sum_y) / (n * n)
+    c = (n * int((xs * ys).sum()) - sum_x * sum_y) / (n * n)
+    half = (a - b) / 2
+    radius = math.sqrt(half * half + c * c)
+    if radius == 0:
+        return np.array([1.0, 0.0])
+    # (half + radius, c) and (c, radius - half) both solve the eigen-equation
+    u, v = (half + radius, c) if half >= 0 else (c, radius - half)
+    norm = math.sqrt(u * u + v * v)
+    u, v = u / norm, v / norm
+    # canonical sign: positive y, so reruns agree bit-for-bit; y is 0 only
+    # in the first form with c == 0, whose x is positive
+    if v < 0:
+        u, v = -u, -v
+    return np.array([u, v])
 
 
 def _chords_mm(
@@ -158,9 +186,8 @@ def long_axis(
     # stays below 2**53 (any canvas up to 2**17 px a side), so dividing the
     # integer sums gives the same bits.
     centroid = np.array([int(xs.sum()) / len(xs), int(ys.sum()) / len(ys)])
-    centered = np.column_stack([xs - centroid[0], ys - centroid[1]])
-    direction = _principal_direction(centered)
-    projections = centered @ direction
+    direction = _principal_direction(xs, ys)
+    projections = (xs - centroid[0]) * direction[0] + (ys - centroid[1]) * direction[1]
     lo = centroid + direction * float(projections.min())
     hi = centroid + direction * float(projections.max())
 

@@ -97,15 +97,17 @@ def _max_steps(mask):
 def scalar_long_axis(mask, target_label, direction_of, n_probe_disks=20):
     """(apex, base_mid, length_mm) with one scalar chord per probe.
 
-    ``direction_of`` maps (N, 2) coordinates to the unit principal direction,
-    so the reference shares the axis fit and differs only in the chords.
+    ``direction_of`` maps integer pixel coordinates (xs, ys) to the unit
+    principal direction, so the reference shares the axis fit and differs
+    only in the chords. Projections are elementwise, as in the program.
     """
     component = sum_labels_largest_component(mask.labels == target_label)
     ys, xs = np.nonzero(component)
+    direction = direction_of(xs, ys)
     coords = np.stack([xs, ys], axis=1).astype(np.float64)
-    direction = direction_of(coords)
     centroid = coords.mean(axis=0)
-    projections = (coords - centroid) @ direction
+    centered = coords - centroid
+    projections = centered[:, 0] * direction[0] + centered[:, 1] * direction[1]
     lo = centroid + direction * float(projections.min())
     hi = centroid + direction * float(projections.max())
     sx, sy = mask.pixel_spacing_mm

@@ -42,6 +42,15 @@ def test_area_scales_with_spacing():
     assert mask_area(full_mask(10, (0.5, 0.5)), 1) == pytest.approx(25.0)
 
 
+def test_area_of_extreme_spacing_with_a_finite_footprint_is_finite():
+    # the footprint 1e308 * 1e-300 = 1e8 passes valid_spacing; taking it
+    # before the count keeps 800 px from overflowing through 800 * 1e308
+    labels = np.zeros((40, 40), dtype=np.uint8)
+    labels[:20, :40] = 1
+    mask = SegmentationMask(labels, (1e308, 1e-300), {1: "left ventricle"})
+    assert mask_area(mask, 1) == pytest.approx(8e10)
+
+
 def _area_tool(mask, target_label):
     return build_default_registry().invoke(
         AREA_TOOL, {"mask": mask, "target_label": target_label}
@@ -74,7 +83,7 @@ def test_area_tool_empty_flag_is_a_zero_pixel_count(data, height, width, target,
     count = int(np.count_nonzero(labels == target))
     outputs = _area_tool(mask, target).outputs
     assert outputs["empty_structure"] is (count == 0)
-    assert outputs["area_mm2"] == count * spacing[0] * spacing[1]
+    assert outputs["area_mm2"] == count * (spacing[0] * spacing[1])
 
 
 def _direction(axis) -> tuple[float, float]:
@@ -107,6 +116,35 @@ def test_disk_axis_length_equals_diameter():
     mask = ellipse_mask(128, semi_long_mm=30, semi_short_mm=30, spacing_mm=1.0)
     axis = long_axis(mask, 1)
     assert axis.length_mm == pytest.approx(60.0, abs=1.0)
+
+
+def test_isotropic_square_takes_the_x_axis():
+    # a == b and c == 0: every direction is principal; the rule picks (1, 0)
+    labels = np.zeros((40, 40), dtype=np.uint8)
+    labels[10:30, 10:30] = 1
+    ys, xs = np.nonzero(labels)
+    assert _principal_direction(xs, ys).tolist() == [1.0, 0.0]
+    axis = long_axis(SegmentationMask(labels, (1.0, 1.0), {1: "left ventricle"}), 1)
+    # equal end widths tie; the smaller-y rule keeps the first endpoint
+    assert axis.apex == (10.0, 19.5) and axis.base_mid == (29.0, 19.5)
+    assert axis.length_mm == 19.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    points=st.lists(st.tuples(st.integers(0, 2000), st.integers(0, 2000)),
+                    min_size=2, max_size=60),
+)
+def test_principal_direction_is_the_covariance_eigenvector(points):
+    xs, ys = (np.array(v, dtype=np.intp) for v in zip(*points))
+    direction = _principal_direction(xs, ys)
+    assert math.hypot(*direction) == pytest.approx(1.0, abs=1e-15)
+    assert direction[1] > 0 or (direction[1] == 0 and direction[0] > 0)
+    coords = np.stack([xs, ys], axis=1).astype(np.float64)
+    eigvals, eigvecs = np.linalg.eigh(np.cov(coords.T, bias=True))
+    assume(eigvals[1] - eigvals[0] > 1e-6 * max(eigvals[1], 1.0))
+    # parallel to the eigenvector of the larger eigenvalue, up to sign
+    assert abs(direction[0] * eigvecs[1, 1] - direction[1] * eigvecs[0, 1]) < 1e-9
 
 
 def test_region_below_twenty_pixels_is_too_small():
@@ -230,13 +268,9 @@ def _hex(values):
     return [float.hex(v) for v in values]
 
 
-def direction_of(coords):
-    return _principal_direction(coords - coords.mean(axis=0))
-
-
 def _assert_matches_scalar(mask, n_disks=20):
     axis = long_axis(mask, 1)
-    apex, base_mid, length_mm = scalar_long_axis(mask, 1, direction_of)
+    apex, base_mid, length_mm = scalar_long_axis(mask, 1, _principal_direction)
     assert _hex(axis.apex + axis.base_mid + (axis.length_mm,)) == _hex(
         apex + base_mid + (length_mm,)
     )

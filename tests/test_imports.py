@@ -66,3 +66,13 @@ def test_evaluate_runs_without_scipy_stats(corpus_dir, ef_dataset, tmp_path):
     # the report's AUROC is computed, so the metric ran in that process
     assert json.loads(report.read_text())["auroc"]["45"] == 1.0
     assert not has(modules, "scipy.stats")
+
+
+def test_tools_listing_runs_without_scipy():
+    # scipy.ndimage is imported by the one function that labels components
+    modules = loaded_after(
+        "from echoagent.cli import main\n"
+        "assert main(['tools']) == 0"
+    )
+    assert "echoagent.hub.toolkit" in modules
+    assert not has(modules, "scipy")

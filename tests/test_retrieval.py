@@ -65,6 +65,24 @@ def test_retrieval_matches_brute_force_oracle_on_random_fixture():
         assert got == expected
 
 
+def test_similarities_sum_the_nonzero_buckets_in_ascending_order():
+    # the defined sum, one python float add per bucket, bit for bit; a
+    # wrong-length query is refused
+    kb, rng = random_kb(n=200)
+    query = rng.normal(size=64) * (rng.random(64) < 0.2)
+    query /= np.linalg.norm(query)
+    expected = []
+    for row in range(len(kb.ids)):
+        total = 0.0
+        for j in range(64):
+            if query[j] != 0:
+                total += float(kb._matrix[row, j]) * float(query[j])
+        expected.append(total)
+    assert kb.all_similarities(query).tolist() == expected
+    with pytest.raises(ValueError, match="query shape"):
+        kb.all_similarities(query[:63])
+
+
 def test_filtered_ranking_is_subsequence_of_unfiltered():
     kb, rng = random_kb(n=300)
     query = rng.normal(size=64)
