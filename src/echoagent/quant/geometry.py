@@ -12,13 +12,23 @@ spacing). The rays of one call (the probe chords of ``long_axis``, the
 disks of ``disk_diameters``) are sampled together in one numpy gather over
 ``mask.labels``, so target pixels off the largest component still count.
 
+The region is held as row runs (He, Chao & Suzuki, IEEE TIP 2008): maximal
+stretches of a row, columns ``start`` to ``stop - 1``, in raster order.
+Each run points at its first 8-connected neighbour in the row above; a
+union-find over the other neighbours links the later root to the earlier,
+and pointer jumping takes each run to its component's first run, which
+wins a size tie. Moments come in closed form per run, extreme projections
+from the end pixels ``start`` and ``stop - 1``: a rounded projection is
+monotone along a row, so these are a per-pixel min and max, bit for bit.
+The int64 moment sums are exact on any canvas up to 2**15 px a side.
+
 All of this works inside the target label's bounding box. Every component
-of the label lies in that box, and ``np.nonzero`` on the crop keeps raster
-order, so the region's coordinates are those of a whole-canvas scan. A ray
-is sampled only over the steps ``s`` at which it can meet the box, widened
-by a pixel on each side and clipped to the whole-canvas range
-``[-max_steps, max_steps]``; every target pixel lies in the box, so the
-hit counts, and with them the chords, are exact.
+of the label lies in that box, so the runs of the crop, offset by the
+box's corner, are those of a whole-canvas scan. A ray is sampled only over
+the steps ``s`` at which it can meet the box, widened by a pixel on each
+side and clipped to the whole-canvas range ``[-max_steps, max_steps]``;
+every target pixel lies in the box, so the hit counts, and with them the
+chords, are exact.
 """
 from __future__ import annotations
 
@@ -31,9 +41,6 @@ from ..errors import DomainError, GeometryError
 from ..tools.masks import SegmentationMask
 
 MIN_REGION_PIXELS = 20
-
-# 8-connectivity: diagonal neighbours belong to the same component
-_CONNECTIVITY = np.ones((3, 3), dtype=int)
 
 # (rows, cols) half-open slices of a label's bounding box
 Box = tuple[slice, slice]
@@ -67,15 +74,65 @@ def mask_area(mask: SegmentationMask, target_label: int) -> float:
     return float(count * (sx * sy))
 
 
-def largest_component(binary: np.ndarray) -> np.ndarray:
-    # imported here, so that listing the tools does not load scipy
-    from scipy import ndimage
+def _row_runs(crop: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, starts, stops) of the True runs of the 2-D boolean ``crop``, in
+    raster order; a run covers columns ``start`` to ``stop - 1``."""
+    width = crop.shape[1]
+    # with a False column either side of each row, a run starts or stops
+    # where a pixel differs from the one before it
+    edges = np.flatnonzero(np.diff(crop, axis=1, prepend=False, append=False))
+    rows, starts = np.divmod(edges[0::2], width + 1)
+    return rows, starts, edges[1::2] - rows * (width + 1)
 
-    labeled, n = ndimage.label(binary, structure=_CONNECTIVITY)
-    if n == 0:
-        return np.zeros_like(binary, dtype=bool)
-    sizes = np.bincount(labeled.ravel(), minlength=n + 1)[1:]
-    return labeled == (int(np.argmax(sizes)) + 1)
+
+def _roots(parent: np.ndarray) -> np.ndarray:
+    """Each node's root, by pointer jumping, in a forest of earlier parents."""
+    while not np.array_equal(grand := parent[parent], parent):
+        parent = grand
+    return parent
+
+
+def _largest_component(rows: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """Which of the (nonempty) runs form the largest 8-connected component;
+    a size tie goes to the component whose first run comes first."""
+    n = len(rows)
+    # a key space where each run's row block is wider than any run
+    width = int(stops.max()) + 1
+    first, last = rows * width + starts, rows * width + stops
+    # run q's neighbours in the row above it are runs lo[q] to hi[q] - 1
+    lo = np.searchsorted(last, first - width)
+    hi = np.searchsorted(first, last - width, side="right")
+    parent = _roots(np.where(hi > lo, lo, np.arange(n)))
+    extra = np.maximum(hi - lo - 1, 0)
+    if extra.any():
+        # runs lo[q] + 1 to hi[q] - 1 merge their trees with run q's: union
+        # each distinct pair of roots, linking the later root to the earlier
+        ends = np.cumsum(extra)
+        ps = np.arange(ends[-1]) + np.repeat(lo + 1 - (ends - extra), extra)
+        pairs = np.unique(np.repeat(parent, extra) * n + parent[ps])
+        link = list(range(n))
+        for a, b in zip((pairs // n).tolist(), (pairs % n).tolist()):
+            while link[a] != a:
+                link[a] = link[link[a]]
+                a = link[a]
+            while link[b] != b:
+                link[b] = link[link[b]]
+                b = link[b]
+            if a != b:
+                link[max(a, b)] = min(a, b)
+        parent = _roots(np.array(link))[parent]
+    return parent == int(np.argmax(np.bincount(parent, weights=stops - starts)))
+
+
+def _run_moments(rows: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> tuple[int, ...]:
+    """Exact (n, Σx, Σy, Σx², Σy², Σxy) of the pixels of the runs, from the
+    sums of x and of x² over [0, k), k(k-1)/2 and (k-1)k(2k-1)/6."""
+    lengths = stops - starts
+    sum_x = stops * (stops - 1) // 2 - starts * (starts - 1) // 2
+    sum_xx = (stops - 1) * stops * (2 * stops - 1) // 6
+    sum_xx -= (starts - 1) * starts * (2 * starts - 1) // 6
+    sums = (lengths, sum_x, rows * lengths, sum_xx, rows * rows * lengths, rows * sum_x)
+    return tuple(int(v.sum()) for v in sums)
 
 
 def _label_box(binary: np.ndarray) -> Box | None:
@@ -87,22 +144,20 @@ def _label_box(binary: np.ndarray) -> Box | None:
     return slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
 
 
-def _principal_direction(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Unit principal direction of the integer pixel coordinates (xs, ys).
+def _principal_direction(moments: tuple[int, ...]) -> np.ndarray:
+    """Unit principal direction of n integer pixel coordinates, from their
+    exact moments (n, Σx, Σy, Σx², Σy², Σxy).
 
-    The moments n, Σx, Σy, Σx², Σy² and Σxy are exact integers: the int64
-    sums cannot overflow on any canvas up to 2**15 px a side (Σx² stays
-    below 2**60). Each covariance entry, n²·cov as an exact Python integer
-    divided by n², is rounded once. The direction is the eigenvector of the
-    larger eigenvalue of [[a, c], [c, b]], taken from whichever of the two
-    closed forms involves no cancellation. An isotropic region (a == b,
-    c == 0) has no principal direction; it gets (1, 0).
+    Each covariance entry, n²·cov as an exact Python integer divided by n²,
+    is rounded once. The direction is the eigenvector of the larger
+    eigenvalue of [[a, c], [c, b]], taken from whichever of the two closed
+    forms involves no cancellation. An isotropic region (a == b, c == 0)
+    has no principal direction; it gets (1, 0).
     """
-    n = len(xs)
-    sum_x, sum_y = int(xs.sum()), int(ys.sum())
-    a = (n * int((xs * xs).sum()) - sum_x * sum_x) / (n * n)
-    b = (n * int((ys * ys).sum()) - sum_y * sum_y) / (n * n)
-    c = (n * int((xs * ys).sum()) - sum_x * sum_y) / (n * n)
+    n, sum_x, sum_y, sum_xx, sum_yy, sum_xy = moments
+    a = (n * sum_xx - sum_x * sum_x) / (n * n)
+    b = (n * sum_yy - sum_y * sum_y) / (n * n)
+    c = (n * sum_xy - sum_x * sum_y) / (n * n)
     half = (a - b) / 2
     radius = math.sqrt(half * half + c * c)
     if radius == 0:
@@ -179,14 +234,19 @@ def long_axis(
             f"need at least {MIN_REGION_PIXELS} for a reliable axis"
         )
     box = _label_box(binary)
-    ys, xs = np.nonzero(largest_component(binary[box]))
-    xs += box[1].start
-    ys += box[0].start
-    # The float mean of integer coordinates sums them exactly while the sum
-    # stays below 2**53 (any canvas up to 2**17 px a side), so dividing the
-    # integer sums gives the same bits.
-    centroid = np.array([int(xs.sum()) / len(xs), int(ys.sum()) / len(ys)])
-    direction = _principal_direction(xs, ys)
+    rows, starts, stops = _row_runs(binary[box])
+    keep = _largest_component(rows, starts, stops)
+    rows = rows[keep] + box[0].start
+    starts = starts[keep] + box[1].start
+    stops = stops[keep] + box[1].start
+    n, sum_x, sum_y, *_ = moments = _run_moments(rows, starts, stops)
+    # the exact sums over n give the float mean's bits while they stay below
+    # 2**53 (any canvas up to 2**17 px a side)
+    centroid = np.array([sum_x / n, sum_y / n])
+    direction = _principal_direction(moments)
+    # a run's extreme projections are at its end pixels
+    xs = np.concatenate((starts, stops - 1))
+    ys = np.concatenate((rows, rows))
     projections = (xs - centroid[0]) * direction[0] + (ys - centroid[1]) * direction[1]
     lo = centroid + direction * float(projections.min())
     hi = centroid + direction * float(projections.max())

@@ -3,7 +3,8 @@
 These deliberately avoid the production code paths: cosines via python
 loops and math.fsum, AUROC via all-pairs enumeration, G-mean via full
 confusion counting, chords via a per-sample python loop, component sizes
-via scipy's sum_labels, knowledge resolution via a dict of similarities and
+via scipy's sum_labels, axis moments and extreme projections per
+pixel, knowledge resolution via a dict of similarities and
 a keyed python sort, mask label validation via a full np.unique scan, token
 counts via one SHA-1 per token occurrence, index bytes via the seed's
 checksum-then-serialise save, evidence-graph invariants via the seed's
@@ -94,16 +95,27 @@ def _max_steps(mask):
     return int(math.ceil(math.hypot(*mask.labels.shape))) + 1
 
 
-def scalar_long_axis(mask, target_label, direction_of, n_probe_disks=20):
+def pixel_moments(xs, ys):
+    """(n, Σx, Σy, Σx², Σy², Σxy) of integer pixel coordinates, summed per
+    pixel."""
+    xs, ys = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
+    return (len(xs), int(xs.sum()), int(ys.sum()), int((xs * xs).sum()),
+            int((ys * ys).sum()), int((xs * ys).sum()))
+
+
+def scalar_long_axis(mask, target_label, principal_direction, n_probe_disks=20):
     """(apex, base_mid, length_mm) with one scalar chord per probe.
 
-    ``direction_of`` maps integer pixel coordinates (xs, ys) to the unit
-    principal direction, so the reference shares the axis fit and differs
-    only in the chords. Projections are elementwise, as in the program.
+    The region is the largest component from ndimage, its moments are
+    summed per pixel (``pixel_moments``) and ``principal_direction`` maps
+    them to the unit direction, so the reference shares the closed-form
+    eigenvector and differs in the labelling, the moments, the extreme
+    projections (a min and max over every pixel) and the chords.
+    Projections are elementwise, as in the program.
     """
     component = sum_labels_largest_component(mask.labels == target_label)
     ys, xs = np.nonzero(component)
-    direction = direction_of(xs, ys)
+    direction = principal_direction(pixel_moments(xs, ys))
     coords = np.stack([xs, ys], axis=1).astype(np.float64)
     centroid = coords.mean(axis=0)
     centered = coords - centroid

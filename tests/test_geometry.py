@@ -11,19 +11,33 @@ from echoagent.errors import GeometryError
 from echoagent.hub.toolkit import AREA_TOOL, build_default_registry
 from echoagent.quant.geometry import (
     LongAxis,
+    _largest_component,
     _principal_direction,
+    _row_runs,
+    _run_moments,
     disk_diameters,
-    largest_component,
     long_axis,
     mask_area,
 )
 from echoagent.quant.synth import ellipse_mask, rect_mask
 from echoagent.tools.masks import SegmentationMask
 from oracles import (
+    pixel_moments,
     scalar_disk_diameters,
     scalar_long_axis,
     sum_labels_largest_component,
 )
+
+
+def largest_component(binary):
+    """The run labeller's largest component, drawn back as a boolean image."""
+    component = np.zeros_like(binary, dtype=bool)
+    if binary.any():
+        rows, starts, stops = _row_runs(binary)
+        keep = _largest_component(rows, starts, stops)
+        for row, start, stop in zip(rows[keep], starts[keep], stops[keep]):
+            component[row, start:stop] = True
+    return component
 
 
 def full_mask(n=10, spacing=(1.0, 1.0)):
@@ -123,7 +137,7 @@ def test_isotropic_square_takes_the_x_axis():
     labels = np.zeros((40, 40), dtype=np.uint8)
     labels[10:30, 10:30] = 1
     ys, xs = np.nonzero(labels)
-    assert _principal_direction(xs, ys).tolist() == [1.0, 0.0]
+    assert _principal_direction(pixel_moments(xs, ys)).tolist() == [1.0, 0.0]
     axis = long_axis(SegmentationMask(labels, (1.0, 1.0), {1: "left ventricle"}), 1)
     # equal end widths tie; the smaller-y rule keeps the first endpoint
     assert axis.apex == (10.0, 19.5) and axis.base_mid == (29.0, 19.5)
@@ -137,7 +151,7 @@ def test_isotropic_square_takes_the_x_axis():
 )
 def test_principal_direction_is_the_covariance_eigenvector(points):
     xs, ys = (np.array(v, dtype=np.intp) for v in zip(*points))
-    direction = _principal_direction(xs, ys)
+    direction = _principal_direction(pixel_moments(xs, ys))
     assert math.hypot(*direction) == pytest.approx(1.0, abs=1e-15)
     assert direction[1] > 0 or (direction[1] == 0 and direction[0] > 0)
     coords = np.stack([xs, ys], axis=1).astype(np.float64)
@@ -312,6 +326,132 @@ def test_disks_on_arbitrary_axes_match_scalar_chords(mask, ends, n_disks, label)
 def test_largest_component_matches_sum_labels(mask, label):
     binary = mask.labels == label
     assert np.array_equal(largest_component(binary), sum_labels_largest_component(binary))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    binary=st.integers(1, 24).flatmap(lambda width: st.lists(
+        st.lists(st.booleans(), min_size=width, max_size=width), min_size=1, max_size=24,
+    )).map(lambda rows: np.array(rows, dtype=bool)),
+)
+def test_row_runs_are_the_maximal_runs_in_raster_order(binary):
+    rows, starts, stops = _row_runs(binary)
+    drawn = np.zeros_like(binary)
+    for row, start, stop in zip(rows, starts, stops):
+        assert 0 <= start < stop <= binary.shape[1]
+        drawn[row, start:stop] = True
+        # maximal: the pixels either side are off the mask
+        assert start == 0 or not binary[row, start - 1]
+        assert stop == binary.shape[1] or not binary[row, stop]
+    assert np.array_equal(drawn, binary)
+    keys = rows * (binary.shape[1] + 1) + starts
+    assert np.all(np.diff(keys) > 0)
+
+
+def _draw(labels, ys, xs):
+    ys, xs = np.asarray(ys), np.asarray(xs)
+    inside = (ys >= 0) & (ys < labels.shape[0]) & (xs >= 0) & (xs < labels.shape[1])
+    labels[ys[inside], xs[inside]] = 1
+
+
+@st.composite
+def merging_masks(draw):
+    """Canvases whose components have several first runs that join lower
+    down: combs with teeth above their bar, U-shapes (two-tooth combs),
+    and diagonal chains whose pixels meet only at corners; each shape may be
+    turned, and stray pixels lie around them."""
+    height, width = draw(st.integers(8, 48)), draw(st.integers(8, 48))
+    spacing = (draw(st.floats(0.2, 3.0)), draw(st.floats(0.2, 3.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = np.zeros((height, width), dtype=np.uint8)
+    for _ in range(draw(st.integers(1, 4))):
+        top, left = int(rng.integers(-4, height)), int(rng.integers(-4, width))
+        depth = int(rng.integers(1, 20))
+        if draw(st.booleans()):
+            teeth, pitch = int(rng.integers(2, 7)), int(rng.integers(2, 6))
+            for tooth in range(teeth):
+                _draw(labels, np.arange(top, top + depth), np.full(depth, left + tooth * pitch))
+            bar = np.arange(left, left + (teeth - 1) * pitch + 1)
+            _draw(labels, np.full(len(bar), top + depth), bar)
+        else:
+            step = 1 if draw(st.booleans()) else -1
+            _draw(labels, np.arange(top, top + depth), left + step * np.arange(depth))
+        labels = np.rot90(labels, draw(st.integers(0, 3)))
+        if labels.shape != (height, width):
+            labels = np.ascontiguousarray(labels.T)
+    stray = rng.random((height, width)) < draw(st.sampled_from([0.0, 0.02, 0.1]))
+    labels[stray] = 1
+    return SegmentationMask(np.ascontiguousarray(labels), spacing, {1: "left ventricle"})
+
+
+@settings(max_examples=150, deadline=None)
+@given(mask=merging_masks())
+def test_trees_that_merge_lower_down_match_sum_labels_and_the_oracle_axis(mask):
+    binary = mask.labels == 1
+    assert np.array_equal(largest_component(binary), sum_labels_largest_component(binary))
+    assume(int(binary.sum()) >= 20)
+    try:
+        long_axis(mask, 1)
+    except GeometryError:
+        assume(False)
+    _assert_matches_scalar(mask)
+
+
+def test_largest_component_tie_with_a_merged_u_goes_to_first_in_raster_order():
+    # the U's two arms are separate trees until its bar joins them; its
+    # first run, in row 0, comes before the block's, which comes before the
+    # right arm's, and both components have 33 px
+    binary = np.zeros((16, 12), dtype=bool)
+    binary[0:12, 0] = binary[0:12, 8] = True
+    binary[12, 0:9] = True
+    binary[0:11, 3:6] = True
+    u_shape = np.zeros_like(binary)
+    u_shape[0:12, 0] = u_shape[0:12, 8] = True
+    u_shape[12, 0:9] = True
+    assert u_shape.sum() == (binary & ~u_shape).sum() == 33
+    assert np.array_equal(largest_component(binary), u_shape)
+    assert np.array_equal(sum_labels_largest_component(binary), u_shape)
+
+
+@pytest.mark.parametrize("step", [1, -1])
+def test_pixels_meeting_at_corners_are_one_component(step):
+    # a 30 px diagonal chain outweighs a 25 px block only as one component
+    binary = np.zeros((40, 40), dtype=bool)
+    for i in range(30):
+        binary[i, 5 + i if step == 1 else 34 - i] = True
+    binary[34:39, 0:5] = True
+    component = largest_component(binary)
+    assert component.sum() == 30 and not component[34:39, 0:5].any()
+    assert np.array_equal(component, sum_labels_largest_component(binary))
+
+
+def test_half_noise_canvas_matches_the_oracle_bit_for_bit():
+    # the labeller's worst case: every other pixel on, thousands of merges
+    rng = np.random.default_rng(18)
+    labels = (rng.random((512, 512)) < 0.5).astype(np.uint8)
+    mask = SegmentationMask(labels, (0.4, 0.7), {1: "left ventricle"})
+    binary = labels == 1
+    assert np.array_equal(largest_component(binary), sum_labels_largest_component(binary))
+    _assert_matches_scalar(mask)
+
+
+def test_run_moments_are_exact_at_the_canvas_bound():
+    # 2**15 px a side: one run ends at x = 32,767 and one row is y = 32,767
+    side = 2**15
+    rows, starts, stops = _row_runs(np.ones((1, side), dtype=bool))
+    assert (rows.tolist(), starts.tolist(), stops.tolist()) == ([0], [0], [side])
+    xs = range(side)
+    sum_x, sum_xx = sum(xs), sum(x * x for x in xs)
+    for y in (0, side - 1):
+        assert _run_moments(rows + y, starts, stops) == (
+            side, sum_x, y * side, sum_xx, y * y * side, y * sum_x,
+        )
+    # the whole canvas: every row one full run
+    rows = np.arange(side)
+    starts, stops = np.zeros(side, dtype=np.intp), np.full(side, side, dtype=np.intp)
+    assert _run_moments(rows, starts, stops) == (
+        side * side, side * sum_x, side * sum_x, side * sum_xx, side * sum_xx, sum_x * sum_x,
+    )
 
 
 @st.composite

@@ -55,7 +55,7 @@ def test_build_kb_runs_without_scipy(corpus_dir, tmp_path):
     assert not has(modules, "scipy")
 
 
-def test_evaluate_runs_without_scipy_stats(corpus_dir, ef_dataset, tmp_path):
+def test_evaluate_runs_without_scipy(corpus_dir, ef_dataset, tmp_path):
     kb, report = tmp_path / "kb.json", tmp_path / "report.json"
     build_fixture_kb(corpus_dir).save(kb)
     modules = loaded_after(
@@ -63,13 +63,30 @@ def test_evaluate_runs_without_scipy_stats(corpus_dir, ef_dataset, tmp_path):
         f"assert main(['evaluate', {str(ef_dataset)!r}, '--kb', {str(kb)!r}, "
         f"'--report', {str(report)!r}]) == 0"
     )
-    # the report's AUROC is computed, so the metric ran in that process
+    # the report's AUROC is computed, so the metric and the volumes behind it
+    # ran in that process
     assert json.loads(report.read_text())["auroc"]["45"] == 1.0
-    assert not has(modules, "scipy.stats")
+    assert "echoagent.quant.geometry" in modules
+    assert not has(modules, "scipy")
+
+
+def test_run_study_runs_without_scipy(corpus_dir, ef_dataset, tmp_path):
+    kb, trace = tmp_path / "kb.json", tmp_path / "trace.jsonl"
+    build_fixture_kb(corpus_dir).save(kb)
+    study = ef_dataset / "studies" / "study-11"
+    modules = loaded_after(
+        "from echoagent.cli import main\n"
+        f"assert main(['run-study', {str(study)!r}, 'Is the ejection fraction normal?', "
+        f"'--kb', {str(kb)!r}, '--trace', {str(trace)!r}]) == 0"
+    )
+    # the volume steps fit the long axes, and the grade settles on one answer
+    events = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert [e["tool"] for e in events].count("quant.biplane_volume") == 2
+    assert max(events[-1]["posterior"]) >= 0.9
+    assert not has(modules, "scipy")
 
 
 def test_tools_listing_runs_without_scipy():
-    # scipy.ndimage is imported by the one function that labels components
     modules = loaded_after(
         "from echoagent.cli import main\n"
         "assert main(['tools']) == 0"
