@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -116,10 +117,10 @@ def cmd_query_kb(args, config: EngineConfig) -> int:
 
 def cmd_gen_fixtures(args, config: EngineConfig) -> int:
     from .fixtures.corpus import write_corpus
-    from .fixtures.studies import generate_dataset
-    from .quant.synth import (
-        cylinder_pair, cylinder_volume_ml, spheroid_pair, spheroid_volume_ml,
+    from .fixtures.shapes import (
+        cylinder_volume_ml, ellipse_mask, rect_mask, spheroid_volume_ml,
     )
+    from .fixtures.studies import generate_dataset
     from .tools.pgm import write_pgm
 
     out = Path(args.out_dir)
@@ -135,18 +136,24 @@ def cmd_gen_fixtures(args, config: EngineConfig) -> int:
             print(f"{record['id']}: {label}")
         print(f"wrote {len(records)} study records -> {out}")
         return EXIT_OK
-    # masks
-    out.mkdir(parents=True, exist_ok=True)
+    # masks: one rendered view stands for both apical views
+    for option in ("size", "length_mm", "radius_mm", "spacing"):
+        value = getattr(args, option)
+        if not (math.isfinite(value) and value > 0):
+            flag = "--" + option.replace("_", "-")
+            raise ContractError(f"{flag} must be a finite number > 0, got {value}")
+    spacing = (args.spacing, args.spacing)
     if args.kind == "spheroid":
-        a2c, a4c = spheroid_pair(args.length_mm, args.radius_mm, args.spacing, args.size)
+        mask = ellipse_mask(args.size, args.length_mm / 2.0, args.radius_mm, spacing)
         analytic = spheroid_volume_ml(args.length_mm, args.radius_mm)
     else:
         width_px = int(round(2 * args.radius_mm / args.spacing))
         height_px = int(round(args.length_mm / args.spacing))
-        a2c, a4c = cylinder_pair(width_px, height_px, args.spacing, args.size)
+        mask = rect_mask(args.size, width_px, height_px, spacing)
         analytic = cylinder_volume_ml(2 * args.radius_mm, args.length_mm)
-    write_pgm(out / "a2c.pgm", a2c.labels)
-    write_pgm(out / "a4c.pgm", a4c.labels)
+    out.mkdir(parents=True, exist_ok=True)
+    write_pgm(out / "a2c.pgm", mask.labels)
+    write_pgm(out / "a4c.pgm", mask.labels)
     meta = {
         "kind": args.kind,
         "length_mm": args.length_mm,

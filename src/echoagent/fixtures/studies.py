@@ -18,15 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from ..quant.grading import grade_ef
-from ..quant.synth import ellipse_mask
 from ..quant.volume import biplane_volume, ejection_fraction
 from ..tools.masks import SegmentationMask
 from ..tools.pgm import write_pgm
 from ..tools.views import A2C, A4C, PLAX
+from .shapes import ellipse_mask
 
 LV_LABEL = 1
 SIZE = 256
-SPACING_MM = 0.5
+SPACING = (0.5, 0.5)  # (sx, sy) in mm
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ def _write_study_dir(
     sidecar = {
         "view": view,
         "confidence": view_confidence,
-        "pixel_spacing_mm": [SPACING_MM, SPACING_MM],
+        "pixel_spacing_mm": list(SPACING),
         "frames": frames,
         "structure_map": {str(k): v for k, v in structure_map.items()},
         "segmentation_confidence": 1.0,
@@ -131,10 +131,9 @@ def _write_study_dir(
 def _ef_masks(spec: EfStudySpec) -> dict[str, SegmentationMask]:
     esv_fraction = 1.0 - spec.target_ef / 100.0
     es_radius = spec.ed_radius_mm * math.sqrt(esv_fraction / spec.es_length_scale)
-    ed = ellipse_mask(SIZE, spec.ed_length_mm / 2.0, spec.ed_radius_mm,
-                      SPACING_MM, LV_LABEL, "left ventricle")
+    ed = ellipse_mask(SIZE, spec.ed_length_mm / 2.0, spec.ed_radius_mm, SPACING)
     es = ellipse_mask(SIZE, spec.ed_length_mm * spec.es_length_scale / 2.0,
-                      es_radius, SPACING_MM, LV_LABEL, "left ventricle")
+                      es_radius, SPACING)
     return {"ED": ed, "ES": es}
 
 
@@ -176,7 +175,7 @@ def generate_qa_dataset(root: str | Path, seed: int = 1) -> list[dict]:
     for spec in QA_STUDY_SPECS:
         study_root = root / "studies" / spec.study_id
         semi_a, semi_b = spec.semi_axes_mm
-        mask = ellipse_mask(SIZE, semi_a, semi_b, SPACING_MM, 1, spec.anatomy)
+        mask = ellipse_mask(SIZE, semi_a, semi_b, SPACING, structure=spec.anatomy)
         view_dir = "plax" if spec.view == PLAX else "a4c"
         _write_study_dir(
             study_root / view_dir, spec.view, 0.96,

@@ -77,8 +77,8 @@ def pgm_header(width: int, height: int) -> bytes:
 
 def encode_pgm(pixels: np.ndarray) -> bytes:
     arr = np.asarray(pixels)
-    if arr.ndim != 2:
-        raise PgmFormatError("PGM payload must be a 2-D array")
+    if arr.ndim != 2 or arr.size == 0:
+        raise PgmFormatError(f"PGM payload must be a non-empty 2-D array (shape {arr.shape})")
     if arr.dtype != np.uint8:
         if arr.min() < 0 or arr.max() > 255:
             raise PgmFormatError("pixel values outside 8-bit range")

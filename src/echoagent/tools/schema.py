@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from ..errors import ContractError
 from .masks import SegmentationMask
 
-FIELD_TYPES = ("string", "number", "integer", "boolean", "array", "object", "mask")
+FIELD_TYPES = ("string", "number", "integer", "boolean", "mask")
 
 
 @dataclass(frozen=True)
@@ -32,10 +32,6 @@ def _type_ok(value, type_name: str) -> bool:
         return isinstance(value, int) and not isinstance(value, bool)
     if type_name == "boolean":
         return isinstance(value, bool)
-    if type_name == "array":
-        return isinstance(value, (list, tuple))
-    if type_name == "object":
-        return isinstance(value, dict)
     if type_name == "mask":
         return isinstance(value, SegmentationMask)
     return False

@@ -16,6 +16,7 @@ from oracles import all_pairs_auroc, brute_force_topk, confusion_gmean
 from echoagent.config import EngineConfig
 from echoagent.errors import ContractError, IndexLoadError
 from echoagent.evalharness.metrics import auroc, gmean
+from echoagent.fixtures.shapes import cylinder_volume_ml, ellipse_mask, rect_mask, spheroid_volume_ml
 from echoagent.hub.engine import DiagnosticQuery, ReasoningHub
 from echoagent.hub.graph import CAUSAL_KINDS, ReasoningGraph
 from echoagent.hub.hypotheses import update_posteriors
@@ -23,7 +24,6 @@ from echoagent.hub.toolkit import build_default_registry
 from echoagent.kb.encoder import HashedBowEncoder
 from echoagent.kb.index import KnowledgeBase, _checksum
 from echoagent.quant.grading import grade_ef
-from echoagent.quant.synth import cylinder_pair, cylinder_volume_ml, spheroid_pair, spheroid_volume_ml
 from echoagent.quant.volume import biplane_volume
 
 
@@ -34,18 +34,18 @@ def report(number: int, description: str, ok: bool) -> bool:
 
 def test_criterion_1_disk_summation_oracles():
     started = time.monotonic()
-    s2, s4 = spheroid_pair(length_mm=80, radius_mm=25, spacing_mm=0.5, size=256)
+    spheroid = ellipse_mask(256, 40.0, 25.0, spacing_mm=(0.5, 0.5))
     spheroid_true = spheroid_volume_ml(80, 25)
-    spheroid_value = biplane_volume(s2, s4, 1, 20)
+    spheroid_value = biplane_volume(spheroid, spheroid, 1, 20)
     spheroid_ok = abs(spheroid_value - spheroid_true) / spheroid_true <= 0.02
 
-    c2, c4 = cylinder_pair(width_px=20, height_px=60, spacing_mm=1.0)
+    cylinder = rect_mask(128, width_px=20, height_px=60, spacing_mm=(1.0, 1.0))
     cylinder_true = cylinder_volume_ml(20, 60)
-    cylinder_value = biplane_volume(c2, c4, 1, 20)
+    cylinder_value = biplane_volume(cylinder, cylinder, 1, 20)
     cylinder_ok = abs(cylinder_value - cylinder_true) / cylinder_true <= 0.02
 
     errors = [
-        abs(biplane_volume(s2, s4, 1, n) - spheroid_true) / spheroid_true
+        abs(biplane_volume(spheroid, spheroid, 1, n) - spheroid_true) / spheroid_true
         for n in (5, 10, 20, 40)
     ]
     monotone_ok = all(b <= a + 0.002 for a, b in zip(errors, errors[1:]))

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -216,6 +217,51 @@ def test_gen_fixtures_same_seed_is_reproducible(capsys, tmp_path):
         )
         assert code == 0
     assert fixture_digest(tmp_path / "r1") == fixture_digest(tmp_path / "r2")
+
+
+FIXTURE_DIGEST = "c60fd10f03680003031dc802e1d42cfde907e0187a1cae0ee20096c7aed0e819"
+DEFAULT_MASK_SHA256 = "f61df51d6dbed8f98e333de4b7f6426aea2447af41aa97eccd084ba43ee5b1f5"
+
+
+def test_gen_fixtures_bytes_are_pinned(capsys, tmp_path):
+    """The seed-0 dataset with the multiple-choice studies, and the default
+    spheroid masks, render to these exact bytes.
+
+    Moving the shape renderer must not move a pixel. Scoring EF against
+    analytic geometry (ROADMAP.md, "Score the pipeline against geometry")
+    changes the dataset by design; that change must state the new digest
+    here.
+    """
+    from echoagent.evalharness.benchmark import fixture_digest
+
+    code, _, _ = run_cli(capsys, "gen-fixtures", "dataset", str(tmp_path / "d"), "--include-qa")
+    assert code == 0
+    assert fixture_digest(tmp_path / "d") == FIXTURE_DIGEST
+    code, _, _ = run_cli(capsys, "gen-fixtures", "masks", str(tmp_path / "m"))
+    assert code == 0
+    for view in ("a2c", "a4c"):
+        data = (tmp_path / "m" / f"{view}.pgm").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == DEFAULT_MASK_SHA256
+
+
+@pytest.mark.parametrize("argv", [
+    ["--size", "0"],
+    ["--size", "-1"],
+    ["--spacing", "0"],
+    ["--spacing", "nan"],
+    ["--radius-mm", "0"],
+    ["--length-mm", "-5"],
+    ["--length-mm", "inf"],
+    ["--kind", "cylinder", "--radius-mm", "-1"],
+], ids=" ".join)
+def test_gen_fixtures_masks_refuses_a_non_positive_or_non_finite_option(
+    capsys, tmp_path, argv
+):
+    out = tmp_path / "m"
+    code, _, err = run_cli(capsys, "gen-fixtures", "masks", str(out), *argv)
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_tools_listing_covers_all_three_layers(capsys):

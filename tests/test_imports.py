@@ -37,6 +37,7 @@ def has(modules: set[str], name: str) -> bool:
     ("echoagent.tools.pgm", ("requests",)),
     ("echoagent.evalharness.dataset", ("scipy.stats",)),
     ("echoagent.evalharness.benchmark", ("scipy.stats",)),
+    ("echoagent.quant.volume", ("echoagent.fixtures",)),
 ])
 def test_importing_a_module_loads_only_its_dependencies(module, absent):
     modules = loaded_after(f"import {module}")

@@ -39,6 +39,14 @@ def test_encode_rejects_non_2d():
         encode_pgm(np.zeros((2, 2, 2), dtype=np.uint8))
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, int])
+@pytest.mark.parametrize("shape", [(3, 0), (0, 3), (0, 0)])
+def test_encode_rejects_an_empty_raster(shape, dtype):
+    # the reader refuses a 0-pixel header, so the writer never writes one
+    with pytest.raises(PgmFormatError, match="empty"):
+        encode_pgm(np.zeros(shape, dtype=dtype))
+
+
 def test_dimensions_skip_a_comment_longer_than_the_first_read(tmp_path):
     path = tmp_path / "commented.pgm"
     path.write_bytes(b"P5\n# " + b"x" * 500 + b"\n3 2\n255\n" + bytes(6))

@@ -7,37 +7,37 @@ from hypothesis import strategies as st
 from echoagent.errors import DomainError, VolumeError
 from conftest import rescale_spacing, rotate90, translate
 
-from echoagent.quant.synth import (
-    cylinder_pair,
+from echoagent.fixtures.shapes import (
     cylinder_volume_ml,
+    ellipse_mask,
     rect_mask,
-    spheroid_pair,
     spheroid_volume_ml,
 )
 from echoagent.hub.toolkit import EF_TOOL, build_default_registry
+from echoagent.quant.geometry import mask_area
 from echoagent.quant.volume import biplane_volume, ejection_fraction
 
 
 def test_cylinder_volume_within_two_percent():
-    a2c, a4c = cylinder_pair(width_px=20, height_px=60, spacing_mm=1.0)
+    mask = rect_mask(128, width_px=20, height_px=60, spacing_mm=(1.0, 1.0))
     expected = cylinder_volume_ml(20.0, 60.0)  # 18.85 mL
-    value = biplane_volume(a2c, a4c, 1, 20)
+    value = biplane_volume(mask, mask, 1, 20)
     assert value == pytest.approx(expected, rel=0.02)
 
 
 def test_spheroid_volume_within_two_percent():
-    a2c, a4c = spheroid_pair(length_mm=80, radius_mm=25, spacing_mm=0.5, size=256)
+    mask = ellipse_mask(256, 40.0, 25.0, spacing_mm=(0.5, 0.5))
     expected = spheroid_volume_ml(80, 25)  # 104.72 mL
-    value = biplane_volume(a2c, a4c, 1, 20)
+    value = biplane_volume(mask, mask, 1, 20)
     assert value == pytest.approx(expected, rel=0.02)
 
 
 def test_convergence_error_non_increasing_in_disk_count():
-    a2c, a4c = spheroid_pair()
+    mask = ellipse_mask(256, 40.0, 25.0, spacing_mm=(0.5, 0.5))
     expected = spheroid_volume_ml(80, 25)
     errors = []
     for n in (5, 10, 20, 40):
-        value = biplane_volume(a2c, a4c, 1, n)
+        value = biplane_volume(mask, mask, 1, n)
         errors.append(abs(value - expected) / expected)
     for previous, current in zip(errors, errors[1:]):
         assert current <= previous + 0.002  # pixelization slack per step
@@ -54,34 +54,51 @@ def test_halving_one_view_halves_the_volume():
 
 
 def test_empty_view_names_the_view():
-    a2c, a4c = cylinder_pair()
+    mask = rect_mask(128, width_px=20, height_px=60)
     empty = rect_mask(128, width_px=0, height_px=0)
     with pytest.raises(VolumeError, match="a4c"):
-        biplane_volume(a2c, empty, 1, 20)
+        biplane_volume(mask, empty, 1, 20)
     with pytest.raises(VolumeError, match="a2c"):
-        biplane_volume(empty, a4c, 1, 20)
+        biplane_volume(empty, mask, 1, 20)
 
 
 def test_translation_changes_volume_by_under_two_percent():
-    a2c, a4c = spheroid_pair()
-    moved = translate(a2c, 7, -5)
-    baseline = biplane_volume(a2c, a4c, 1, 20)
-    shifted = biplane_volume(moved, a4c, 1, 20)
+    mask = ellipse_mask(256, 40.0, 25.0, spacing_mm=(0.5, 0.5))
+    moved = translate(mask, 7, -5)
+    baseline = biplane_volume(mask, mask, 1, 20)
+    shifted = biplane_volume(moved, mask, 1, 20)
     assert abs(shifted - baseline) / baseline < 0.02
 
 
 def test_rotation_by_ninety_degrees_changes_volume_by_under_two_percent():
-    a2c, a4c = spheroid_pair()
-    baseline = biplane_volume(a2c, a4c, 1, 20)
-    rotated = biplane_volume(rotate90(a2c), a4c, 1, 20)
+    mask = ellipse_mask(256, 40.0, 25.0, spacing_mm=(0.5, 0.5))
+    baseline = biplane_volume(mask, mask, 1, 20)
+    rotated = biplane_volume(rotate90(mask), mask, 1, 20)
     assert abs(rotated - baseline) / baseline < 0.02
 
 
+@pytest.mark.parametrize("tilt_deg", [0.0, 7.5, 15.0, 22.5, 30.0])
+def test_tilted_spheroid_volume_within_two_percent(tilt_deg):
+    mask = ellipse_mask(256, 40.0, 25.0, spacing_mm=(0.5, 0.5), tilt_deg=tilt_deg)
+    value = biplane_volume(mask, mask, 1, 20)
+    assert value == pytest.approx(spheroid_volume_ml(80, 25), rel=0.02)
+
+
+@pytest.mark.parametrize("spacing", [
+    (0.5, 0.5), (0.25, 0.5), (0.5, 0.25), (0.3, 0.6), (0.6, 0.3), (0.4, 0.5), (0.5, 0.4),
+])
+@pytest.mark.parametrize("tilt_deg", [0.0, 20.0])
+def test_rendered_area_matches_the_ellipse_under_any_spacing(spacing, tilt_deg):
+    # 384 px cover at least 96 mm in each direction, so the 80 mm ellipse is whole
+    mask = ellipse_mask(384, 40.0, 25.0, spacing_mm=spacing, tilt_deg=tilt_deg)
+    assert mask_area(mask, 1) == pytest.approx(math.pi * 40.0 * 25.0, rel=0.005)
+
+
 def test_doubling_spacing_scales_volume_by_exactly_eight():
-    a2c, a4c = spheroid_pair(size=256)
-    baseline = biplane_volume(a2c, a4c, 1, 20)
+    mask = ellipse_mask(256, 40.0, 25.0, spacing_mm=(0.5, 0.5))
+    baseline = biplane_volume(mask, mask, 1, 20)
     doubled = biplane_volume(
-        rescale_spacing(a2c, 2.0), rescale_spacing(a4c, 2.0), 1, 20
+        rescale_spacing(mask, 2.0), rescale_spacing(mask, 2.0), 1, 20
     )
     assert doubled == pytest.approx(8.0 * baseline, rel=1e-9)
 
