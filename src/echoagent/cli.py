@@ -142,15 +142,25 @@ def cmd_gen_fixtures(args, config: EngineConfig) -> int:
         if not (math.isfinite(value) and value > 0):
             flag = "--" + option.replace("_", "-")
             raise ContractError(f"{flag} must be a finite number > 0, got {value}")
-    spacing = (args.spacing, args.spacing)
     if args.kind == "spheroid":
-        mask = ellipse_mask(args.size, args.length_mm / 2.0, args.radius_mm, spacing)
+        # the outermost pixel centres lie (size - 1) / 2 spacings from the middle
+        span_mm = (args.size - 1) * args.spacing
+        fits = max(args.length_mm, 2 * args.radius_mm) <= span_mm
+        mask = ellipse_mask(args.size, args.length_mm / 2.0, args.radius_mm, args.spacing)
         analytic = spheroid_volume_ml(args.length_mm, args.radius_mm)
     else:
         width_px = int(round(2 * args.radius_mm / args.spacing))
         height_px = int(round(args.length_mm / args.spacing))
-        mask = rect_mask(args.size, width_px, height_px, spacing)
+        fits = max(width_px, height_px) <= args.size
+        mask = rect_mask(args.size, width_px, height_px, (args.spacing, args.spacing))
         analytic = cylinder_volume_ml(2 * args.radius_mm, args.length_mm)
+    if not fits:
+        raise ContractError(
+            f"a {args.length_mm} x {2 * args.radius_mm} mm {args.kind} does not fit "
+            f"on {args.size} x {args.size} px at {args.spacing} mm"
+        )
+    if not mask.labels.any():
+        raise ContractError(f"the {args.kind} covers no pixel centre at {args.spacing} mm")
     out.mkdir(parents=True, exist_ok=True)
     write_pgm(out / "a2c.pgm", mask.labels)
     write_pgm(out / "a4c.pgm", mask.labels)

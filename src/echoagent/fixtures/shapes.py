@@ -1,8 +1,9 @@
 """Shape renderers and their analytic volumes, for fixtures and oracle checks.
 
-Shapes are defined in millimetres about the canvas centre c = (size - 1) / 2
+Ellipses are defined in millimetres about the canvas centre c = (size - 1) / 2
 (a half-integer for even sizes, which keeps chords symmetric) and sampled at
-pixel centres: pixel (x, y) lies at ((x - c) * sx, (y - c) * sy) mm. A
+pixel centres: at a spacing of s mm, pixel (x, y) lies at ((x - c) * s,
+(y - c) * s) mm. A
 prolate spheroid with a circular cross-section shows the same ellipse in
 both apical views, so one rendered mask stands for both; rectangles stand in
 for cylinders.
@@ -20,29 +21,21 @@ def ellipse_mask(
     size: int,
     semi_long_mm: float,
     semi_short_mm: float,
-    spacing_mm: tuple[float, float],
-    tilt_deg: float = 0.0,
+    spacing_mm: float,
     label: int = 1,
     structure: str = "left ventricle",
 ) -> SegmentationMask:
-    """Ellipse with its long axis vertical at tilt 0.
-
-    A positive tilt turns the long axis from +y towards +x. A pixel is
-    inside when its centre, in millimetres and rotated by the tilt, lies in
-    the ellipse.
-    """
-    sx, sy = spacing_mm
+    """Ellipse with its long axis vertical, on square pixels of spacing_mm."""
     c = (size - 1) / 2.0
-    theta = math.radians(tilt_deg)
-    cos, sin = math.cos(theta), math.sin(theta)
-    dx = ((np.arange(size) - c) * sx)[np.newaxis, :]
-    dy = ((np.arange(size) - c) * sy)[:, np.newaxis]
-    along = (dy * cos + dx * sin) / semi_long_mm
-    across = (dx * cos - dy * sin) / semi_short_mm
-    inside = along**2 + across**2 <= 1.0
+    offsets_mm = (np.arange(size) - c) * spacing_mm
+    dx = offsets_mm[np.newaxis, :]
+    dy = offsets_mm[:, np.newaxis]
+    inside = (dy / semi_long_mm) ** 2 + (dx / semi_short_mm) ** 2 <= 1.0
     labels = np.where(inside, np.uint8(label), np.uint8(0))
     return SegmentationMask(
-        labels=labels, pixel_spacing_mm=(sx, sy), structure_map={label: structure}
+        labels=labels,
+        pixel_spacing_mm=(spacing_mm, spacing_mm),
+        structure_map={label: structure},
     )
 
 

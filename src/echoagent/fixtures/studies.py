@@ -26,7 +26,7 @@ from .shapes import ellipse_mask
 
 LV_LABEL = 1
 SIZE = 256
-SPACING = (0.5, 0.5)  # (sx, sy) in mm
+SPACING_MM = 0.5
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ def _write_study_dir(
     sidecar = {
         "view": view,
         "confidence": view_confidence,
-        "pixel_spacing_mm": list(SPACING),
+        "pixel_spacing_mm": [SPACING_MM, SPACING_MM],
         "frames": frames,
         "structure_map": {str(k): v for k, v in structure_map.items()},
         "segmentation_confidence": 1.0,
@@ -131,9 +131,9 @@ def _write_study_dir(
 def _ef_masks(spec: EfStudySpec) -> dict[str, SegmentationMask]:
     esv_fraction = 1.0 - spec.target_ef / 100.0
     es_radius = spec.ed_radius_mm * math.sqrt(esv_fraction / spec.es_length_scale)
-    ed = ellipse_mask(SIZE, spec.ed_length_mm / 2.0, spec.ed_radius_mm, SPACING)
+    ed = ellipse_mask(SIZE, spec.ed_length_mm / 2.0, spec.ed_radius_mm, SPACING_MM)
     es = ellipse_mask(SIZE, spec.ed_length_mm * spec.es_length_scale / 2.0,
-                      es_radius, SPACING)
+                      es_radius, SPACING_MM)
     return {"ED": ed, "ES": es}
 
 
@@ -175,7 +175,7 @@ def generate_qa_dataset(root: str | Path, seed: int = 1) -> list[dict]:
     for spec in QA_STUDY_SPECS:
         study_root = root / "studies" / spec.study_id
         semi_a, semi_b = spec.semi_axes_mm
-        mask = ellipse_mask(SIZE, semi_a, semi_b, SPACING, structure=spec.anatomy)
+        mask = ellipse_mask(SIZE, semi_a, semi_b, SPACING_MM, structure=spec.anatomy)
         view_dir = "plax" if spec.view == PLAX else "a4c"
         _write_study_dir(
             study_root / view_dir, spec.view, 0.96,

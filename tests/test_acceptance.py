@@ -34,7 +34,7 @@ def report(number: int, description: str, ok: bool) -> bool:
 
 def test_criterion_1_disk_summation_oracles():
     started = time.monotonic()
-    spheroid = ellipse_mask(256, 40.0, 25.0, spacing_mm=(0.5, 0.5))
+    spheroid = ellipse_mask(256, 40.0, 25.0, spacing_mm=0.5)
     spheroid_true = spheroid_volume_ml(80, 25)
     spheroid_value = biplane_volume(spheroid, spheroid, 1, 20)
     spheroid_ok = abs(spheroid_value - spheroid_true) / spheroid_true <= 0.02

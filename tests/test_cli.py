@@ -253,10 +253,11 @@ def test_gen_fixtures_bytes_are_pinned(capsys, tmp_path):
     ["--length-mm", "-5"],
     ["--length-mm", "inf"],
     ["--kind", "cylinder", "--radius-mm", "-1"],
+    ["--size", "8"],  # the 80 mm spheroid overruns a 3.5 mm canvas
+    ["--kind", "cylinder", "--size", "100"],  # 160 px tall on a 100 px canvas
+    ["--radius-mm", "0.01"],  # no pixel centre lies inside
 ], ids=" ".join)
-def test_gen_fixtures_masks_refuses_a_non_positive_or_non_finite_option(
-    capsys, tmp_path, argv
-):
+def test_gen_fixtures_masks_refuses_a_shape_it_cannot_render(capsys, tmp_path, argv):
     out = tmp_path / "m"
     code, _, err = run_cli(capsys, "gen-fixtures", "masks", str(out), *argv)
     assert code == 3

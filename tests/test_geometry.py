@@ -127,7 +127,7 @@ def test_rotated_rectangle_axis_is_horizontal_same_length():
 
 
 def test_disk_axis_length_equals_diameter():
-    mask = ellipse_mask(128, semi_long_mm=30, semi_short_mm=30, spacing_mm=(1.0, 1.0))
+    mask = ellipse_mask(128, semi_long_mm=30, semi_short_mm=30, spacing_mm=1.0)
     axis = long_axis(mask, 1)
     assert axis.length_mm == pytest.approx(60.0, abs=1.0)
 

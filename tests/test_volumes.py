@@ -14,7 +14,6 @@ from echoagent.fixtures.shapes import (
     spheroid_volume_ml,
 )
 from echoagent.hub.toolkit import EF_TOOL, build_default_registry
-from echoagent.quant.geometry import mask_area
 from echoagent.quant.volume import biplane_volume, ejection_fraction
 
 
@@ -26,14 +25,14 @@ def test_cylinder_volume_within_two_percent():
 
 
 def test_spheroid_volume_within_two_percent():
-    mask = ellipse_mask(256, 40.0, 25.0, spacing_mm=(0.5, 0.5))
+    mask = ellipse_mask(256, 40.0, 25.0, spacing_mm=0.5)
     expected = spheroid_volume_ml(80, 25)  # 104.72 mL
     value = biplane_volume(mask, mask, 1, 20)
     assert value == pytest.approx(expected, rel=0.02)
 
 
 def test_convergence_error_non_increasing_in_disk_count():
-    mask = ellipse_mask(256, 40.0, 25.0, spacing_mm=(0.5, 0.5))
+    mask = ellipse_mask(256, 40.0, 25.0, spacing_mm=0.5)
     expected = spheroid_volume_ml(80, 25)
     errors = []
     for n in (5, 10, 20, 40):
@@ -63,7 +62,7 @@ def test_empty_view_names_the_view():
 
 
 def test_translation_changes_volume_by_under_two_percent():
-    mask = ellipse_mask(256, 40.0, 25.0, spacing_mm=(0.5, 0.5))
+    mask = ellipse_mask(256, 40.0, 25.0, spacing_mm=0.5)
     moved = translate(mask, 7, -5)
     baseline = biplane_volume(mask, mask, 1, 20)
     shifted = biplane_volume(moved, mask, 1, 20)
@@ -71,31 +70,14 @@ def test_translation_changes_volume_by_under_two_percent():
 
 
 def test_rotation_by_ninety_degrees_changes_volume_by_under_two_percent():
-    mask = ellipse_mask(256, 40.0, 25.0, spacing_mm=(0.5, 0.5))
+    mask = ellipse_mask(256, 40.0, 25.0, spacing_mm=0.5)
     baseline = biplane_volume(mask, mask, 1, 20)
     rotated = biplane_volume(rotate90(mask), mask, 1, 20)
     assert abs(rotated - baseline) / baseline < 0.02
 
 
-@pytest.mark.parametrize("tilt_deg", [0.0, 7.5, 15.0, 22.5, 30.0])
-def test_tilted_spheroid_volume_within_two_percent(tilt_deg):
-    mask = ellipse_mask(256, 40.0, 25.0, spacing_mm=(0.5, 0.5), tilt_deg=tilt_deg)
-    value = biplane_volume(mask, mask, 1, 20)
-    assert value == pytest.approx(spheroid_volume_ml(80, 25), rel=0.02)
-
-
-@pytest.mark.parametrize("spacing", [
-    (0.5, 0.5), (0.25, 0.5), (0.5, 0.25), (0.3, 0.6), (0.6, 0.3), (0.4, 0.5), (0.5, 0.4),
-])
-@pytest.mark.parametrize("tilt_deg", [0.0, 20.0])
-def test_rendered_area_matches_the_ellipse_under_any_spacing(spacing, tilt_deg):
-    # 384 px cover at least 96 mm in each direction, so the 80 mm ellipse is whole
-    mask = ellipse_mask(384, 40.0, 25.0, spacing_mm=spacing, tilt_deg=tilt_deg)
-    assert mask_area(mask, 1) == pytest.approx(math.pi * 40.0 * 25.0, rel=0.005)
-
-
 def test_doubling_spacing_scales_volume_by_exactly_eight():
-    mask = ellipse_mask(256, 40.0, 25.0, spacing_mm=(0.5, 0.5))
+    mask = ellipse_mask(256, 40.0, 25.0, spacing_mm=0.5)
     baseline = biplane_volume(mask, mask, 1, 20)
     doubled = biplane_volume(
         rescale_spacing(mask, 2.0), rescale_spacing(mask, 2.0), 1, 20
