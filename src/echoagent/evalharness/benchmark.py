@@ -151,7 +151,8 @@ def run_benchmark(
     ok = [r for r in results if r.succeeded]
     failed = len(results) - len(ok)
 
-    ef_ok = [r for r in ok if r.record_id in {x.id for x in records if x.is_ef}]
+    truth_ef = {x.id: x.truth.ef_percent for x in records if x.is_ef}
+    ef_ok = [r for r in ok if r.record_id in truth_ef]
     y_true = [r.truth_label for r in ok]
     y_pred = [r.predicted_label for r in ok]
 
@@ -167,7 +168,6 @@ def run_benchmark(
 
     auroc_by_threshold: dict[str, float | None] = {}
     scored = [r for r in ef_ok if r.predicted_ef is not None]
-    truth_ef = {x.id: x.truth.ef_percent for x in records if x.is_ef}
     for threshold in (50.0, 40.0, float(extra_threshold)):
         key = f"{threshold:g}"
         if not scored:

@@ -334,3 +334,33 @@ def test_a_mismatched_encoder_exits_one_naming_both_encoders(
     assert err.startswith("error: ")
     assert "'hashed-bow-256'" in err and "'hashed-bow-128'" in err
     assert not (tmp_path / "t.jsonl").exists()
+
+
+def test_run_study_into_a_directory_exits_one_with_one_error_line(
+    capsys, saved_kb, ef_dataset, tmp_path
+):
+    trace_dir = tmp_path / "traces"
+    trace_dir.mkdir()
+    code, _, err = run_cli(
+        capsys, "run-study", str(ef_dataset / "studies" / "study-11"),
+        "Is the ejection fraction normal?", "--kb", str(saved_kb),
+        "--trace", str(trace_dir),
+    )
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_run_study_twice_into_one_trace_file_gives_the_same_bytes(
+    capsys, saved_kb, ef_dataset, tmp_path
+):
+    trace = tmp_path / "t.jsonl"
+    argv = ["run-study", str(ef_dataset / "studies" / "study-11"),
+            "Is the ejection fraction normal?", "--kb", str(saved_kb),
+            "--trace", str(trace)]
+    assert run_cli(capsys, *argv)[0] == 0
+    first = trace.read_bytes()
+    trace.write_bytes(first + first)
+    assert run_cli(capsys, *argv)[0] == 0
+    assert trace.read_bytes() == first

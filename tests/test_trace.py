@@ -1,4 +1,5 @@
-"""Trace digests: the JSON encoder's walk gives the seed's digests."""
+"""Trace digests: the JSON encoder's walk gives the seed's digests. Trace
+files: each write leaves exactly the records' JSON lines at the path."""
 import json
 import shutil
 
@@ -9,7 +10,7 @@ from oracles import seed_digest
 
 from echoagent.hub import engine
 from echoagent.hub.engine import DiagnosticQuery, ReasoningHub
-from echoagent.hub.trace import canonical_payload, digest
+from echoagent.hub.trace import TraceWriter, canonical_payload, digest
 from echoagent.tools.masks import SegmentationMask
 
 EF_QUESTION = "Is the ejection fraction normal?"
@@ -86,3 +87,44 @@ def test_an_unsupported_type_is_a_type_error(value):
         digest({"value": value})
     with pytest.raises(TypeError):
         canonical_payload(value)
+
+
+def _writer(records: int) -> TraceWriter:
+    trace = TraceWriter()
+    for t in range(records):
+        trace.emit(t, "step", [0.25, 0.75], step_id=t, tool="quant.area",
+                   outputs_digest="ab" * 32, confidence=0.9, trigger=t % 2 == 1)
+    return trace
+
+
+@pytest.mark.parametrize("old", [b"x" * 4096, b"{}\n"], ids=["longer", "shorter"])
+def test_write_over_an_existing_file_leaves_exactly_the_new_lines(tmp_path, old):
+    path = tmp_path / "r.trace.jsonl"
+    path.write_bytes(old)
+    trace = _writer(3)
+    assert trace.write(path) == path
+    assert path.read_bytes() == trace.to_jsonl().encode("utf-8")
+
+
+def test_write_creates_missing_parent_directories(tmp_path):
+    path = tmp_path / "a" / "b" / "r.trace.jsonl"
+    trace = _writer(2)
+    trace.write(str(path))
+    assert path.read_bytes() == trace.to_jsonl().encode("utf-8")
+
+
+def test_write_through_a_symlink_rewrites_the_target_and_keeps_the_link(tmp_path):
+    target = tmp_path / "target.jsonl"
+    target.write_bytes(b"stale\n" * 100)
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(target)
+    trace = _writer(1)
+    trace.write(link)
+    assert link.is_symlink()
+    assert target.read_bytes() == trace.to_jsonl().encode("utf-8")
+
+
+def test_write_to_a_directory_is_an_os_error(tmp_path):
+    (tmp_path / "r.trace.jsonl").mkdir()
+    with pytest.raises(OSError):
+        _writer(1).write(tmp_path / "r.trace.jsonl")
