@@ -31,6 +31,7 @@ from .errors import (
     VolumeError,
 )
 from .kb.chunking import load_corpus
+from .kb.criteria import criteria_sentences
 from .kb.encoder import HashedBowEncoder, HttpEncoder
 from .kb.index import KnowledgeBase
 from .kb.summarize import HttpSummarizer, build_all_entries
@@ -92,6 +93,15 @@ def cmd_build_kb(args, config: EngineConfig) -> int:
     kb.save(args.out_path)
     for name in anatomy.ANATOMY_NAMES:
         print(f"{name}: {kb.group_rows[name].size} primitives")
+    for name in anatomy.ANATOMY_NAMES:
+        entry = kb.entries[name]
+        print(f"rules of {name}:" + ("" if entry.rules else " none"))
+        for rule in entry.rules:
+            print(f"  {rule.describe()}")
+        parsed = {rule.source_text for rule in entry.rules}
+        for sentence in criteria_sentences(entry.section_items("diagnostic_criteria")):
+            if sentence not in parsed:
+                print(f"  no rule: {sentence}")
     print(f"saved {len(kb)} primitives, {len(kb.entries)} entries -> {args.out_path}")
     return EXIT_OK
 

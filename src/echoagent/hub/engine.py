@@ -17,6 +17,7 @@ import numpy as np
 from ..anatomy import dominant_group
 from ..config import EngineConfig
 from ..errors import ContractError, EchoAgentError, GraphError, ResolutionError
+from ..kb.criteria import ThresholdRule
 from ..kb.index import KnowledgeBase
 from ..kb.summarize import RepositoryEntry, empty_entry
 from ..quant.grading import normalize_grade_label
@@ -24,14 +25,7 @@ from ..tools import backends
 from ..tools.registry import LogEntry, ToolRegistry
 from ..tools.views import A2C, A4C, ALTERNATE_VIEW, load_taxonomy
 from .graph import ReasoningGraph
-from .hypotheses import (
-    ThresholdRule,
-    hypothesis_labels,
-    labels_match,
-    normalized_entropy,
-    parse_criteria,
-    update_posteriors,
-)
+from .hypotheses import hypothesis_labels, labels_match, normalized_entropy, update_posteriors
 from .planning import ED, ES, ActionStep, plan_steps
 from .trace import TraceWriter, digest
 
@@ -129,8 +123,8 @@ class ReasoningHub:
         registry = self.registry.for_run()
         anatomy_name, entry, similarity = self.resolve_repository(query)
 
-        rules = parse_criteria(entry.section_items("diagnostic_criteria"))
-        labels = hypothesis_labels(query.options, rules, entry.section_items("diagnostic_criteria"))
+        labels = hypothesis_labels(query.options, entry.rules,
+                                   entry.section_items("diagnostic_criteria"))
         posterior = np.full(len(labels), 1.0 / len(labels))
 
         graph = ReasoningGraph()
@@ -153,7 +147,7 @@ class ReasoningHub:
             }),
         )
 
-        state = _RunState(registry=registry, graph=graph, anchors=anchors, rules=rules,
+        state = _RunState(registry=registry, graph=graph, anchors=anchors, rules=entry.rules,
                           hypothesis_nodes=hypothesis_nodes, labels=labels)
         queue: deque[ActionStep] = deque(plan.steps)
         next_step_id = len(plan.steps)
@@ -420,7 +414,7 @@ class _RunState:
     registry: ToolRegistry  # the run's own, from ToolRegistry.for_run
     graph: ReasoningGraph
     anchors: dict[str, str]
-    rules: list[ThresholdRule]
+    rules: tuple[ThresholdRule, ...]
     hypothesis_nodes: dict[str, str]
     labels: tuple[str, ...]
     study_of_view: dict[str, str] = field(default_factory=dict)

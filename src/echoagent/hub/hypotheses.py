@@ -1,4 +1,4 @@
-"""Hypothesis labels, criteria threshold rules, and posterior scoring.
+"""Hypothesis labels and posterior scoring.
 
 The posterior over hypotheses is proportional to a uniform prior times a
 log-linear likelihood over the graph's supports/contradicts edges:
@@ -12,102 +12,15 @@ a positive constant.
 from __future__ import annotations
 
 import math
-import re
-from dataclasses import dataclass
 
 import numpy as np
 
+from ..kb.criteria import ThresholdRule
 from ..quant.grading import GRADES, normalize_grade_label
 from .graph import ReasoningGraph
 
-_NUMBER = r"(\d+(?:\.\d+)?)"
 
-# comparator phrase -> operator(s); checked in order, first hit wins
-_COMPARATOR_PATTERNS: tuple[tuple[str, tuple[str, ...]], ...] = (
-    (rf"between\s+{_NUMBER}\s*%?\s+and\s+{_NUMBER}", (">=", "<")),
-    (rf"{_NUMBER}\s*(?:%|mm2|mm²|ml|mm)?\s+or\s+(?:higher|greater|above|more)", (">=",)),
-    (rf"{_NUMBER}\s*(?:%|mm2|mm²|ml|mm)?\s+or\s+(?:lower|less|below)", ("<=",)),
-    (rf"at\s+least\s+{_NUMBER}", (">=",)),
-    (rf"at\s+most\s+{_NUMBER}", ("<=",)),
-    (rf"(?:below|under|less\s+than)\s+{_NUMBER}", ("<",)),
-    (rf"(?:above|over|greater\s+than|more\s+than|exceed(?:s|ing)?)\s+{_NUMBER}", (">",)),
-)
-
-_METRIC_PATTERNS: tuple[tuple[str, str], ...] = (
-    (r"\bejection fraction\b|\bef\b", "ef_percent"),
-    (r"\barea\b", "area_mm2"),
-    (r"\bvolume\b", "volume_ml"),
-    (r"\bdiameter\b|\bdimension\b", "dimension_mm"),
-)
-
-_SENTENCE_RE = re.compile(r"(?<=[.!?])\s+")
-_INDICATES_RE = re.compile(r"indicates?\s+(?:an?\s+)?(.+?)\s*$")
-
-
-@dataclass(frozen=True)
-class ThresholdRule:
-    metric: str
-    conditions: tuple[tuple[str, float], ...]
-    label: str
-    source_text: str
-
-    def satisfied(self, value: float) -> bool:
-        for op, threshold in self.conditions:
-            if op == ">=" and not value >= threshold:
-                return False
-            if op == ">" and not value > threshold:
-                return False
-            if op == "<" and not value < threshold:
-                return False
-            if op == "<=" and not value <= threshold:
-                return False
-        return True
-
-
-def parse_criteria(items: list[str]) -> list[ThresholdRule]:
-    """Extract (metric, comparator, threshold, label) rules from prose.
-
-    Works sentence by sentence; the hypothesis label is the phrase after
-    "indicates", normalized onto a canonical grade name when it names one.
-    """
-    rules: list[ThresholdRule] = []
-    for item in items:
-        for sentence in _SENTENCE_RE.split(item):
-            sentence = sentence.strip()
-            if not sentence:
-                continue
-            lowered = sentence.lower()
-            metric = None
-            for pattern, name in _METRIC_PATTERNS:
-                if re.search(pattern, lowered):
-                    metric = name
-                    break
-            if metric is None:
-                continue
-            conditions: tuple[tuple[str, float], ...] | None = None
-            for pattern, ops in _COMPARATOR_PATTERNS:
-                match = re.search(pattern, lowered)
-                if match:
-                    values = [float(g) for g in match.groups()]
-                    conditions = tuple(zip(ops, values))
-                    break
-            if conditions is None:
-                continue
-            label_match = _INDICATES_RE.search(sentence.rstrip(". "))
-            label = label_match.group(1).strip() if label_match else sentence
-            canonical = normalize_grade_label(label)
-            rules.append(
-                ThresholdRule(
-                    metric=metric,
-                    conditions=conditions,
-                    label=canonical or label,
-                    source_text=sentence,
-                )
-            )
-    return rules
-
-
-def hypothesis_labels(options: tuple[str, ...] | None, rules: list[ThresholdRule],
+def hypothesis_labels(options: tuple[str, ...] | None, rules: tuple[ThresholdRule, ...],
                       criteria_items: list[str]) -> tuple[str, ...]:
     """Multiple-choice options win; otherwise rule labels; otherwise the
     criteria items themselves. Pure grade sets come out in severity order."""

@@ -8,13 +8,14 @@ fallback buckets each primitive verbatim by keyword rules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import requests
 
 from .. import anatomy
 from ..errors import ContractError, TransportError
 from ..wire import post_json
+from .criteria import ThresholdRule, parse_criteria
 
 SECTION_NAMES = (
     "views_to_acquire",
@@ -60,6 +61,11 @@ class RepositoryEntry:
     def section_items(self, name: str) -> list[str]:
         """Items of one section, with the no-guidance marker filtered out."""
         return [item for item in self.sections[name] if item != NO_GUIDANCE]
+
+    @cached_property
+    def rules(self) -> tuple[ThresholdRule, ...]:
+        """The criteria's threshold rules, parsed on first use and then kept."""
+        return parse_criteria(self.section_items("diagnostic_criteria"))
 
     def to_json(self) -> dict:
         return {

@@ -9,7 +9,8 @@ A study is a directory of PGM frames plus a ``study.json`` sidecar:
      "segmentation_confidence": 1.0}
 
 Ground-truth masks live under ``masks/`` co-named with their frame, which
-is all the mock segmenter does: a deterministic table lookup.
+is all the mock segmenter does: a deterministic table lookup. A run reads
+each sidecar once, into ``InvocationContext.studies``; a failed read is not kept.
 """
 from __future__ import annotations
 
@@ -79,16 +80,24 @@ def load_study(study_dir: str | Path) -> StudySidecar:
     return sidecar
 
 
+def _run_study(inputs: dict, ctx: InvocationContext) -> StudySidecar:
+    """The sidecar of ``inputs["study_dir"]`` from the run's memo, read on a miss."""
+    study = ctx.studies.get(inputs["study_dir"])
+    if study is None:
+        study = ctx.studies[inputs["study_dir"]] = load_study(inputs["study_dir"])
+    return study
+
+
 # -- mock handlers ----------------------------------------------------------
 
 
 def mock_view_handler(inputs: dict, ctx: InvocationContext):
-    sidecar = load_study(inputs["study_dir"])
+    sidecar = _run_study(inputs, ctx)
     return {"view": sidecar.view}, sidecar.confidence
 
 
 def mock_segment_handler(inputs: dict, ctx: InvocationContext):
-    study = load_study(inputs["study_dir"])
+    study = _run_study(inputs, ctx)
     mask_path = study.mask_path(inputs["phase"])
     if not mask_path.exists():
         raise FixtureError(f"missing ground-truth mask {mask_path}")
@@ -104,8 +113,7 @@ def wire_segment_handler(wire_call):
         if mask_bytes is None:
             raise ContractError(f"tool {SEGMENT_TOOL!r} returned no mask payload")
         segmented, confidence = _segmenter_outputs(decode_pgm(mask_bytes),
-                                                   load_study(inputs["study_dir"]), inputs,
-                                                   confidence)
+                                                   _run_study(inputs, ctx), inputs, confidence)
         return {**outputs, **segmented}, confidence  # the output check sees its fields
 
     return handler

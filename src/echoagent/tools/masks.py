@@ -24,6 +24,9 @@ class SegmentationMask:
     check counts the pixels equal to 0 and to each mapped label in 0-255;
     the mask is valid iff those disjoint counts cover every pixel. Only an
     invalid mask pays for a full ``np.unique`` scan, to name its strays.
+    A valid mask keeps those counts for ``pixel_count`` and a read-only view of
+    its labels, so the counts cannot go stale; a caller who keeps writing to
+    the array it passed in must pass a copy.
     """
 
     labels: np.ndarray = field(repr=False)
@@ -31,7 +34,8 @@ class SegmentationMask:
     structure_map: dict[int, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.uint8)
+        self.labels = np.asarray(self.labels, dtype=np.uint8).view()
+        self.labels.flags.writeable = False
         if self.labels.ndim != 2:
             raise ContractError("mask labels must be a 2-D array")
         sx, sy = self.pixel_spacing_mm
@@ -39,7 +43,8 @@ class SegmentationMask:
             raise ContractError(f"pixel spacing must be positive and finite, got {(sx, sy)}")
         # range membership also drops non-integer keys, which numpy could broadcast
         counted = {0} | {v for v in self.structure_map if v in range(256)}
-        if sum(np.count_nonzero(self.labels == v) for v in counted) != self.labels.size:
+        self._counts = {v: np.count_nonzero(self.labels == v) for v in counted}
+        if sum(self._counts.values()) != self.labels.size:
             present = set(int(v) for v in np.unique(self.labels)) - {0}
             unmapped = sorted(present - set(self.structure_map))
             raise ContractError(f"mask labels {unmapped} missing from structure_map")
@@ -59,4 +64,6 @@ class SegmentationMask:
         return None
 
     def pixel_count(self, label: int) -> int:
-        return int(np.count_nonzero(self.labels == label))
+        """Pixels equal to ``label``, from the validation counts: a valid mask
+        has no pixel outside them, and equal numbers hash alike."""
+        return int(self._counts.get(label, 0))

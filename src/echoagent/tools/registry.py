@@ -4,8 +4,8 @@ Every capability, whether a mock, a native function, or a remote model
 behind the wire protocol, is registered under a descriptor and invoked
 through one validated code path. Every invocation, including failed ones,
 lands in an append-only log with a monotonically increasing id. A run takes
-its own ids and log from ``ToolRegistry.for_run``, so it never writes to a
-shared registry.
+its own ids, log and study memo from ``ToolRegistry.for_run``, so it never
+writes to a shared registry.
 """
 from __future__ import annotations
 
@@ -61,6 +61,8 @@ class ToolResult:
 @dataclass
 class InvocationContext:
     invocation_id: str
+    # study dir -> its sidecar, read once per run: shared by a run's invocations
+    studies: dict
     attempts: int = 1
 
 
@@ -80,6 +82,7 @@ class ToolRegistry:
         self._tools: dict[str, tuple[ToolDescriptor, object]] = {}
         self._log: list[LogEntry] = []
         self._next_invocation = 1
+        self._studies: dict | None = None  # a run's study memo; see for_run
 
     def register(self, descriptor: ToolDescriptor, handler) -> ToolDescriptor:
         """Handler signature: handler(inputs: dict, ctx: InvocationContext)
@@ -126,9 +129,10 @@ class ToolRegistry:
         return matches[0], warning
 
     def for_run(self) -> "ToolRegistry":
-        """The same tools (the map is copied), with ids from ``inv-000001`` and an empty log."""
+        """The same tools (the map is copied); ids from ``inv-000001``, an empty log and memo."""
         run = ToolRegistry()
         run._tools = dict(self._tools)
+        run._studies = {}
         return run
 
     @property
@@ -139,7 +143,8 @@ class ToolRegistry:
         descriptor, handler = self._tools.get(tool_name, (None, None))
         if descriptor is None:
             raise RegistrationError(f"no tool registered under {tool_name!r}")
-        ctx = InvocationContext(invocation_id=f"inv-{self._next_invocation:06d}")
+        ctx = InvocationContext(f"inv-{self._next_invocation:06d}",
+                                studies={} if self._studies is None else self._studies)
         self._next_invocation += 1
         try:
             validate_value_map(inputs, descriptor.input_schema, f"{tool_name} inputs")

@@ -33,6 +33,36 @@ def test_build_kb_prints_all_fourteen_anatomy_counts(capsys, tmp_path, corpus_di
     assert any(line.startswith("left ventricle: ") for line in lines)
 
 
+def test_build_kb_prints_each_entrys_rules_and_the_sentences_without_one(
+    capsys, tmp_path, corpus_dir
+):
+    from echoagent.kb.criteria import criteria_sentences
+    from echoagent.kb.index import KnowledgeBase
+
+    out_path = tmp_path / "kb.json"
+    code, out, _ = run_cli(capsys, "build-kb", str(corpus_dir), str(out_path))
+    assert code == 0
+    entries = KnowledgeBase.load(out_path).entries
+    without = [name for name, entry in entries.items() if not entry.rules]
+    assert sorted(without) == [
+        "interatrial septum", "interventricular septum", "mitral valve", "pulmonic valve",
+    ]
+    lines = out.splitlines()
+    for name in without:
+        assert f"rules of {name}: none" in lines
+    assert "rules of left ventricle:" in lines
+    assert "  ef_percent >= 40 and < 50 -> MildlyReduced" in lines
+    for name, entry in entries.items():
+        for rule in entry.rules:
+            assert f"  {rule.describe()}" in lines
+        parsed = {rule.source_text for rule in entry.rules}
+        for sentence in criteria_sentences(entry.section_items("diagnostic_criteria")):
+            if sentence not in parsed:
+                assert f"  no rule: {sentence}" in lines
+    assert ("  no rule: Interventricular septal thickness above 15 mm indicates "
+            "significant hypertrophy.") in lines
+
+
 def test_build_kb_empty_dir_warns_and_exits_zero(capsys, tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()

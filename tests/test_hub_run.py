@@ -436,3 +436,134 @@ def test_a_corrupt_frame_header_fails_its_segmentation_step(
         assert entry.tool_name == "echo.segmenter"
         assert str(frame) in entry.error
     assert isinstance(conclusion, Conclusion)
+
+
+@pytest.fixture()
+def load_study_calls(monkeypatch):
+    """The study dirs that ``backends.load_study`` reads, in call order."""
+    from echoagent.tools import backends
+
+    calls = []
+    real = backends.load_study
+
+    def counting(study_dir):
+        calls.append(str(study_dir))
+        return real(study_dir)
+
+    monkeypatch.setattr(backends, "load_study", counting)
+    return calls
+
+
+def test_a_run_reads_each_study_sidecar_once(kb, registry, ef_dataset, qa_dataset,
+                                             load_study_calls):
+    conclusion = run_study(kb, registry, ef_dataset, "study-01")
+    assert conclusion.grade is not None
+    # two views classified and four masks segmented read two sidecars, not six
+    assert sorted(load_study_calls) == sorted(study_refs(ef_dataset, "study-01"))
+    for study_id in ("qa-01", "qa-02", "qa-03", "qa-04"):
+        load_study_calls.clear()
+        record = json.loads((qa_dataset / "studies" / study_id / "record.json").read_text())
+        ReasoningHub(kb, registry).run(DiagnosticQuery(
+            record["question"], study_refs=study_refs(qa_dataset, study_id),
+            options=tuple(record["options"]),
+        ))
+        assert load_study_calls == list(study_refs(qa_dataset, study_id))
+
+
+def test_a_second_run_of_one_hub_reads_a_rewritten_sidecar_again(
+    kb, registry, ef_dataset, tmp_path
+):
+    from echoagent.hub.toolkit import build_default_registry
+
+    shutil.copytree(ef_dataset / "studies" / "study-02", tmp_path / "studies" / "study-02")
+    hub = ReasoningHub(kb, registry)
+    query = DiagnosticQuery(EF_QUESTION, study_refs=study_refs(tmp_path, "study-02"))
+    first = hub.run(query, trace_path=tmp_path / "first.jsonl")
+    sidecar_path = tmp_path / "studies" / "study-02" / "a4c" / "study.json"
+    sidecar = json.loads(sidecar_path.read_text())
+    sidecar["confidence"] = 0.31
+    sidecar_path.write_text(json.dumps(sidecar))
+    second = hub.run(query, trace_path=tmp_path / "second.jsonl")
+    fresh = ReasoningHub(kb, build_default_registry()).run(
+        query, trace_path=tmp_path / "fresh.jsonl"
+    )
+    assert (tmp_path / "second.jsonl").read_bytes() == (tmp_path / "fresh.jsonl").read_bytes()
+    assert (tmp_path / "second.jsonl").read_bytes() != (tmp_path / "first.jsonl").read_bytes()
+    assert 0.31 in [r["confidence"] for r in second.trace_records]
+    assert 0.31 not in [r["confidence"] for r in first.trace_records]
+    assert fresh.answer == second.answer
+
+
+def _failures(conclusion, root):
+    return [
+        node.payload["failure"].replace(str(root), "ROOT")
+        for node in conclusion.graph.nodes.values()
+        if isinstance(node.payload, dict) and "failure" in node.payload
+    ]
+
+
+def test_a_corrupt_sidecar_fails_its_steps_with_the_same_messages(
+    kb, registry, ef_dataset, qa_dataset, tmp_path, load_study_calls
+):
+    shutil.copytree(ef_dataset / "studies" / "study-05", tmp_path / "studies" / "study-05")
+    shutil.copytree(qa_dataset / "studies" / "qa-01", tmp_path / "studies" / "qa-01")
+    (tmp_path / "studies" / "study-05" / "a2c" / "study.json").write_text("{not json")
+    (tmp_path / "studies" / "qa-01" / "plax" / "study.json").write_text(
+        '{"view": "parasternal-long-axis"}')
+
+    conclusion = run_study(kb, registry, tmp_path, "study-05")
+    unparseable = ("unparseable study sidecar ROOT/studies/study-05/a2c/study.json: "
+                   "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)")
+    # the messages of a run without the sidecar memo
+    assert _failures(conclusion, tmp_path) == [
+        unparseable,
+        "no study classified as view 'apical-2-chamber'",
+        "no study classified as view 'apical-2-chamber'",
+        "missing apical-2-chamber mask of left ventricle at ED",
+        "missing apical-2-chamber mask of left ventricle at ES",
+        "missing left ventricle volume at ED",
+        "no ejection fraction available for left ventricle",
+    ]
+    failed = [e for e in conclusion.invocation_log if e.status != "ok"]
+    assert [(e.tool_name, e.status) for e in failed] == [
+        ("echo.view_classifier", "fixture_error")]
+    assert failed[0].error.replace(str(tmp_path), "ROOT") == unparseable
+
+    conclusion = ReasoningHub(kb, registry).run(DiagnosticQuery(
+        "Is the pericardium normal or thickened?",
+        study_refs=study_refs(tmp_path, "qa-01"),
+        options=("normal pericardium", "pericardial thickening"),
+    ))
+    assert _failures(conclusion, tmp_path) == [
+        "malformed study sidecar ROOT/studies/qa-01/plax/study.json: 'pixel_spacing_mm'",
+        "no study classified as view 'parasternal-long-axis'",
+        "no mask available for pericardium at ED",
+    ]
+
+
+def test_a_failed_sidecar_read_is_not_kept_for_the_rest_of_the_run(
+    registry, ef_dataset, tmp_path, load_study_calls
+):
+    from echoagent.errors import FixtureError
+    from echoagent.tools.backends import VIEW_TOOL
+
+    study = tmp_path / "a2c"
+    shutil.copytree(ef_dataset / "studies" / "study-01" / "a2c", study)
+    good = (study / "study.json").read_text()
+    (study / "study.json").write_text("{not json")
+    run = registry.for_run()
+    messages = []
+    for _ in range(2):
+        with pytest.raises(FixtureError) as info:
+            run.invoke(VIEW_TOOL, {"study_dir": str(study)})
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert len(load_study_calls) == 2
+    (study / "study.json").write_text(good)
+    for _ in range(2):
+        assert run.invoke(VIEW_TOOL, {"study_dir": str(study)}).outputs["view"] == "apical-2-chamber"
+    assert len(load_study_calls) == 3
+    # the shared registry keeps no memo: each of its invocations reads again
+    registry.invoke(VIEW_TOOL, {"study_dir": str(study)})
+    registry.invoke(VIEW_TOOL, {"study_dir": str(study)})
+    assert len(load_study_calls) == 5

@@ -103,3 +103,39 @@ _BAD_SPACINGS = [
 def test_non_finite_or_underflowing_spacing_is_a_contract_error(spacing):
     with pytest.raises(ContractError, match="pixel spacing"):
         SegmentationMask(np.ones((4, 4), dtype=np.uint8), spacing, {1: "left ventricle"})
+
+
+def _two_label_mask():
+    labels = np.zeros((16, 16), dtype=np.uint8)
+    labels[2:9, 3:7] = 1
+    labels[10:14, 8:15] = 7
+    return labels, SegmentationMask(labels, (0.5, 0.5), {1: "left ventricle", 7: "left atrium"})
+
+
+def test_pixel_count_equals_the_compare_for_every_label_and_odd_probes():
+    labels, mask = _two_label_mask()
+    for v in range(256):
+        assert mask.pixel_count(v) == np.count_nonzero(labels == v)
+    assert mask.pixel_count(1) == 28 and mask.pixel_count(7) == 28
+    for probe in (256, -1, 1.0, True, np.uint8(1), np.int64(1), 7.0, np.uint8(7)):
+        assert mask.pixel_count(probe) == np.count_nonzero(labels == probe), probe
+    assert mask.pixel_count(True) == 28
+
+
+def test_pixel_count_from_validation_counts_with_odd_map_keys():
+    labels = np.zeros((6, 6), dtype=np.uint8)
+    labels[1:3, 1:4] = 1
+    labels[4, 4] = 5
+    mask = SegmentationMask(labels, (1.0, 1.0), {1.0: "float key", np.uint8(5): "numpy key"})
+    for v in range(256):
+        assert mask.pixel_count(v) == np.count_nonzero(labels == v)
+
+
+def test_mask_labels_are_read_only():
+    labels, mask = _two_label_mask()
+    with pytest.raises(ValueError):
+        mask.labels[0, 0] = 1
+    with pytest.raises(ValueError):
+        mask.labels.fill(0)
+    # the caller's array stays writable; writing to it is the caller's to avoid
+    assert labels.flags.writeable

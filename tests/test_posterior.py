@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from echoagent.hub.graph import ReasoningGraph
-from echoagent.hub.hypotheses import (
-    normalized_entropy,
-    parse_criteria,
-    update_posteriors,
-)
+from echoagent.hub.hypotheses import normalized_entropy, update_posteriors
+from echoagent.kb.criteria import parse_criteria
 
 
 def graph_with_hypotheses(labels):

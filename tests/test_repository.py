@@ -89,3 +89,28 @@ def test_entry_json_roundtrip(kb):
     entry = kb.entries["pericardium"]
     clone = RepositoryEntry.from_json(entry.to_json())
     assert clone == entry
+
+
+def test_entry_rules_are_the_parsed_criteria_after_build_and_after_load(kb, tmp_path):
+    from echoagent.kb.criteria import parse_criteria
+    from echoagent.kb.index import KnowledgeBase
+
+    path = tmp_path / "kb.json"
+    kb.save(path)
+    loaded = KnowledgeBase.load(path)
+    assert sorted(loaded.entries) == sorted(kb.entries)
+    for entries in (kb.entries, loaded.entries):
+        for entry in entries.values():
+            assert entry.rules == parse_criteria(entry.section_items("diagnostic_criteria"))
+    assert kb.entries["left ventricle"].rules
+    # parsed once: the same tuple on every read
+    entry = loaded.entries["left ventricle"]
+    assert entry.rules is entry.rules
+
+
+def test_entry_rules_are_not_written_to_the_index(kb):
+    entry = kb.entries["left ventricle"]
+    assert entry.rules
+    assert set(entry.to_json()) == {
+        "anatomy", "sections", "supporting_primitive_ids", "created_from_k", "degraded",
+    }
