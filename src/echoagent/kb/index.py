@@ -26,14 +26,21 @@ embeddings are one block, ``{"dtype": "<f8", "shape": [n, d], "data": ...}``,
 whose data is the base64 of the row-major little-endian float64 matrix,
 as in a ``.npy`` file (``tobytes`` writes C order whatever the layout in
 memory); row i is the embedding of primitive record i, and
-``save`` writes both in ascending primitive id order. ``save`` serialises
-the document once, in canonical form (sorted keys, no spaces), and writes it
-with the SHA-256 of those bytes as a leading ``"checksum"`` key, which sorts
-before every other key. ``load`` verifies that checksum over the file bytes;
-only a file that fails the byte check (one not written by ``save``) is
-re-serialised to check it against its canonical form. ``load`` decodes the
-block once and refuses a dtype, data length, row count or dimension that
-does not match, as it refuses a version 1 file, which must be rebuilt.
+``save`` writes both in ascending primitive id order. The file is the
+document in canonical form (sorted keys, no spaces) with the SHA-256 of
+those bytes as a leading ``"checksum"`` key, which sorts before every other
+key. ``save`` serialises only the small part of the document; it streams
+the base64 data a block of rows at a time, hashing every byte as it goes
+out, then fills the 64 checksum digits it reserved, so its peak memory is
+that small part plus one block. It rewrites an existing file in place and
+cuts it at the new end. ``load`` verifies the checksum over the file bytes;
+only a file that fails the byte check (one not written by ``save``, or one
+whose digits were never filled) is re-serialised to check it against its
+canonical form. ``load`` lets go of the file bytes once they are decoded
+and of their text once it is parsed, decodes the block once, dropping its
+base64 text from the document, and refuses a dtype, data length, row count
+or dimension that does not match, as it refuses a version 1 file, which
+must be rebuilt.
 """
 from __future__ import annotations
 
@@ -57,6 +64,15 @@ NORM_TOLERANCE = 1e-9
 EMBEDDING_DTYPE = "<f8"
 # what ``save`` writes before the canonical document's remaining keys
 _SAVED_PREFIX = re.compile(rb'\{"checksum":"([0-9a-f]{64})",')
+_CHECKSUM_HEAD = b'{"checksum":"'
+# the checksum digits ``save`` reserves until the rest of the file is written
+_UNSEALED = b"0" * 64
+# the canonical document up to its base64 embeddings data: "embeddings"
+# sorts first among the keys, and "data" first in its block
+_DATA_HEAD = '{"embeddings":{"data":"'
+# rows of embeddings ``save`` encodes at a time: a multiple of 3 rows is a
+# whole number of 3-byte base64 groups at any dimension
+_SAVE_BLOCK_ROWS = 384
 
 
 @dataclass(frozen=True)
@@ -188,8 +204,9 @@ class KnowledgeBase:
 
     # -- persistence -------------------------------------------------------
 
-    def to_document(self) -> dict:
-        """The index document without its checksum, which ``save`` adds."""
+    def _document_without_data(self) -> dict:
+        """The index document without its checksum, its embeddings ``data``
+        left empty for ``save`` to stream."""
         primitives = []
         for pid in self.ids:
             p = self.primitives[pid]
@@ -205,27 +222,45 @@ class KnowledgeBase:
         return {
             "version": INDEX_FORMAT_VERSION,
             "encoder_id": self.encoder.encoder_id,
-            "embeddings": {
-                "dtype": EMBEDDING_DTYPE,
-                "shape": list(self._matrix.shape),
-                "data": base64.b64encode(
-                    self._matrix.astype(EMBEDDING_DTYPE, copy=False).tobytes()
-                ).decode("ascii"),
-            },
+            "embeddings": {"dtype": EMBEDDING_DTYPE, "shape": list(self._matrix.shape), "data": ""},
             "primitives": primitives,
             "entries": entries,
         }
 
     def save(self, path: str | Path) -> None:
-        """Write the checksummed canonical document, serialising it once."""
-        # encoding after the document is freed keeps the peak at the document
-        # plus one copy of the text
-        body = _canonical(self.to_document()).encode("utf-8")
-        checksum = hashlib.sha256(body).hexdigest()
-        with open(path, "wb") as fh:
-            fh.write(b'{"checksum":"%s",' % checksum.encode("ascii"))
-            fh.write(memoryview(body)[1:])
+        """Write the checksummed canonical document, streaming the embeddings.
+
+        An existing file is rewritten in place and cut at the new end.
+        """
+        canonical = _canonical(self._document_without_data())
+        if not canonical.startswith(_DATA_HEAD):
+            raise AssertionError(f"canonical index starts {canonical[:40]!r}")
+        tail = canonical[len(_DATA_HEAD):].encode("utf-8")
+        del canonical
+        try:
+            fh = open(path, "r+b")
+        except FileNotFoundError:
+            fh = open(path, "wb")
+        with fh:
+            fh.write(_CHECKSUM_HEAD + _UNSEALED + b'",')
+            digest = hashlib.sha256(b"{")
+            for chunk in self._canonical_chunks(tail):
+                digest.update(chunk)
+                fh.write(chunk)
             fh.write(b"\n")
+            fh.truncate()
+            fh.seek(len(_CHECKSUM_HEAD))
+            fh.write(digest.hexdigest().encode("ascii"))
+
+    def _canonical_chunks(self, tail: bytes):
+        """The canonical document's bytes after its opening brace: the data
+        head, the base64 of ``_SAVE_BLOCK_ROWS`` rows at a time, the tail."""
+        yield _DATA_HEAD[1:].encode("ascii")
+        for start in range(0, len(self.ids), _SAVE_BLOCK_ROWS):
+            rows = self._matrix[start:start + _SAVE_BLOCK_ROWS]
+            # a whole number of 3-byte groups: no padding inside the data
+            yield base64.b64encode(rows.astype(EMBEDDING_DTYPE, copy=False).tobytes())
+        yield tail
 
     @classmethod
     def load(cls, path: str | Path, encoder=None) -> "KnowledgeBase":
@@ -313,12 +348,18 @@ def _read_document(path: str | Path) -> tuple[dict, bool]:
         digest = hashlib.sha256(b"{")
         digest.update(memoryview(data)[prefix.end():end])
         sealed = digest.hexdigest().encode("ascii") == prefix.group(1)
+    del prefix
+    # hold at most two of the bytes, their text and the parsed document
     try:
-        doc = json.loads(data.decode("utf-8"))
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise IndexLoadError(f"knowledge index {path} is not UTF-8 text: {exc}") from exc
+    del data
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise IndexLoadError(f"cannot read knowledge index {path}: {exc}") from exc
+    del text
     if not isinstance(doc, dict):
         raise IndexLoadError("knowledge index must be a JSON object")
     return doc, sealed
@@ -337,11 +378,11 @@ def _embedding_matrix(doc: dict) -> np.ndarray:
     if not (isinstance(shape, list) and len(shape) == 2
             and all(type(x) is int for x in shape) and shape[0] >= 0 and shape[1] >= 1):
         raise IndexLoadError(f"embeddings shape {shape!r} is not [rows >= 0, dim >= 1]")
-    data = block.get("data")
-    if not isinstance(data, str):
+    if not isinstance(block.get("data"), str):
         raise IndexLoadError("embeddings data is not a string")
     try:
-        raw = base64.b64decode(data, validate=True)
+        # the document lets go of the base64 text once it is decoded
+        raw = base64.b64decode(block.pop("data"), validate=True)
     except ValueError as exc:
         raise IndexLoadError(f"embeddings data is not valid base64: {exc}") from exc
     n, dim = shape

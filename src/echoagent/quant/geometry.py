@@ -8,9 +8,10 @@ form of a symmetric 2x2 matrix (only +, -, *, / and sqrt), and the
 projections onto it from elementwise multiplies and adds. A chord is
 measured by counting target pixels along a ray perpendicular to the axis,
 scaled by the physical step length of that ray (which handles anisotropic
-spacing). The rays of one call (the probe chords of ``long_axis``, the
-disks of ``disk_diameters``) are sampled together in one numpy gather over
-``mask.labels``, so target pixels off the largest component still count.
+spacing). The rays of one call (the probe chords ``long_axis`` reads, the
+2 x 10% nearest each end, and the disks of ``disk_diameters``) are sampled
+together in one numpy gather over ``mask.labels``, so target pixels off the
+largest component still count.
 
 The region is held as row runs (He, Chao & Suzuki, IEEE TIP 2008): maximal
 stretches of a row, columns ``start`` to ``stop - 1``, in raster order.
@@ -22,7 +23,9 @@ from the end pixels ``start`` and ``stop - 1``: a rounded projection is
 monotone along a row, so these are a per-pixel min and max, bit for bit.
 The int64 moment sums are exact on any canvas up to 2**15 px a side.
 
-All of this works inside the target label's bounding box. Every component
+All of this works inside the target label's bounding box, which the mask
+finds once (``SegmentationMask.label_box``) for both calls on a view, as it
+counts the label's pixels once (``pixel_count``). Every component
 of the label lies in that box, so the runs of the crop, offset by the
 box's corner, are those of a whole-canvas scan. A ray is sampled only over
 the steps ``s`` at which it can meet the box, widened by a pixel on each
@@ -135,15 +138,6 @@ def _run_moments(rows: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> tup
     return tuple(int(v.sum()) for v in sums)
 
 
-def _label_box(binary: np.ndarray) -> Box | None:
-    """Bounding box of the True pixels, or None when there are none."""
-    rows = np.flatnonzero(binary.any(axis=1))
-    if rows.size == 0:
-        return None
-    cols = np.flatnonzero(binary.any(axis=0))
-    return slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
-
-
 def _principal_direction(moments: tuple[int, ...]) -> np.ndarray:
     """Unit principal direction of n integer pixel coordinates, from their
     exact moments (n, Σx, Σy, Σx², Σy², Σxy).
@@ -226,15 +220,14 @@ def long_axis(
     the mean chord over the 10% of probe disks nearest each endpoint; a
     width tie within 1e-6 falls back to the endpoint with the smaller y.
     """
-    binary = mask.labels == target_label
-    count = int(np.count_nonzero(binary))
+    count = mask.pixel_count(target_label)
     if count < MIN_REGION_PIXELS:
         raise GeometryError(
             f"label {target_label} region has {count} px, "
             f"need at least {MIN_REGION_PIXELS} for a reliable axis"
         )
-    box = _label_box(binary)
-    rows, starts, stops = _row_runs(binary[box])
+    box = mask.label_box(target_label)
+    rows, starts, stops = _row_runs(mask.labels[box] == target_label)
     keep = _largest_component(rows, starts, stops)
     rows = rows[keep] + box[0].start
     starts = starts[keep] + box[1].start
@@ -260,9 +253,11 @@ def long_axis(
     probe = max(1, n_probe_disks)
     near = max(1, math.ceil(probe * 0.1))
     t = (np.arange(probe) + 0.5) / probe
+    # only the probe disks nearest each end are read
+    t = np.concatenate((t[:near], t[-near:]))
     widths = _chords_mm(mask, target_label, box, lo + (hi - lo) * t[:, None], perp)
     width_lo = float(np.mean(widths[:near]))
-    width_hi = float(np.mean(widths[-near:]))
+    width_hi = float(np.mean(widths[near:]))
 
     if abs(width_lo - width_hi) <= 1e-6:
         apex, base = (lo, hi) if lo[1] <= hi[1] else (hi, lo)
@@ -298,6 +293,6 @@ def disk_diameters(
         raise GeometryError("axis endpoints coincide")
     direction = span / norm
     perp = np.array([-direction[1], direction[0]])
-    box = _label_box(mask.labels == target_label)
+    box = mask.label_box(target_label)
     t = (np.arange(n_disks) + 0.5) / n_disks
     return _chords_mm(mask, target_label, box, apex + span * t[:, None], perp)

@@ -24,9 +24,10 @@ class SegmentationMask:
     check counts the pixels equal to 0 and to each mapped label in 0-255;
     the mask is valid iff those disjoint counts cover every pixel. Only an
     invalid mask pays for a full ``np.unique`` scan, to name its strays.
-    A valid mask keeps those counts for ``pixel_count`` and a read-only view of
-    its labels, so the counts cannot go stale; a caller who keeps writing to
-    the array it passed in must pass a copy.
+    A valid mask keeps those counts for ``pixel_count``, each label's bounding
+    box once ``label_box`` has found it, and a read-only view of its labels,
+    so neither can go stale; a caller who keeps writing to the array it
+    passed in must pass a copy.
     """
 
     labels: np.ndarray = field(repr=False)
@@ -44,6 +45,7 @@ class SegmentationMask:
         # range membership also drops non-integer keys, which numpy could broadcast
         counted = {0} | {v for v in self.structure_map if v in range(256)}
         self._counts = {v: np.count_nonzero(self.labels == v) for v in counted}
+        self._boxes: dict[int, tuple[slice, slice] | None] = {}
         if sum(self._counts.values()) != self.labels.size:
             present = set(int(v) for v in np.unique(self.labels)) - {0}
             unmapped = sorted(present - set(self.structure_map))
@@ -67,3 +69,16 @@ class SegmentationMask:
         """Pixels equal to ``label``, from the validation counts: a valid mask
         has no pixel outside them, and equal numbers hash alike."""
         return int(self._counts.get(label, 0))
+
+    def label_box(self, label: int) -> tuple[slice, slice] | None:
+        """(rows, cols) half-open bounding box of the pixels equal to
+        ``label``, or None when there are none; found once per label."""
+        if label not in self._boxes:
+            box = None
+            if self.pixel_count(label):
+                binary = self.labels == label
+                rows = np.flatnonzero(binary.any(axis=1))
+                cols = np.flatnonzero(binary.any(axis=0))
+                box = slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
+            self._boxes[label] = box
+        return self._boxes[label]

@@ -131,6 +131,17 @@ def test_pixel_count_from_validation_counts_with_odd_map_keys():
         assert mask.pixel_count(v) == np.count_nonzero(labels == v)
 
 
+def test_label_box_bounds_the_label_and_is_found_once():
+    labels, mask = _two_label_mask()
+    assert mask.label_box(1) == (slice(2, 9), slice(3, 7))
+    assert mask.label_box(7) == (slice(10, 14), slice(8, 15))
+    assert mask.label_box(0) == (slice(0, 16), slice(0, 16))
+    for absent in (2, 255, 256, -1):
+        assert mask.label_box(absent) is None
+    # a second call returns the kept box
+    assert mask.label_box(1) is mask.label_box(1)
+
+
 def test_mask_labels_are_read_only():
     labels, mask = _two_label_mask()
     with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 import base64
+import hashlib
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -307,3 +309,152 @@ def test_the_encoder_that_built_an_index_loads_it(saved_kb):
     encoder = HashedBowEncoder(256)
     assert KnowledgeBase.load(saved_kb, encoder=encoder).encoder is encoder
     assert KnowledgeBase.load(saved_kb).encoder.encoder_id == "hashed-bow-256"
+
+
+def _synthetic_kb(n: int) -> KnowledgeBase:
+    """n primitives with random unit embeddings, a third of them per tag."""
+    rng = np.random.default_rng(n)
+    rows = rng.standard_normal((n, 256))
+    rows /= np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
+    tags = ({"left ventricle"}, set(), {"aorta"})
+    kb = KnowledgeBase()
+    kb.add_primitives(
+        [make_primitive(f"s#{i:05d}", f"synthetic note {i}", tags[i % 3]) for i in range(n)], rows
+    )
+    if n:
+        build_all_entries(kb, 8)
+    return kb
+
+
+def _fresh_bytes(kb: KnowledgeBase) -> bytes:
+    """The file ``save`` must write, assembled from the whole document."""
+    doc = {
+        "version": 2,
+        "encoder_id": kb.encoder.encoder_id,
+        "embeddings": {
+            "dtype": "<f8",
+            "shape": list(kb._matrix.shape),
+            "data": base64.b64encode(
+                np.ascontiguousarray(kb._matrix, dtype="<f8").tobytes()
+            ).decode("ascii"),
+        },
+        "primitives": [
+            {
+                "id": pid,
+                "text": kb.primitives[pid].text,
+                "source": {
+                    "doc": kb.primitives[pid].source.doc,
+                    "start": kb.primitives[pid].source.start,
+                    "end": kb.primitives[pid].source.end,
+                },
+                "tags": sorted(kb.primitives[pid].anatomy_tags),
+            }
+            for pid in kb.ids
+        ],
+        "entries": [kb.entries[name].to_json() for name in sorted(kb.entries)],
+    }
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    checksum = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return ('{"checksum":"%s",' % checksum + canonical[1:] + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("rows", ["none", "one", "block-1", "block", "block+1", "fixture"])
+def test_streamed_file_equals_the_whole_document(rows, corpus_dir, tmp_path):
+    block = index_module._SAVE_BLOCK_ROWS
+    if rows == "fixture":
+        kb = _built(load_corpus(corpus_dir), False)
+    else:
+        n = {"none": 0, "one": 1, "block-1": block - 1, "block": block, "block+1": block + 1}[rows]
+        kb = _synthetic_kb(n)
+    kb.save(tmp_path / "kb.json")
+    saved = (tmp_path / "kb.json").read_bytes()
+    assert saved == _fresh_bytes(kb)
+    if rows == "none":
+        assert b'"data":""' in saved
+    assert np.array_equal(KnowledgeBase.load(tmp_path / "kb.json")._matrix, kb._matrix)
+
+
+@pytest.mark.parametrize("old", ["longer", "shorter"])
+def test_saving_over_an_index_rewrites_it_in_place(old, kb, saved_kb, tmp_path, monkeypatch):
+    fresh = saved_kb.read_bytes()
+    target = tmp_path / "over.json"
+    target.write_bytes(fresh * 2 if old == "longer" else fresh[: len(fresh) // 3])
+    modes = []
+
+    def spy_open(path, mode="r", *args, **kwargs):
+        modes.append(mode)
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(index_module, "open", spy_open, raising=False)
+    kb.save(target)
+    # the old file is not truncated to zero first
+    assert modes == ["r+b"]
+    assert target.read_bytes() == fresh
+
+
+def test_saving_through_a_symlink_writes_its_target(kb, saved_kb, tmp_path):
+    target = tmp_path / "target.json"
+    target.write_bytes(b"x" * 100)
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    kb.save(link)
+    assert link.is_symlink()
+    assert target.read_bytes() == saved_kb.read_bytes()
+
+
+def test_an_index_whose_checksum_was_never_filled_is_refused(kb, tmp_path, monkeypatch, capsys):
+    # the save dies after writing the document, before filling the digits
+    # it reserved for the checksum
+    real_sha256 = hashlib.sha256
+
+    class _DiesAtDigest:
+        def __init__(self, data=b""):
+            self._hash = real_sha256(data)
+
+        def update(self, data):
+            self._hash.update(data)
+
+        def hexdigest(self):
+            raise RuntimeError("died before the checksum was written")
+
+    path = tmp_path / "kb.json"
+    monkeypatch.setattr(index_module.hashlib, "sha256", _DiesAtDigest)
+    with pytest.raises(RuntimeError):
+        kb.save(path)
+    monkeypatch.undo()
+    assert path.read_bytes().endswith(b"\n")
+    with pytest.raises(IndexLoadError, match="checksum"):
+        KnowledgeBase.load(path)
+    assert main(["query-kb", "ejection fraction", "--kb", str(path)]) == 1
+    assert "checksum" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def large_kb():
+    return _synthetic_kb(3000)
+
+
+def test_save_holds_less_than_two_matrices(large_kb, tmp_path):
+    # the base64 data goes out a block of rows at a time: no whole copy of
+    # the matrix, its base64 or the document's text is ever held
+    tracemalloc.start()
+    try:
+        large_kb.save(tmp_path / "kb.json")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.0 * large_kb._matrix.nbytes
+
+
+def test_load_holds_at_most_two_copies_of_the_file(large_kb, tmp_path):
+    # the file bytes go once they are decoded, their text once it is parsed
+    # and the base64 text once the matrix is decoded
+    large_kb.save(tmp_path / "kb.json")
+    tracemalloc.start()
+    try:
+        loaded = KnowledgeBase.load(tmp_path / "kb.json")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded._matrix, large_kb._matrix)
+    assert peak < 3.75 * large_kb._matrix.nbytes
