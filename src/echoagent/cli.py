@@ -61,12 +61,7 @@ def _exit_code_for(exc: Exception) -> int:
 
 
 def _build_encoder(config: EngineConfig):
-    if config.encoder_url:
-        return HttpEncoder(
-            config.encoder_url, config.embedding_dim, config.http_timeout_s,
-            config.http_retries, config.http_backoff_s,
-        )
-    return HashedBowEncoder(config.embedding_dim)
+    return HttpEncoder(config) if config.encoder_url else HashedBowEncoder(config.embedding_dim)
 
 
 def _load_kb(path: str, config: EngineConfig) -> KnowledgeBase:
@@ -83,12 +78,7 @@ def cmd_build_kb(args, config: EngineConfig) -> int:
         print(f"warning: no documents found under {corpus_dir}", file=sys.stderr)
     kb = KnowledgeBase(encoder=_build_encoder(config))
     kb.add_primitives(primitives)
-    summarizer = None
-    if config.summarizer_url:
-        summarizer = HttpSummarizer(
-            config.summarizer_url, config.http_timeout_s,
-            config.http_retries, config.http_backoff_s,
-        )
+    summarizer = HttpSummarizer(config) if config.summarizer_url else None
     build_all_entries(kb, config.k, summarizer)
     kb.save(args.out_path)
     for name in anatomy.ANATOMY_NAMES:
@@ -254,7 +244,6 @@ def cmd_evaluate(args, config: EngineConfig) -> int:
     report = run_benchmark(
         records, kb, registry, config,
         dataset_root=args.dataset_dir, trace_dir=args.traces,
-        extra_threshold=args.auroc_threshold,
     )
     payload = report.to_json()
     if args.report:
@@ -340,8 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kb", required=True)
     p.add_argument("--report", help="write the JSON report here instead of stdout")
     p.add_argument("--traces", help="directory for per-record trace files")
-    p.add_argument("--auroc-threshold", type=float, default=45.0,
-                   help="third EF threshold for the ROC analysis (50 and 40 are fixed)")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("tools", help="list the registered toolkit")

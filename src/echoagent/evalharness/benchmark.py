@@ -20,9 +20,6 @@ EF_QUESTION = (
     "or considerably reduced?"
 )
 
-DEFAULT_EXTRA_THRESHOLD = 45.0
-
-
 @dataclass
 class RecordResult:
     record_id: str
@@ -109,7 +106,6 @@ def run_benchmark(
     config: EngineConfig | None = None,
     dataset_root: str | Path | None = None,
     trace_dir: str | Path | None = None,
-    extra_threshold: float = DEFAULT_EXTRA_THRESHOLD,
 ) -> BenchmarkReport:
     hub = ReasoningHub(kb, registry, config)
     results: list[RecordResult] = []
@@ -168,7 +164,7 @@ def run_benchmark(
 
     auroc_by_threshold: dict[str, float | None] = {}
     scored = [r for r in ef_ok if r.predicted_ef is not None]
-    for threshold in (50.0, 40.0, float(extra_threshold)):
+    for threshold in (50.0, 40.0, 45.0):
         key = f"{threshold:g}"
         if not scored:
             auroc_by_threshold[key] = None

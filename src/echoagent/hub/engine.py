@@ -290,7 +290,7 @@ class ReasoningHub:
             return state.fail(step, t, f"structure {structure!r} not in mask label map")
         node, outcome = self._measure(step, state, t, {
             "mask_a2c": mask_a2c, "mask_a4c": mask_a4c,
-            "target_label": label, "n_disks": step.inputs.get("n_disks", self.config.n_disks),
+            "target_label": label, "n_disks": step.inputs["n_disks"],
         }, [(node_a2c, "derives"), (node_a4c, "derives")], phase=phase)
         value = float(outcome.payload["volume_ml"])
         state.volumes[(structure, phase)] = (node, value)

@@ -100,12 +100,6 @@ def build_default_registry(config: EngineConfig | None = None) -> ToolRegistry:
     """Perception tools (mock, or wire when tool_url is set) plus native math."""
     config = config or EngineConfig()
     registry = ToolRegistry()
-    register_perception_tools(
-        registry,
-        tool_url=config.tool_url,
-        timeout_s=config.http_timeout_s,
-        retries=config.http_retries,
-        backoff_s=config.http_backoff_s,
-    )
+    register_perception_tools(registry, config)
     register_quant_tools(registry)
     return registry

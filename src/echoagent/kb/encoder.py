@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import hashlib
 import re
-from functools import partial
 
 import numpy as np
-import requests
 
+from ..config import EngineConfig
 from ..errors import ContractError, EncoderError
-from ..wire import post_json
+from ..wire import JsonEndpoint
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -85,15 +84,12 @@ class HttpEncoder:
     is still an encoder error, not a silent bad embedding.
     """
 
-    def __init__(self, url: str, dim: int, timeout_s: float = 5.0,
-                 retries: int = 2, backoff_s: float = 0.1):
-        self.url = url.rstrip("/")
-        self.dim = dim
-        self._post = partial(
-            post_json, requests.Session(), f"{self.url}/embed",
-            what=f"encoder backend {self.url}",
-            timeout_s=timeout_s, retries=retries, backoff_s=backoff_s,
-        )
+    def __init__(self, config: EngineConfig):
+        self.url = config.encoder_url.rstrip("/")
+        self.dim = config.embedding_dim
+        self._post = JsonEndpoint(
+            f"{self.url}/embed", f"encoder backend {self.url}", config
+        ).post
 
     @property
     def encoder_id(self) -> str:

@@ -8,13 +8,12 @@ fallback buckets each primitive verbatim by keyword rules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
-
-import requests
+from functools import cached_property
 
 from .. import anatomy
+from ..config import EngineConfig
 from ..errors import ContractError, TransportError
-from ..wire import post_json
+from ..wire import JsonEndpoint
 from .criteria import ThresholdRule, parse_criteria
 
 SECTION_NAMES = (
@@ -127,14 +126,11 @@ class HttpSummarizer:
     a list of strings; anything else is a contract violation.
     """
 
-    def __init__(self, url: str, timeout_s: float = 5.0, retries: int = 2,
-                 backoff_s: float = 0.1):
-        self.url = url.rstrip("/")
-        self._post = partial(
-            post_json, requests.Session(), f"{self.url}/summarize",
-            what=f"summarizer backend {self.url}",
-            timeout_s=timeout_s, retries=retries, backoff_s=backoff_s,
-        )
+    def __init__(self, config: EngineConfig):
+        self.url = config.summarizer_url.rstrip("/")
+        self._post = JsonEndpoint(
+            f"{self.url}/summarize", f"summarizer backend {self.url}", config
+        ).post
 
     def summarize(self, anatomy_name: str, texts: list[str]) -> dict[str, list[str]]:
         payload, _ = self._post({"anatomy": anatomy_name, "texts": list(texts)})

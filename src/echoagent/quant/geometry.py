@@ -44,6 +44,7 @@ from ..errors import DomainError, GeometryError
 from ..tools.masks import SegmentationMask
 
 MIN_REGION_PIXELS = 20
+N_PROBE_DISKS = 20  # probes along the axis that judge which end is the apex
 
 # (rows, cols) half-open slices of a label's bounding box
 Box = tuple[slice, slice]
@@ -211,14 +212,13 @@ def _chords_mm(
     return (hits * step_mm).tolist()
 
 
-def long_axis(
-    mask: SegmentationMask, target_label: int, n_probe_disks: int = 20
-) -> LongAxis:
+def long_axis(mask: SegmentationMask, target_label: int) -> LongAxis:
     """Principal axis of the target region, oriented apex first.
 
     The apex is the endpoint on the narrower side of the region, judged by
-    the mean chord over the 10% of probe disks nearest each endpoint; a
-    width tie within 1e-6 falls back to the endpoint with the smaller y.
+    the mean chord over the 10% of the ``N_PROBE_DISKS`` probe disks nearest
+    each endpoint; a width tie within 1e-6 falls back to the endpoint with
+    the smaller y.
     """
     count = mask.pixel_count(target_label)
     if count < MIN_REGION_PIXELS:
@@ -250,9 +250,8 @@ def long_axis(
         raise GeometryError("degenerate region: zero-length principal axis")
 
     perp = np.array([-direction[1], direction[0]])
-    probe = max(1, n_probe_disks)
-    near = max(1, math.ceil(probe * 0.1))
-    t = (np.arange(probe) + 0.5) / probe
+    near = math.ceil(N_PROBE_DISKS * 0.1)
+    t = (np.arange(N_PROBE_DISKS) + 0.5) / N_PROBE_DISKS
     # only the probe disks nearest each end are read
     t = np.concatenate((t[:near], t[-near:]))
     widths = _chords_mm(mask, target_label, box, lo + (hi - lo) * t[:, None], perp)

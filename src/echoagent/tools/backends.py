@@ -19,10 +19,9 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-import requests
-
+from ..config import EngineConfig
 from ..errors import ContractError, FixtureError, TaxonomyError, TransportError
-from ..wire import post_json
+from ..wire import JsonEndpoint
 from .masks import SegmentationMask, valid_spacing
 from .pgm import decode_pgm, pgm_dimensions, read_pgm
 from .registry import InvocationContext, ToolDescriptor, ToolRegistry
@@ -42,15 +41,18 @@ class StudySidecar:
     study_dir: Path
 
     def frame_path(self, phase: str) -> Path:
+        return self.study_dir / self._frame(phase)
+
+    def mask_path(self, phase: str) -> Path:
+        return self.study_dir / "masks" / self._frame(phase)
+
+    def _frame(self, phase: str) -> str:
         try:
-            return self.study_dir / self.frames[phase]
+            return self.frames[phase]
         except KeyError:
             raise FixtureError(
                 f"study {self.study_dir} has no frame for phase {phase!r}"
             ) from None
-
-    def mask_path(self, phase: str) -> Path:
-        return self.study_dir / "masks" / self.frames[phase]
 
 
 def load_study(study_dir: str | Path) -> StudySidecar:
@@ -60,7 +62,7 @@ def load_study(study_dir: str | Path) -> StudySidecar:
         raise FixtureError(f"missing study sidecar {sidecar_path}")
     try:
         raw = json.loads(sidecar_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise FixtureError(f"unparseable study sidecar {sidecar_path}: {exc}") from exc
     try:
         spacing = tuple(float(v) for v in raw["pixel_spacing_mm"])
@@ -73,7 +75,7 @@ def load_study(study_dir: str | Path) -> StudySidecar:
             segmentation_confidence=float(raw.get("segmentation_confidence", 1.0)),
             study_dir=study_dir,
         )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:
         raise FixtureError(f"malformed study sidecar {sidecar_path}: {exc}") from exc
     if not valid_spacing(*sidecar.pixel_spacing_mm):
         raise FixtureError(f"{sidecar_path}: pixel spacing must be positive and finite")
@@ -143,37 +145,27 @@ def _segmenter_outputs(labels, study: StudySidecar, inputs: dict, confidence: fl
 # -- wire protocol ----------------------------------------------------------
 
 
-def make_wire_handler(
-    base_url: str,
-    tool_name: str,
-    timeout_s: float = 5.0,
-    retries: int = 2,
-    backoff_s: float = 0.1,
-):
-    """A registry handler for a wire tool: (outputs, confidence); artifacts are
-    checked and dropped."""
-    call = _wire_call(base_url, tool_name, timeout_s, retries, backoff_s)
+def make_wire_handler(tool_name: str, config: EngineConfig):
+    """A registry handler for a wire tool at ``config.tool_url``: (outputs,
+    confidence); artifacts are checked and dropped."""
+    call = _wire_call(tool_name, config)
     return lambda inputs, ctx: call(inputs, ctx)[:2]
 
 
-def _wire_call(base_url: str, tool_name: str, timeout_s: float, retries: int,
-               backoff_s: float):
-    """POST {base_url}/invoke with {tool, invocation_id, inputs}; the call returns
+def _wire_call(tool_name: str, config: EngineConfig):
+    """POST {tool_url}/invoke with {tool, invocation_id, inputs}; the call returns
     ``_decode_wire_response`` of the reply.
 
-    Retries follow ``post_json``; the attempt count is surfaced through the
-    invocation context so the registry log records it.
+    Retries follow ``JsonEndpoint.post``; the attempt count is surfaced through
+    the invocation context so the registry log records it.
     """
-    session = requests.Session()
-    url = base_url.rstrip("/") + "/invoke"
-    what = f"tool {tool_name!r} backend"
+    post = JsonEndpoint(config.tool_url.rstrip("/") + "/invoke",
+                        f"tool {tool_name!r} backend", config).post
 
     def call(inputs: dict, ctx: InvocationContext):
         body = {"tool": tool_name, "invocation_id": ctx.invocation_id, "inputs": inputs}
         try:
-            payload, ctx.attempts = post_json(
-                session, url, body, what, timeout_s, retries, backoff_s
-            )
+            payload, ctx.attempts = post(body)
         except (ContractError, TransportError) as exc:
             ctx.attempts = exc.attempts
             raise
@@ -241,15 +233,10 @@ VIEW_TOOL = "echo.view_classifier"
 SEGMENT_TOOL = "echo.segmenter"
 
 
-def register_perception_tools(
-    registry: ToolRegistry,
-    tool_url: str | None = None,
-    timeout_s: float = 5.0,
-    retries: int = 2,
-    backoff_s: float = 0.1,
-) -> None:
-    """Register the perceptual and operational layers (mock or wire)."""
-    backend = "wire" if tool_url else "mock"
+def register_perception_tools(registry: ToolRegistry, config: EngineConfig) -> None:
+    """Register the perceptual and operational layers (wire when
+    ``config.tool_url`` is set, else mock)."""
+    backend = "wire" if config.tool_url else "mock"
     registry.register(
         ToolDescriptor(
             name=VIEW_TOOL,
@@ -258,8 +245,8 @@ def register_perception_tools(
             output_schema=(FieldSpec("view", "string"),),
             backend=backend,
         ),
-        make_wire_handler(tool_url, VIEW_TOOL, timeout_s, retries, backoff_s)
-        if tool_url else mock_view_handler,
+        make_wire_handler(VIEW_TOOL, config)
+        if config.tool_url else mock_view_handler,
     )
     registry.register(
         ToolDescriptor(
@@ -276,6 +263,6 @@ def register_perception_tools(
             ),
             backend=backend,
         ),
-        wire_segment_handler(_wire_call(tool_url, SEGMENT_TOOL, timeout_s, retries, backoff_s))
-        if tool_url else mock_segment_handler,
+        wire_segment_handler(_wire_call(SEGMENT_TOOL, config))
+        if config.tool_url else mock_segment_handler,
     )

@@ -311,7 +311,8 @@ def test_criterion_9_wire_protocol(stub_server):
             output_schema=(FieldSpec("value", "number"),),
             backend="wire",
         ),
-        make_wire_handler(stub_server.url, "remote.t", retries=2, backoff_s=0.0),
+        make_wire_handler("remote.t", EngineConfig(tool_url=stub_server.url, http_retries=2,
+                                                   http_backoff_s=0.0)),
     )
     stub_server.script = [
         (500, {}), (500, {}), (200, {"outputs": {"value": 9.0}, "confidence": 1.0}),

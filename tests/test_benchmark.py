@@ -180,6 +180,44 @@ def test_traces_do_not_depend_on_record_order_or_earlier_runs(
     assert got == expected
 
 
+def evaluate_with_study_02_a4c_frames(kb, ef_dataset, tmp_path, frames):
+    """Run ``evaluate`` on a copy of the EF dataset whose study-02 a4c sidecar
+    lists ``frames``; return the exit code and the report, or None without one."""
+    from echoagent.cli import main
+
+    root = tmp_path / "dataset"
+    shutil.copytree(ef_dataset, root)
+    sidecar_path = root / "studies" / "study-02" / "a4c" / "study.json"
+    raw = json.loads(sidecar_path.read_text())
+    raw["frames"] = frames
+    sidecar_path.write_text(json.dumps(raw))
+    kb_path = tmp_path / "kb.json"
+    kb.save(kb_path)
+    report_path = tmp_path / "report.json"
+    code = main(["evaluate", str(root), "--kb", str(kb_path), "--report", str(report_path)])
+    return code, json.loads(report_path.read_text()) if report_path.exists() else None
+
+
+def test_a_sidecar_with_no_frame_for_a_phase_fails_the_segment_step_not_the_run(
+    kb, ef_dataset, tmp_path, capsys
+):
+    code, report = evaluate_with_study_02_a4c_frames(kb, ef_dataset, tmp_path, {"ED": "ed.pgm"})
+    assert "Traceback" not in capsys.readouterr().err
+    assert code == 0 and report["counts"]["failed"] == 0
+    no_ef = [entry["id"] for entry in report["records"] if entry["predicted_ef"] is None]
+    assert no_ef == ["study-02"]
+
+
+def test_a_sidecar_whose_frames_are_not_an_object_is_refused_by_evaluate(
+    kb, ef_dataset, tmp_path, capsys
+):
+    code, report = evaluate_with_study_02_a4c_frames(kb, ef_dataset, tmp_path,
+                                                     ["ed.pgm", "es.pgm"])
+    err = capsys.readouterr().err
+    assert code == 1 and report is None
+    assert "Traceback" not in err and "malformed study sidecar" in err
+
+
 def test_a_malformed_record_fails_alone_and_evaluate_exits_one(
     kb, mixed_dataset, tmp_path, capsys
 ):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import make_primitive
 from oracles import seed_token_counts
 
+from echoagent.config import EngineConfig
 from echoagent.errors import ContractError, EncoderError, TransportError
 from echoagent.kb import encoder as encoder_module
 from echoagent.kb.encoder import HashedBowEncoder, HttpEncoder, normalize, token_counts
@@ -64,9 +65,15 @@ def test_scaling_counts_before_normalization_changes_nothing():
     assert np.allclose(normalize(counts), normalize(counts * 37.5))
 
 
+def http_encoder(stub_server, dim, **transport):
+    """An encoder posting to the stub, with no backoff between retries."""
+    return HttpEncoder(EngineConfig(encoder_url=stub_server.url, embedding_dim=dim,
+                                    http_backoff_s=0.0, **transport))
+
+
 def test_http_encoder_roundtrip(stub_server):
     stub_server.script = [(200, {"vectors": [[3.0, 4.0] + [0.0] * 62]})]
-    enc = HttpEncoder(stub_server.url, dim=64, backoff_s=0.0)
+    enc = http_encoder(stub_server, dim=64)
     vec = enc.embed("hello")
     assert abs(np.linalg.norm(vec) - 1.0) <= 1e-9
     assert vec[0] == pytest.approx(0.6)
@@ -77,7 +84,7 @@ def test_http_encoder_roundtrip(stub_server):
 
 def test_http_encoder_retries_then_fails(stub_server):
     stub_server.script = [(500, {}), (500, {}), (500, {})]
-    enc = HttpEncoder(stub_server.url, dim=8, retries=2, backoff_s=0.0)
+    enc = http_encoder(stub_server, dim=8, http_retries=2)
     with pytest.raises(TransportError) as err:
         enc.embed("hello")
     assert err.value.attempts == 3
@@ -86,14 +93,14 @@ def test_http_encoder_retries_then_fails(stub_server):
 
 def test_http_encoder_rejects_malformed_vectors(stub_server):
     stub_server.script = [(200, {"vectors": [[1.0, 2.0]]})]  # wrong dim
-    enc = HttpEncoder(stub_server.url, dim=8, backoff_s=0.0)
+    enc = http_encoder(stub_server, dim=8)
     with pytest.raises(ContractError):
         enc.embed("hello")
 
 
 def test_http_encoder_rejects_a_body_that_is_not_an_object(stub_server):
     stub_server.script = [(200, [[1.0] * 8])]
-    enc = HttpEncoder(stub_server.url, dim=8, backoff_s=0.0)
+    enc = http_encoder(stub_server, dim=8)
     with pytest.raises(ContractError, match="vectors"):
         enc.embed("hello")
 
@@ -135,7 +142,7 @@ def test_add_primitives_buckets_each_distinct_token_once(monkeypatch):
 def test_http_encoder_batch_posts_the_missing_texts_once_in_input_order(stub_server):
     dim = 4
     stub_server.script = [(200, {"vectors": [[1.0, 0.0, 0.0, 0.0], [0.0, 3.0, 4.0, 0.0]]})]
-    kb = KnowledgeBase(encoder=HttpEncoder(stub_server.url, dim=dim, backoff_s=0.0))
+    kb = KnowledgeBase(encoder=http_encoder(stub_server, dim=dim))
     primitives = [
         make_primitive("b#0", "second by id, first in input"),
         make_primitive("a#0", "third by id, second in input"),
@@ -150,7 +157,7 @@ def test_http_encoder_batch_posts_the_missing_texts_once_in_input_order(stub_ser
 
 def test_http_encoder_failure_leaves_the_knowledge_base_unchanged(stub_server):
     stub_server.script = [(500, {})]
-    kb = KnowledgeBase(encoder=HttpEncoder(stub_server.url, dim=4, retries=1, backoff_s=0.0))
+    kb = KnowledgeBase(encoder=http_encoder(stub_server, dim=4, http_retries=1))
     primitives = [make_primitive("a#0", "first"), make_primitive("b#0", "second")]
     with pytest.raises(TransportError):
         kb.add_primitives(primitives)

@@ -6,12 +6,18 @@ retried.
 """
 import pytest
 
+from echoagent.config import EngineConfig
 from echoagent.errors import ContractError, TransportError
 from echoagent.kb.encoder import HttpEncoder
 from echoagent.kb.summarize import SECTION_NAMES, HttpSummarizer, build_repository_entry
 from echoagent.tools.backends import make_wire_handler
 from echoagent.tools.registry import ToolDescriptor, ToolRegistry
 from echoagent.tools.schema import FieldSpec
+
+
+def transport(**fields) -> EngineConfig:
+    """A config with ``fields``, a 2 s timeout, 2 retries and no backoff."""
+    return EngineConfig(**fields, http_timeout_s=2.0, http_retries=2, http_backoff_s=0.0)
 
 
 class WireClient:
@@ -26,7 +32,7 @@ class WireClient:
                 output_schema=(FieldSpec("value", "number"),),
                 backend="wire",
             ),
-            make_wire_handler(url, "remote.tool", timeout_s=2.0, retries=2, backoff_s=0.0),
+            make_wire_handler("remote.tool", transport(tool_url=url)),
         )
 
     def call(self):
@@ -37,7 +43,7 @@ class EncoderClient:
     ok_body = {"vectors": [[3.0, 4.0, 0.0, 0.0]]}
 
     def __init__(self, url):
-        self.encoder = HttpEncoder(url, dim=4, timeout_s=2.0, retries=2, backoff_s=0.0)
+        self.encoder = HttpEncoder(transport(encoder_url=url, embedding_dim=4))
 
     def call(self):
         return self.encoder.embed_batch(["left ventricle"])
@@ -47,7 +53,7 @@ class SummarizerClient:
     ok_body = {name: ["guidance"] for name in SECTION_NAMES}
 
     def __init__(self, url):
-        self.summarizer = HttpSummarizer(url, timeout_s=2.0, retries=2, backoff_s=0.0)
+        self.summarizer = HttpSummarizer(transport(summarizer_url=url))
 
     def call(self):
         return self.summarizer.summarize("left ventricle", ["some text"])
@@ -97,7 +103,7 @@ def test_non_json_200_is_a_contract_error_without_retry(stub_server, client_type
 
 def test_non_json_summary_degrades_the_repository_entry(stub_server, kb):
     stub_server.script = [(200, b"not json")]
-    summarizer = HttpSummarizer(stub_server.url, retries=2, backoff_s=0.0)
+    summarizer = HttpSummarizer(transport(summarizer_url=stub_server.url))
     entry = build_repository_entry(kb, "left ventricle", 8, summarizer)
     assert entry.degraded
     assert len(stub_server.requests) == 1

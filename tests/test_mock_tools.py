@@ -52,6 +52,36 @@ def test_non_finite_or_underflowing_sidecar_spacing_is_a_fixture_error(ef_datase
         load_study(study)
 
 
+@pytest.mark.parametrize("field,value,encoding", [
+    ("frames", ["ed.pgm", "es.pgm"], "utf-8"),
+    ("structure_map", [[1, "left ventricle"]], "utf-8"),
+    ("view", "apical-2-chamber", "utf-16"),
+], ids=["frames-not-an-object", "structure-map-not-an-object", "not-utf-8"])
+def test_malformed_or_undecodable_sidecar_is_a_fixture_error(ef_dataset, tmp_path, field,
+                                                             value, encoding):
+    import shutil
+
+    study = tmp_path / "a2c"
+    shutil.copytree(ef_dataset / "studies" / "study-02" / "a2c", study)
+    sidecar = json.loads((study / "study.json").read_text())
+    sidecar[field] = value
+    (study / "study.json").write_bytes(json.dumps(sidecar).encode(encoding))
+    with pytest.raises(FixtureError, match="study sidecar"):
+        load_study(study)
+
+
+def test_segmenting_a_phase_with_no_frame_is_a_fixture_error(registry, ef_dataset, tmp_path):
+    import shutil
+
+    study = tmp_path / "a4c"
+    shutil.copytree(ef_dataset / "studies" / "study-02" / "a4c", study)
+    sidecar = json.loads((study / "study.json").read_text())
+    del sidecar["frames"]["ES"]
+    (study / "study.json").write_text(json.dumps(sidecar))
+    with pytest.raises(FixtureError, match="no frame for phase 'ES'"):
+        segment_structure(registry, "echo.segmenter", study, "ES", "left ventricle")
+
+
 def test_mock_segmentation_returns_ground_truth_bit_equal(registry, ef_dataset):
     study = ef_dataset / "studies" / "study-02" / "a4c"
     result = segment_structure(registry, "echo.segmenter", study, "ED", "left ventricle")

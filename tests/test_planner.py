@@ -1,5 +1,6 @@
 import pytest
 
+from echoagent.config import EngineConfig
 from echoagent.errors import PlanningError
 from echoagent.hub.engine import DiagnosticQuery
 from echoagent.hub.planning import plan_steps
@@ -67,7 +68,7 @@ def test_missing_capability_is_a_planning_error_naming_the_gap(kb, lv_query):
     from echoagent.tools.registry import ToolRegistry
 
     bare = ToolRegistry()
-    register_perception_tools(bare)  # no functional layer registered
+    register_perception_tools(bare, EngineConfig())  # no functional layer registered
     with pytest.raises(PlanningError, match="volume_ml"):
         plan_steps(kb.entries["left ventricle"], lv_query, bare, DEFAULT_TAXONOMY)
 

@@ -1,3 +1,4 @@
+from echoagent.config import EngineConfig
 from echoagent.kb.summarize import (
     NO_GUIDANCE,
     SECTION_NAMES,
@@ -61,7 +62,7 @@ def test_supporting_ids_equal_topk_for_same_anatomy_and_k(kb):
 def test_summarizer_backend_used_when_well_formed(kb, stub_server):
     payload = {name: [f"{name} item"] for name in SECTION_NAMES}
     stub_server.script = [(200, payload)]
-    summarizer = HttpSummarizer(stub_server.url, backoff_s=0.0)
+    summarizer = HttpSummarizer(EngineConfig(summarizer_url=stub_server.url, http_backoff_s=0.0))
     entry = build_repository_entry(kb, "left ventricle", k=4, summarizer=summarizer)
     assert not entry.degraded
     assert entry.sections["measurements"] == ["measurements item"]
@@ -73,14 +74,17 @@ def test_summarizer_backend_used_when_well_formed(kb, stub_server):
 
 def test_malformed_summarizer_falls_back_to_template_with_flag(kb, stub_server):
     stub_server.script = [(200, {"wrong": "shape"})]
-    summarizer = HttpSummarizer(stub_server.url, backoff_s=0.0)
+    summarizer = HttpSummarizer(EngineConfig(summarizer_url=stub_server.url, http_backoff_s=0.0))
     entry = build_repository_entry(kb, "left ventricle", k=4, summarizer=summarizer)
     assert entry.degraded
     assert any(item != NO_GUIDANCE for item in entry.sections["measurements"])
 
 
 def test_unreachable_summarizer_also_degrades(kb):
-    summarizer = HttpSummarizer("http://127.0.0.1:1", timeout_s=0.05, retries=0, backoff_s=0.0)
+    summarizer = HttpSummarizer(EngineConfig(
+        summarizer_url="http://127.0.0.1:1", http_timeout_s=0.05, http_retries=0,
+        http_backoff_s=0.0,
+    ))
     entry = build_repository_entry(kb, "left ventricle", k=4, summarizer=summarizer)
     assert entry.degraded
 

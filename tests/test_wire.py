@@ -3,6 +3,7 @@ import base64
 import numpy as np
 import pytest
 
+from echoagent.config import EngineConfig
 from echoagent.errors import ContractError, TransportError
 from echoagent.tools.pgm import encode_pgm
 from echoagent.tools.registry import ToolDescriptor, ToolRegistry
@@ -18,7 +19,8 @@ def wire_registry(url, outputs_schema=(FieldSpec("value", "number"),)):
         output_schema=outputs_schema,
         backend="wire",
     )
-    handler = make_wire_handler(url, "remote.tool", timeout_s=2.0, retries=2, backoff_s=0.0)
+    handler = make_wire_handler("remote.tool", EngineConfig(
+        tool_url=url, http_timeout_s=2.0, http_retries=2, http_backoff_s=0.0))
     registry.register(descriptor, handler)
     return registry
 
@@ -99,7 +101,8 @@ def wire_segmenter(url):
     from echoagent.tools.backends import register_perception_tools
 
     registry = ToolRegistry()
-    register_perception_tools(registry, tool_url=url, timeout_s=2.0, retries=0, backoff_s=0.0)
+    register_perception_tools(registry, EngineConfig(
+        tool_url=url, http_timeout_s=2.0, http_retries=0, http_backoff_s=0.0))
     return registry
 
 
