@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: build-kb, query-kb, gen-fixtures, run-study, evaluate, tools.
-Exit codes: 0 success, 1 I/O failure, 2 query resolution failure,
-3 contract/config violation.
+Exit codes: 0 success; on failure, the ``exit_code`` its error class declares
+in ``errors.py`` (1 I/O or input, 2 query resolution, 3 contract or config).
 """
 from __future__ import annotations
 
@@ -14,22 +14,7 @@ from pathlib import Path
 
 from . import anatomy
 from .config import EngineConfig
-from .errors import (
-    ConfigError,
-    ContractError,
-    DomainError,
-    EchoAgentError,
-    EncoderError,
-    FixtureError,
-    GeometryError,
-    GraphError,
-    MetricError,
-    PlanningError,
-    RegistrationError,
-    ResolutionError,
-    TaxonomyError,
-    VolumeError,
-)
+from .errors import ContractError, EchoAgentError, FixtureError, ResolutionError
 from .kb.chunking import load_corpus
 from .kb.criteria import criteria_sentences
 from .kb.encoder import HashedBowEncoder, HttpEncoder
@@ -38,26 +23,11 @@ from .kb.summarize import HttpSummarizer, build_all_entries
 
 EXIT_OK = 0
 EXIT_IO = 1
-EXIT_RESOLUTION = 2
-EXIT_CONTRACT = 3
-
-_CONTRACT_ERRORS = (
-    ContractError, ConfigError, TaxonomyError, RegistrationError, PlanningError,
-    MetricError, EncoderError, GraphError, DomainError, GeometryError, VolumeError,
-)
 
 
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
-
-
-def _exit_code_for(exc: Exception) -> int:
-    if isinstance(exc, ResolutionError):
-        return EXIT_RESOLUTION
-    if isinstance(exc, _CONTRACT_ERRORS):
-        return EXIT_CONTRACT
-    return EXIT_IO
 
 
 def _build_encoder(config: EngineConfig):
@@ -97,6 +67,8 @@ def cmd_build_kb(args, config: EngineConfig) -> int:
 
 
 def cmd_query_kb(args, config: EngineConfig) -> int:
+    if args.k < 1:
+        raise ContractError(f"-k must be >= 1, got {args.k}")
     kb = _load_kb(args.kb, config)
     result = kb.retrieve_topk(args.text, anatomy_name=args.anatomy, k=args.k)
     if args.json:
@@ -208,7 +180,7 @@ def cmd_run_study(args, config: EngineConfig) -> int:
         conclusion = hub.run(query, trace_path=trace_path)
     except ResolutionError as exc:
         nearest = ", ".join(exc.nearest) if exc.nearest else "none"
-        return _fail(f"{exc} (nearest anatomies: {nearest})", EXIT_RESOLUTION)
+        return _fail(f"{exc} (nearest anatomies: {nearest})", exc.exit_code)
     if args.json:
         print(json.dumps({
             "answer": conclusion.answer,
@@ -342,13 +314,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = EngineConfig.resolve(args.config)
-    except ConfigError as exc:
-        return _fail(str(exc), EXIT_CONTRACT)
-    try:
-        return args.func(args, config)
+        return args.func(args, EngineConfig.resolve(args.config))
     except EchoAgentError as exc:
-        return _fail(str(exc), _exit_code_for(exc))
+        return _fail(str(exc), exc.exit_code)
     except OSError as exc:
         return _fail(str(exc), EXIT_IO)
 

@@ -17,6 +17,8 @@ from pathlib import Path
 from .errors import ConfigError
 
 ENV_CONFIG_VAR = "ECHOAGENT_CONFIG"
+# the values each declared field type accepts; a bool is never a number here
+_ACCEPTS = {"int": (int,), "float": (int, float), "str | None": (str, type(None))}
 
 
 @dataclass(frozen=True)
@@ -48,6 +50,8 @@ class EngineConfig:
     def __post_init__(self):
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _ACCEPTS[f.type]):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
         checks = [
@@ -82,7 +86,7 @@ class EngineConfig:
     def from_file(cls, path: str | Path) -> "EngineConfig":
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # invalid JSON or undecodable bytes
             raise ConfigError(f"config file {path}: invalid JSON ({exc})") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {path}: expected a JSON object")

@@ -1,12 +1,20 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Each class declares its CLI exit code (1 I/O or input, 2 unresolved query,
+3 contract or config violation) and the invocation-log status of a failed
+tool call; nothing else maps a failure to either.
+"""
 
 
 class EchoAgentError(Exception):
     """Base class for all errors raised by this package."""
+    exit_code = 1
+    status = "tool_error"
 
 
 class ConfigError(EchoAgentError):
     """Invalid, out-of-range, or unknown configuration values."""
+    exit_code = 3
 
 
 class IngestError(EchoAgentError):
@@ -15,31 +23,37 @@ class IngestError(EchoAgentError):
 
 class EncoderError(EchoAgentError):
     """Text could not be embedded (e.g. no tokens, zero vector)."""
+    exit_code = 3
 
 
 class TransportError(EchoAgentError):
     """A remote backend was unreachable or kept failing after retries."""
+    status = "transport_error"
 
-    def __init__(self, message: str, backend: str = "", attempts: int = 0):
+    def __init__(self, message: str, attempts: int = 0):
         super().__init__(message)
-        self.backend = backend
         self.attempts = attempts
 
 
 class ContractError(EchoAgentError):
     """A value violated a declared schema or interface contract."""
+    exit_code = 3
+    status = "contract_error"
 
 
 class TaxonomyError(EchoAgentError):
     """A view name outside the loaded view taxonomy."""
+    exit_code = 3
 
 
 class RegistrationError(EchoAgentError):
     """Tool registration conflict (duplicate name, malformed descriptor)."""
+    exit_code = 3
 
 
 class FixtureError(EchoAgentError):
     """A mock backend could not find or read its fixture."""
+    status = "fixture_error"
 
 
 class PgmFormatError(EchoAgentError):
@@ -52,22 +66,27 @@ class IndexLoadError(EchoAgentError):
 
 class GeometryError(EchoAgentError):
     """Mask region unusable for geometric measurement."""
+    exit_code = 3
 
 
 class VolumeError(EchoAgentError):
     """Biplane volume could not be computed from the given views."""
+    exit_code = 3
 
 
 class DomainError(EchoAgentError):
     """Numeric input outside a function's mathematical domain."""
+    exit_code = 3
 
 
 class GraphError(EchoAgentError):
     """Evidence-graph structural invariant violated."""
+    exit_code = 3
 
 
 class ResolutionError(EchoAgentError):
     """Query could not be resolved to any anatomy repository entry."""
+    exit_code = 2
 
     def __init__(self, message: str, nearest: tuple[str, ...] = ()):
         super().__init__(message)
@@ -76,6 +95,7 @@ class ResolutionError(EchoAgentError):
 
 class PlanningError(EchoAgentError):
     """A repository entry demands a capability no registered tool provides."""
+    exit_code = 3
 
 
 class DatasetError(EchoAgentError):
@@ -84,3 +104,4 @@ class DatasetError(EchoAgentError):
 
 class MetricError(EchoAgentError):
     """Metric undefined for the given inputs."""
+    exit_code = 3

@@ -60,12 +60,17 @@ class StudyRecord:
 def _parse_record(record_path: Path) -> StudyRecord:
     try:
         raw = json.loads(record_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON or undecodable bytes
         raise DatasetError(f"{record_path}: invalid JSON ({exc})") from exc
+    if not isinstance(raw, dict):
+        raise DatasetError(f"{record_path}: a record must be a JSON object")
     record_id = raw.get("id")
     if not record_id:
         raise DatasetError(f"{record_path}: missing record id")
-    truth_raw = raw.get("truth", {})
+    truth_raw, studies = raw.get("truth", {}), raw.get("studies", {})
+    for key, value in (("truth", truth_raw), ("studies", studies)):
+        if not isinstance(value, dict):
+            raise DatasetError(f"{record_path}: {key} must be a JSON object")
     has_ef = "ef_percent" in truth_raw
     has_qa = "answer_option" in truth_raw
     if has_ef == has_qa:
@@ -73,8 +78,13 @@ def _parse_record(record_path: Path) -> StudyRecord:
             f"record {record_id}: exactly one ground-truth variant required"
         )
     if has_ef:
-        ef = float(truth_raw["ef_percent"])
-        grade = str(truth_raw["grade"])
+        try:
+            ef = float(truth_raw["ef_percent"])
+        except (TypeError, ValueError) as exc:
+            raise DatasetError(
+                f"{record_path}: ef_percent must be a number, got {truth_raw['ef_percent']!r}"
+            ) from exc
+        grade = str(truth_raw.get("grade"))
         expected = grade_ef(ef)
         if grade != expected:
             raise DatasetError(
@@ -83,13 +93,13 @@ def _parse_record(record_path: Path) -> StudyRecord:
             )
         truth: EfTruth | QaTruth = EfTruth(ef_percent=ef, grade=grade)
     else:
-        group = str(truth_raw["anatomy_group"])
+        group = str(truth_raw.get("anatomy_group"))
         if not anatomy.is_valid_group(group):
             raise DatasetError(f"record {record_id}: unknown anatomy group {group!r}")
         truth = QaTruth(answer_option=str(truth_raw["answer_option"]), anatomy_group=group)
 
     study_dirs = {}
-    for hint, rel in raw.get("studies", {}).items():
+    for hint, rel in studies.items():
         study_dir = record_path.parent / rel
         try:
             load_study(study_dir)

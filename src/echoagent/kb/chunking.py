@@ -120,14 +120,21 @@ def ingest_document(
     return primitives
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path.name}: undecodable byte at offset {exc.start}") from exc
+
+
 def load_corpus(
     corpus_dir: str | Path, max_chunk_chars: int = 800
 ) -> list[KnowledgePrimitive]:
     """Ingest every .txt/.md file under a directory, in sorted name order.
 
     A sidecar ``<name>.tags`` file (anatomy names, one per line) supplies
-    explicit tags for its document. Undecodable bytes fail loudly with the
-    offending file and byte offset.
+    explicit tags for its document. Undecodable bytes in either fail loudly
+    with the offending file and byte offset.
     """
     root = Path(corpus_dir)
     if not root.is_dir():
@@ -136,17 +143,11 @@ def load_corpus(
     for path in sorted(root.iterdir()):
         if path.suffix.lower() not in (".txt", ".md"):
             continue
-        raw = path.read_bytes()
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise IngestError(
-                f"{path.name}: undecodable byte at offset {exc.start}"
-            ) from exc
+        text = _read_text(path)
         explicit: set[str] = set()
         sidecar = path.with_suffix(".tags")
         if sidecar.exists():
-            for line in sidecar.read_text(encoding="utf-8").splitlines():
+            for line in _read_text(sidecar).splitlines():
                 name = line.strip()
                 if not name:
                     continue

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .. import anatomy
-from ..errors import ContractError, EchoAgentError, FixtureError, RegistrationError, TransportError
+from ..errors import ContractError, EchoAgentError, RegistrationError
 from .schema import Schema, validate_value_map
 
 LAYERS = ("perceptual", "operational", "functional")
@@ -161,7 +161,7 @@ class ToolRegistry:
                 LogEntry(
                     invocation_id=ctx.invocation_id,
                     tool_name=tool_name,
-                    status=_status_of(exc),
+                    status=exc.status,
                     attempts=ctx.attempts,
                     error=str(exc),
                 )
@@ -176,13 +176,3 @@ class ToolRegistry:
             )
         )
         return result
-
-
-def _status_of(exc: EchoAgentError) -> str:
-    if isinstance(exc, ContractError):
-        return "contract_error"
-    if isinstance(exc, TransportError):
-        return "transport_error"
-    if isinstance(exc, FixtureError):
-        return "fixture_error"
-    return "tool_error"

@@ -37,7 +37,13 @@ def load_taxonomy(path: str | Path | None = None) -> tuple[str, ...]:
         return DEFAULT_TAXONOMY
     names: list[str] = []
     seen = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TaxonomyError(
+            f"taxonomy file {path}: undecodable byte at offset {exc.start}"
+        ) from exc
+    for line in text.splitlines():
         name = line.strip()
         if not name or name in seen:
             continue

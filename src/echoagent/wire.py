@@ -51,11 +51,8 @@ class JsonEndpoint:
                         raise broken from exc
                 error = f"HTTP {resp.status_code}"
                 if resp.status_code < 500 and resp.status_code not in _RETRIED_4XX:
-                    raise TransportError(f"{what} failed: {error}", backend=self.url,
-                                         attempts=attempt)
+                    raise TransportError(f"{what} failed: {error}", attempts=attempt)
             if attempt < attempts:
                 time.sleep(config.http_backoff_s * 2 ** (attempt - 1))
-        raise TransportError(
-            f"{what} failed after {attempts} attempts: {error}", backend=self.url,
-            attempts=attempts,
-        )
+        raise TransportError(f"{what} failed after {attempts} attempts: {error}",
+                             attempts=attempts)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import shutil
 
 import pytest
 
@@ -394,3 +395,90 @@ def test_run_study_twice_into_one_trace_file_gives_the_same_bytes(
     trace.write_bytes(first + first)
     assert run_cli(capsys, *argv)[0] == 0
     assert trace.read_bytes() == first
+
+
+def _config_argv(raw: bytes):
+    def argv(tmp_path, saved_kb, ef_dataset):
+        path = tmp_path / "config.json"
+        path.write_bytes(raw)
+        return ["--config", str(path), "tools"]
+    return argv
+
+
+def _record_argv(change):
+    """evaluate over a one-record copy of the dataset whose record.json is
+    replaced by change(parsed record), written as JSON unless it is bytes."""
+    def argv(tmp_path, saved_kb, ef_dataset):
+        study = tmp_path / "ds" / "studies" / "study-01"
+        shutil.copytree(ef_dataset / "studies" / "study-01", study)
+        record = study / "record.json"
+        changed = change(json.loads(record.read_text()))
+        record.write_bytes(changed if isinstance(changed, bytes) else json.dumps(changed).encode())
+        return ["evaluate", str(tmp_path / "ds"), "--kb", str(saved_kb)]
+    return argv
+
+
+def _tags_argv(tmp_path, saved_kb, ef_dataset):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "notes.txt").write_text("The pericardium is thin.\n")
+    (corpus / "notes.tags").write_bytes(b"pericardium\n\xff\n")
+    return ["build-kb", str(corpus), str(tmp_path / "kb.json")]
+
+
+def _taxonomy_argv(tmp_path, saved_kb, ef_dataset):
+    taxonomy = tmp_path / "views.txt"
+    taxonomy.write_bytes(b"apical-4-chamber\n\xff\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"taxonomy_path": str(taxonomy)}))
+    return ["--config", str(config), "run-study", str(ef_dataset / "studies" / "study-01"),
+            "Is the ejection fraction normal?", "--kb", str(saved_kb),
+            "--trace", str(tmp_path / "t.jsonl")]
+
+
+def _query_argv(k: str):
+    def argv(tmp_path, saved_kb, ef_dataset):
+        return ["query-kb", "ejection fraction", "--kb", str(saved_kb), "-k", k]
+    return argv
+
+
+# (case, exit code, text the one error line must hold, argv builder)
+BROKEN_INPUTS = [
+    ("config-k-string", 3, "k must be int", _config_argv(b'{"k": "8"}')),
+    ("config-s_min-null", 3, "s_min must be float", _config_argv(b'{"s_min": null}')),
+    ("config-d_max-float", 3, "d_max must be int", _config_argv(b'{"d_max": 2.5}')),
+    ("config-d_max-bool", 3, "d_max must be int", _config_argv(b'{"d_max": true}')),
+    ("config-beta-bool", 3, "beta must be float", _config_argv(b'{"beta": false}')),
+    ("config-tool_url-list", 3, "tool_url must be", _config_argv(b'{"tool_url": ["x"]}')),
+    ("config-taxonomy_path-number", 3, "taxonomy_path must be",
+     _config_argv(b'{"taxonomy_path": 5}')),
+    ("config-non-utf8", 3, "config.json", _config_argv(b'{"k": "\xff"}')),
+    ("config-missing", 1, "missing.json",
+     lambda tmp_path, saved_kb, ef_dataset: ["--config", str(tmp_path / "missing.json"), "tools"]),
+    ("record-list", 1, "record.json", _record_argv(lambda raw: [raw])),
+    ("record-non-utf8", 1, "record.json", _record_argv(lambda raw: b'{"id": "\xff"}')),
+    ("record-truth-list", 1, "record.json",
+     _record_argv(lambda raw: {**raw, "truth": ["ef_percent", "grade"]})),
+    ("record-studies-list", 1, "record.json",
+     _record_argv(lambda raw: {**raw, "studies": ["a2c", "a4c"]})),
+    ("record-ef-string", 1, "record.json",
+     _record_argv(lambda raw: {**raw, "truth": {"ef_percent": "abc", "grade": "Normal"}})),
+    ("record-no-grade", 1, "study-01",
+     _record_argv(lambda raw: {**raw, "truth": {"ef_percent": 55.0}})),
+    ("tags-non-utf8", 1, "notes.tags", _tags_argv),
+    ("taxonomy-non-utf8", 3, "views.txt", _taxonomy_argv),
+    ("query-kb-k-0", 3, "-k must be >= 1", _query_argv("0")),
+    ("query-kb-k-negative", 3, "-k must be >= 1", _query_argv("-3")),
+]
+
+
+@pytest.mark.parametrize("code, needle, make_argv", [case[1:] for case in BROKEN_INPUTS],
+                         ids=[case[0] for case in BROKEN_INPUTS])
+def test_broken_input_ends_in_its_exit_code_with_one_error_line(
+    capsys, saved_kb, ef_dataset, tmp_path, code, needle, make_argv
+):
+    result, _, err = run_cli(capsys, *make_argv(tmp_path, saved_kb, ef_dataset))
+    assert result == code, err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert needle in err
+    assert "Traceback" not in err
