@@ -19,6 +19,7 @@ record.json carries exactly one ground-truth variant:
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,6 +72,15 @@ def _parse_record(record_path: Path) -> StudyRecord:
     for key, value in (("truth", truth_raw), ("studies", studies)):
         if not isinstance(value, dict):
             raise DatasetError(f"{record_path}: {key} must be a JSON object")
+    if not all(isinstance(rel, str) for rel in studies.values()):
+        raise DatasetError(f"{record_path}: each studies value must be a string")
+    question, options = raw.get("question"), raw.get("options")
+    if question is not None and not isinstance(question, str):
+        raise DatasetError(f"{record_path}: question must be a string")
+    if options is not None and not (
+        isinstance(options, list) and all(isinstance(o, str) for o in options)
+    ):
+        raise DatasetError(f"{record_path}: options must be a list of strings")
     has_ef = "ef_percent" in truth_raw
     has_qa = "answer_option" in truth_raw
     if has_ef == has_qa:
@@ -84,6 +94,8 @@ def _parse_record(record_path: Path) -> StudyRecord:
             raise DatasetError(
                 f"{record_path}: ef_percent must be a number, got {truth_raw['ef_percent']!r}"
             ) from exc
+        if not math.isfinite(ef):
+            raise DatasetError(f"{record_path}: ef_percent must be finite, got {ef}")
         grade = str(truth_raw.get("grade"))
         expected = grade_ef(ef)
         if grade != expected:
@@ -109,12 +121,11 @@ def _parse_record(record_path: Path) -> StudyRecord:
     if not study_dirs:
         raise DatasetError(f"record {record_id}: no study directories listed")
 
-    options = raw.get("options")
     return StudyRecord(
         id=str(record_id),
         study_dirs=study_dirs,
         truth=truth,
-        question=raw.get("question"),
+        question=question,
         options=tuple(options) if options else None,
     )
 

@@ -18,7 +18,9 @@ The matrix is the only copy of the embeddings; primitives carry none.
 embeddings it is given or embeds every text in one ``encoder.embed_batch``
 call, and checks the batch's shape and every row's norm in one pass before
 it scatters the held and added rows into one new column-major matrix in
-ascending id order.
+ascending id order. It never keeps an array a caller passed in; only
+``load`` hands over the matrix it decoded, which an empty index keeps
+as it is when its rows already come in ascending id order.
 
 The saved index (format version 2) is one JSON document,
 ``{version, encoder_id, embeddings, primitives, entries, checksum}``. The
@@ -33,20 +35,30 @@ key. ``save`` serialises only the small part of the document; it streams
 the base64 data a block of rows at a time, hashing every byte as it goes
 out, then fills the 64 checksum digits it reserved, so its peak memory is
 that small part plus one block. It rewrites an existing file in place and
-cuts it at the new end. ``load`` verifies the checksum over the file bytes;
-only a file that fails the byte check (one not written by ``save``, or one
-whose digits were never filled) is re-serialised to check it against its
-canonical form. ``load`` lets go of the file bytes once they are decoded
-and of their text once it is parsed, decodes the block once, dropping its
-base64 text from the document, and refuses a dtype, data length, row count
-or dimension that does not match, as it refuses a version 1 file, which
-must be rebuilt.
+cuts it at the new end.
+
+``load`` reads a file whose bytes pass that check, as ``save`` writes it,
+in two passes and never whole. The first hashes the bytes after the
+checksum key a block at a time and finds the quote that closes the base64
+data, which comes first in the canonical document; it keeps only the
+document after that quote, and parses it once the digest matches. The
+second decodes the data ``_SAVE_BLOCK_ROWS`` rows at a time straight into
+the column-major matrix the index serves from, hashing it again so that a
+file rewritten between the passes is refused. Any other file (not written
+by ``save``, or one whose checksum digits were never filled) is read and
+parsed whole and passes if its canonical form matches its checksum.
+Either way the data's length is checked against the shape before the
+matrix is made, and ``load`` refuses a dtype, data length, row count or
+dimension that does not match, as it refuses a version 1 file, which must
+be rebuilt.
 """
 from __future__ import annotations
 
 import base64
 import hashlib
+import io
 import json
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -73,6 +85,8 @@ _DATA_HEAD = '{"embeddings":{"data":"'
 # rows of embeddings ``save`` encodes at a time: a multiple of 3 rows is a
 # whole number of 3-byte base64 groups at any dimension
 _SAVE_BLOCK_ROWS = 384
+# bytes ``load`` reads at a time while it hashes a sealed file's data
+_READ_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -111,6 +125,13 @@ class KnowledgeBase:
         Row i of the (n, d) ``embeddings`` embeds ``primitives[i]``; without
         it the encoder embeds every text in one batch.
         """
+        self._add(primitives, embeddings, owned=False)
+
+    def _add(self, primitives: list[KnowledgePrimitive], embeddings: np.ndarray | None,
+             owned: bool) -> None:
+        """``add_primitives``; with ``owned`` the caller hands ``embeddings``
+        over, and an empty index keeps a column-major one as its matrix when
+        its rows already come in ascending id order."""
         seen: set[str] = set()
         for p in primitives:
             if p.id in self.primitives or p.id in seen:
@@ -131,13 +152,16 @@ class KnowledgeBase:
             raise IndexLoadError(
                 f"primitive {primitives[off[0]].id!r} embedding norm {norms[off[0]]:.6g} not unit"
             )
-        # scatter the held rows and the added rows to their ascending-id rows
         ids = self.ids + [p.id for p in primitives]
         order = sorted(range(len(ids)), key=ids.__getitem__)
-        row_of = np.argsort(order)
-        matrix = np.empty((len(ids), dim), dtype=np.float64, order="F")
-        matrix[row_of[:len(self.ids)]] = self._matrix
-        matrix[row_of[len(self.ids):]] = added
+        if owned and not self.ids and added.flags.f_contiguous and order == list(range(len(ids))):
+            matrix = added
+        else:
+            # scatter the held rows and the added rows to their ascending-id rows
+            row_of = np.argsort(order)
+            matrix = np.empty((len(ids), dim), dtype=np.float64, order="F")
+            matrix[row_of[:len(self.ids)]] = self._matrix
+            matrix[row_of[len(self.ids):]] = added
         self.primitives.update((p.id, p) for p in primitives)
         self.ids = [ids[i] for i in order]
         self._matrix = matrix
@@ -264,19 +288,7 @@ class KnowledgeBase:
 
     @classmethod
     def load(cls, path: str | Path, encoder=None) -> "KnowledgeBase":
-        doc, sealed = _read_document(path)
-        version = doc.get("version")
-        if version != INDEX_FORMAT_VERSION:
-            raise IndexLoadError(
-                f"index version mismatch: file has {version!r}, expected "
-                f"{INDEX_FORMAT_VERSION}; rebuild the index with build-kb"
-            )
-        if not sealed and doc.get("checksum") != _checksum(
-            {k: v for k, v in doc.items() if k != "checksum"}
-        ):
-            raise IndexLoadError("index checksum mismatch: file corrupted or edited")
-
-        matrix = _embedding_matrix(doc)
+        doc, matrix = _read_index(path)
         n, dim = matrix.shape
         built_with = doc.get("encoder_id")
         if encoder is None and built_with == f"hashed-bow-{dim}":
@@ -315,7 +327,7 @@ class KnowledgeBase:
             except (KeyError, TypeError, ValueError) as exc:
                 raise IndexLoadError(f"invalid primitive record {raw.get('id')!r}: {exc}") from exc
             loaded.append(p)
-        kb.add_primitives(loaded, matrix)
+        kb._add(loaded, matrix, owned=True)
 
         for i, raw in enumerate(_records(doc, "entries")):
             try:
@@ -331,25 +343,91 @@ class KnowledgeBase:
         return kb
 
 
-def _read_document(path: str | Path) -> tuple[dict, bool]:
-    """(parsed index document, whether its bytes carry a matching checksum).
-
-    The byte check passes for a file as ``save`` writes it: the stored
-    checksum key first, then the canonical document, then one newline.
-    """
+def _read_index(path: str | Path) -> tuple[dict, np.ndarray]:
+    """The verified index document and the column-major matrix its
+    embeddings data holds."""
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            sealed = _read_sealed(fh, path)
+            if sealed is None:
+                fh.seek(0)
+                doc = _parse(fh.read(), path)
+            else:
+                doc, length, read, unchanged = sealed
+            version = doc.get("version")
+            if version != INDEX_FORMAT_VERSION:
+                raise IndexLoadError(
+                    f"index version mismatch: file has {version!r}, expected "
+                    f"{INDEX_FORMAT_VERSION}; rebuild the index with build-kb"
+                )
+            if sealed is None and doc.get("checksum") != _checksum(
+                {k: v for k, v in doc.items() if k != "checksum"}
+            ):
+                raise IndexLoadError("index checksum mismatch: file corrupted or edited")
+            shape = _embedding_shape(doc)
+            if sealed is None:
+                data = _data_digits(doc)
+                read, length = io.BytesIO(data).read, len(data)
+            matrix = _decode_rows(shape, length, read)
+            if sealed is not None and not unchanged():
+                raise IndexLoadError(f"knowledge index {path} changed while it was read")
+            return doc, matrix
     except OSError as exc:
         raise IndexLoadError(f"cannot read knowledge index {path}: {exc}") from exc
-    sealed = False
-    prefix = _SAVED_PREFIX.match(data)
-    if prefix is not None:
-        end = len(data) - 1 if data.endswith(b"\n") else len(data)
-        digest = hashlib.sha256(b"{")
-        digest.update(memoryview(data)[prefix.end():end])
-        sealed = digest.hexdigest().encode("ascii") == prefix.group(1)
-    del prefix
-    # hold at most two of the bytes, their text and the parsed document
+
+
+def _read_sealed(fh, path):
+    """For a file whose bytes pass the check, as ``save`` writes it: its
+    document with the embeddings data left empty, the data's length,
+    ``read(k)`` for its next k digits, and whether the digits read match
+    the ones checked. None for any other file.
+
+    One pass hashes the bytes after the checksum key in blocks and finds
+    the quote that closes the base64 data; only the document after it is
+    read whole, and parsed once the digest matches. ``read`` hashes the
+    data again as it goes, so a file rewritten between the passes is
+    refused, not mixed.
+    """
+    # the checksum key, its 64 digits and '",', then the data head past its brace
+    head = fh.read(len(_CHECKSUM_HEAD) + len(_UNSEALED) + 2 + len(_DATA_HEAD) - 1)
+    prefix = _SAVED_PREFIX.match(head)
+    if prefix is None or head[prefix.end():] != _DATA_HEAD[1:].encode("ascii"):
+        return None
+    offset = len(head)
+    digest = hashlib.sha256(b"{")
+    digest.update(head[prefix.end():])
+    again = digest.copy()
+    size = os.fstat(fh.fileno()).st_size
+    end, quote = offset, -1
+    while quote < 0:
+        # a read asks for no more than the file holds: it allocates what it asks for
+        block = fh.read(min(_READ_BLOCK_BYTES, size - end))
+        if not block:
+            return None  # the data never ends
+        quote = block.find(b'"')
+        used = len(block) if quote < 0 else quote
+        digest.update(memoryview(block)[:used])
+        end += used
+    checked = digest.copy().digest()
+    fh.seek(end)
+    rest = _DATA_HEAD.encode("ascii") + fh.read()
+    stop = len(rest) - 1 if rest.endswith(b"\n") else len(rest)
+    digest.update(memoryview(rest)[len(_DATA_HEAD):stop])
+    if digest.hexdigest().encode("ascii") != prefix.group(1):
+        return None
+    doc = _parse(rest, path)
+    fh.seek(offset)
+
+    def read(k: int) -> bytes:
+        digits = fh.read(k)
+        again.update(digits)
+        return digits
+
+    return doc, end - offset, read, lambda: again.digest() == checked
+
+
+def _parse(data: bytes, path: str | Path) -> dict:
+    """The JSON object that the UTF-8 ``data`` holds."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -359,14 +437,13 @@ def _read_document(path: str | Path) -> tuple[dict, bool]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise IndexLoadError(f"cannot read knowledge index {path}: {exc}") from exc
-    del text
     if not isinstance(doc, dict):
         raise IndexLoadError("knowledge index must be a JSON object")
-    return doc, sealed
+    return doc
 
 
-def _embedding_matrix(doc: dict) -> np.ndarray:
-    """The (n, d) matrix the document's embeddings block holds."""
+def _embedding_shape(doc: dict) -> tuple[int, int]:
+    """The [n, d] shape of the document's embeddings block."""
     block = doc.get("embeddings")
     if not isinstance(block, dict):
         raise IndexLoadError("knowledge index field 'embeddings' is missing or not an object")
@@ -378,19 +455,52 @@ def _embedding_matrix(doc: dict) -> np.ndarray:
     if not (isinstance(shape, list) and len(shape) == 2
             and all(type(x) is int for x in shape) and shape[0] >= 0 and shape[1] >= 1):
         raise IndexLoadError(f"embeddings shape {shape!r} is not [rows >= 0, dim >= 1]")
-    if not isinstance(block.get("data"), str):
+    return shape[0], shape[1]
+
+
+def _data_digits(doc: dict) -> bytes:
+    """The base64 digits of the embeddings data, which the document lets go."""
+    data = doc["embeddings"].pop("data", None)
+    if not isinstance(data, str):
         raise IndexLoadError("embeddings data is not a string")
     try:
-        # the document lets go of the base64 text once it is decoded
-        raw = base64.b64decode(block.pop("data"), validate=True)
-    except ValueError as exc:
+        return data.encode("ascii")
+    except UnicodeEncodeError as exc:
         raise IndexLoadError(f"embeddings data is not valid base64: {exc}") from exc
+
+
+def _decode_rows(shape: tuple[int, int], length: int, read) -> np.ndarray:
+    """The column-major matrix of ``shape`` whose row-major bytes are the
+    ``length`` base64 digits that ``read(k)`` returns k at a time, decoded
+    ``_SAVE_BLOCK_ROWS`` rows at a time.
+
+    The length is checked against the shape before the matrix is made.
+    """
     n, dim = shape
-    if len(raw) != n * dim * 8:
+    if length != _digits(n * dim * 8):
         raise IndexLoadError(
-            f"embeddings data holds {len(raw)} bytes; shape {shape} needs {n * dim * 8}"
+            f"embeddings data holds {length} base64 digits; shape {list(shape)} "
+            f"needs {_digits(n * dim * 8)} for {n * dim * 8} bytes"
         )
-    return np.frombuffer(raw, dtype=EMBEDDING_DTYPE).reshape(n, dim)
+    matrix = np.empty((n, dim), dtype=np.float64, order="F")
+    for start in range(0, n, _SAVE_BLOCK_ROWS):
+        rows = min(_SAVE_BLOCK_ROWS, n - start)
+        try:
+            raw = base64.b64decode(read(_digits(rows * dim * 8)), validate=True)
+        except ValueError as exc:
+            raise IndexLoadError(f"embeddings data is not valid base64: {exc}") from exc
+        if len(raw) != rows * dim * 8:
+            raise IndexLoadError(
+                f"embeddings data is not valid base64: rows {start} to {start + rows - 1} "
+                f"decode to {len(raw)} bytes, not {rows * dim * 8}"
+            )
+        matrix[start:start + rows] = np.frombuffer(raw, dtype=EMBEDDING_DTYPE).reshape(rows, dim)
+    return matrix
+
+
+def _digits(nbytes: int) -> int:
+    """The length of the padded base64 of ``nbytes`` bytes."""
+    return -(-nbytes // 3) * 4
 
 
 def _records(doc: dict, key: str) -> list:

@@ -465,6 +465,17 @@ BROKEN_INPUTS = [
      _record_argv(lambda raw: {**raw, "truth": {"ef_percent": "abc", "grade": "Normal"}})),
     ("record-no-grade", 1, "study-01",
      _record_argv(lambda raw: {**raw, "truth": {"ef_percent": 55.0}})),
+    ("record-study-number", 1, "record.json",
+     _record_argv(lambda raw: {**raw, "studies": {"a4c": 5}})),
+    ("record-options-number", 1, "record.json", _record_argv(lambda raw: {**raw, "options": 5})),
+    ("record-options-string", 1, "record.json",
+     _record_argv(lambda raw: {**raw, "options": "ab"})),
+    ("record-question-number", 1, "record.json",
+     _record_argv(lambda raw: {**raw, "question": 5})),
+    ("record-ef-nan", 1, "record.json",
+     _record_argv(lambda raw: {**raw, "truth": {"ef_percent": float("nan"), "grade": "Normal"}})),
+    ("record-ef-infinity", 1, "record.json",
+     _record_argv(lambda raw: {**raw, "truth": {"ef_percent": float("inf"), "grade": "Normal"}})),
     ("tags-non-utf8", 1, "notes.tags", _tags_argv),
     ("taxonomy-non-utf8", 3, "views.txt", _taxonomy_argv),
     ("query-kb-k-0", 3, "-k must be >= 1", _query_argv("0")),

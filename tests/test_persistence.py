@@ -243,7 +243,11 @@ def _primitives_not_a_list(doc):
     doc["primitives"] = 7
 
 
-@pytest.mark.parametrize("corrupt, message", [
+def _shape_claims_2_40_rows(doc):
+    doc["embeddings"]["shape"][0] = 2**40
+
+
+MALFORMED = [
     (None, "UTF-8"),
     (_v1_file, "rebuild the index with build-kb"),
     (_drop_embeddings, "'embeddings'"),
@@ -257,8 +261,14 @@ def _primitives_not_a_list(doc):
     (_source_not_object, "'source'"),
     (_entry_not_object, "entry record #0"),
     (_primitives_not_a_list, "'primitives' is not a list"),
-], ids=["not_utf8", "v1_file", "no_embeddings", "bad_base64", "wrong_dtype", "shape_vs_data",
-        "rows_vs_records", "primitive", "id", "text", "source", "entry", "primitives_field"])
+    (_shape_claims_2_40_rows, f"for {2**40 * 256 * 8} bytes"),
+]
+MALFORMED_IDS = ["not_utf8", "v1_file", "no_embeddings", "bad_base64", "wrong_dtype",
+                 "shape_vs_data", "rows_vs_records", "primitive", "id", "text", "source",
+                 "entry", "primitives_field", "shape_2_40_rows"]
+
+
+@pytest.mark.parametrize("corrupt, message", MALFORMED, ids=MALFORMED_IDS)
 def test_malformed_index_is_an_index_load_error_and_exit_one(
     corrupt, message, saved_kb, capsys
 ):
@@ -273,6 +283,111 @@ def test_malformed_index_is_an_index_load_error_and_exit_one(
     assert main(["query-kb", "ejection fraction", "--kb", str(saved_kb)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("corrupt, message", MALFORMED, ids=MALFORMED_IDS)
+def test_malformed_sealed_index_is_an_index_load_error_and_exit_one(
+    corrupt, message, saved_kb, capsys
+):
+    # the corruption, written as save writes a file: the checksum of the
+    # bytes first, so the byte check passes and load streams the file
+    doc = json.loads(saved_kb.read_text())
+    del doc["checksum"]
+    if corrupt is None:
+        canonical = _canonical_bytes(doc).replace(b'"text":"', b'"text":"\xff', 1)
+    else:
+        corrupt(doc)
+        canonical = _canonical_bytes(doc)
+    saved_kb.write_bytes(_sealed(canonical))
+    tracemalloc.start()
+    try:
+        with pytest.raises(IndexLoadError, match=message):
+            KnowledgeBase.load(saved_kb)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # nothing of a claimed shape is made before the data's length is checked
+    assert peak < 2**24
+    assert main(["query-kb", "ejection fraction", "--kb", str(saved_kb)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_a_sealed_file_is_verified_before_it_is_parsed(saved_kb, monkeypatch):
+    events = []
+    real_sha256, real_parse = hashlib.sha256, index_module._parse
+
+    class _LoggedDigest:
+        def __init__(self, data=b""):
+            self._hash = real_sha256(data)
+
+        def update(self, data):
+            self._hash.update(data)
+
+        def copy(self):
+            copied = _LoggedDigest()
+            copied._hash = self._hash.copy()
+            return copied
+
+        def digest(self):
+            return self._hash.digest()
+
+        def hexdigest(self):
+            events.append("checked")
+            return self._hash.hexdigest()
+
+    def logged_parse(data, path):
+        events.append("parsed")
+        return real_parse(data, path)
+
+    monkeypatch.setattr(index_module.hashlib, "sha256", _LoggedDigest)
+    monkeypatch.setattr(index_module, "_parse", logged_parse)
+    KnowledgeBase.load(saved_kb)
+    assert events == ["checked", "parsed"]
+
+
+def test_a_file_rewritten_between_the_passes_is_refused(saved_kb, monkeypatch):
+    # another index is written over the file after its digest was checked,
+    # before its data is decoded
+    real_parse = index_module._parse
+    other = json.loads(saved_kb.read_text())
+    del other["checksum"]
+    matrix = _embeddings(other)
+    _set_embeddings(other, np.roll(matrix, 1, axis=0))
+    rewritten = _sealed(_canonical_bytes(other))
+
+    def parse_then_rewrite(data, path):
+        doc = real_parse(data, path)
+        saved_kb.write_bytes(rewritten)
+        return doc
+
+    monkeypatch.setattr(index_module, "_parse", parse_then_rewrite)
+    with pytest.raises(IndexLoadError, match="changed while it was read"):
+        KnowledgeBase.load(saved_kb)
+
+
+def test_padding_inside_the_streamed_data_is_refused(tmp_path):
+    # the first block of rows ends in "=": each block decodes on its own,
+    # but not to the bytes of its rows
+    kb = _synthetic_kb(index_module._SAVE_BLOCK_ROWS + 1)
+    path = tmp_path / "kb.json"
+    kb.save(path)
+    doc = json.loads(path.read_text())
+    del doc["checksum"]
+    digits = index_module._SAVE_BLOCK_ROWS * 256 * 8 // 3 * 4
+    data = doc["embeddings"]["data"]
+    doc["embeddings"]["data"] = data[:digits - 1] + "=" + data[digits:]
+    path.write_bytes(_sealed(_canonical_bytes(doc)))
+    with pytest.raises(IndexLoadError, match="not valid base64: rows 0 to 383"):
+        KnowledgeBase.load(path)
+
+
+def test_added_embeddings_are_copied_even_when_no_row_moves(kb):
+    rows = np.asfortranarray(kb._matrix.copy())
+    fresh = KnowledgeBase()
+    fresh.add_primitives([kb.primitives[pid] for pid in kb.ids], rows)
+    assert fresh.ids == kb.ids
+    assert not np.shares_memory(fresh._matrix, rows)
 
 
 class _NamedEncoder(HashedBowEncoder):
@@ -353,9 +468,17 @@ def _fresh_bytes(kb: KnowledgeBase) -> bytes:
         ],
         "entries": [kb.entries[name].to_json() for name in sorted(kb.entries)],
     }
-    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    checksum = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    return ('{"checksum":"%s",' % checksum + canonical[1:] + "\n").encode("utf-8")
+    return _sealed(_canonical_bytes(doc))
+
+
+def _canonical_bytes(doc: dict) -> bytes:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def _sealed(canonical: bytes) -> bytes:
+    """The file ``save`` writes for the canonical document bytes."""
+    checksum = hashlib.sha256(canonical).hexdigest()
+    return b'{"checksum":"%s",' % checksum.encode("ascii") + canonical[1:] + b"\n"
 
 
 @pytest.mark.parametrize("rows", ["none", "one", "block-1", "block", "block+1", "fixture"])
@@ -447,8 +570,9 @@ def test_save_holds_less_than_two_matrices(large_kb, tmp_path):
 
 
 def test_load_holds_at_most_two_copies_of_the_file(large_kb, tmp_path):
-    # the file bytes go once they are decoded, their text once it is parsed
-    # and the base64 text once the matrix is decoded
+    # a saved file is read in blocks: its base64 data is decoded a block of
+    # rows at a time into the matrix the index keeps, beside the rest of the
+    # document
     large_kb.save(tmp_path / "kb.json")
     tracemalloc.start()
     try:
@@ -457,4 +581,4 @@ def test_load_holds_at_most_two_copies_of_the_file(large_kb, tmp_path):
     finally:
         tracemalloc.stop()
     assert np.array_equal(loaded._matrix, large_kb._matrix)
-    assert peak < 3.75 * large_kb._matrix.nbytes
+    assert peak < 2.0 * large_kb._matrix.nbytes
