@@ -1,18 +1,21 @@
 """Text embedding backends.
 
 The shipped encoder is a deterministic hashed bag-of-words: tokens are
-lowercased alphanumeric runs, each token is hashed into one of ``dim``
+lowercased ASCII alphanumeric runs, each token is hashed into one of ``dim``
 buckets with a stable (non-salted) hash, bucket counts are L2-normalized.
 It exists so that retrieval behaviour is exactly reproducible without any
-model weights. ``embed_batch`` hashes each distinct token once per call (a
-token -> bucket dict local to that call) and counts with ``np.bincount``;
-counts are exact integers, so its rows equal ``embed`` bit for bit. A
-remote encoder can be plugged in over HTTP with the same batch interface.
+model weights. ``tokenize`` maps every UTF-8 byte outside ``a-z0-9`` to a
+space and splits; a non-ASCII character encodes to bytes >= 0x80, so it
+splits tokens as the pattern ``[a-z0-9]+`` would. ``embed_batch`` hashes
+each distinct token once per call (a token -> bucket dict local to that
+call), counts with ``np.bincount`` into one matrix and normalises the whole
+matrix at once; counts are exact integers, so every sum of squares is exact
+and its rows equal ``embed`` bit for bit. A remote encoder can be plugged
+in over HTTP with the same batch interface.
 """
 from __future__ import annotations
 
 import hashlib
-import re
 
 import numpy as np
 
@@ -20,11 +23,15 @@ from ..config import EngineConfig
 from ..errors import ContractError, EncoderError
 from ..wire import JsonEndpoint
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+# every byte outside a-z0-9 becomes a space
+_TOKEN_BYTES = bytes(
+    b if chr(b) in "abcdefghijklmnopqrstuvwxyz0123456789" else 0x20 for b in range(256)
+)
 
 
 def tokenize(text: str) -> list[str]:
-    return _TOKEN_RE.findall(text.lower())
+    return text.lower().encode("utf-8", "surrogatepass").translate(_TOKEN_BYTES).decode(
+        "ascii").split()
 
 
 def _bucket(token: str, dim: int) -> int:
@@ -62,19 +69,22 @@ class HashedBowEncoder:
         return f"hashed-bow-{self.dim}"
 
     def embed(self, text: str) -> np.ndarray:
-        return self._embed(text, {})
+        if not text:
+            raise EncoderError("cannot embed empty text")
+        return normalize(token_counts(text, self.dim))
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
+        if not all(texts):
+            raise EncoderError("cannot embed empty text")
         buckets: dict[str, int] = {}
         out = np.empty((len(texts), self.dim), dtype=np.float64)
         for i, text in enumerate(texts):
-            out[i] = self._embed(text, buckets)
+            out[i] = token_counts(text, self.dim, buckets)
+        norms = np.sqrt(np.einsum("ij,ij->i", out, out))
+        if not norms.all():
+            raise EncoderError("text produced a zero embedding vector (no tokens)")
+        out /= norms[:, None]
         return out
-
-    def _embed(self, text: str, buckets: dict[str, int]) -> np.ndarray:
-        if not text:
-            raise EncoderError("cannot embed empty text")
-        return normalize(token_counts(text, self.dim, buckets))
 
 
 class HttpEncoder:

@@ -19,47 +19,24 @@ embeddings it is given or embeds every text in one ``encoder.embed_batch``
 call, and checks the batch's shape and every row's norm in one pass before
 it scatters the held and added rows into one new column-major matrix in
 ascending id order. It never keeps an array a caller passed in; only
-``load`` hands over the matrix it decoded, which an empty index keeps
+``load`` hands over the matrix it read, which an empty index keeps
 as it is when its rows already come in ascending id order.
 
-The saved index (format version 2) is one JSON document,
-``{version, encoder_id, embeddings, primitives, entries, checksum}``. The
-embeddings are one block, ``{"dtype": "<f8", "shape": [n, d], "data": ...}``,
-whose data is the base64 of the row-major little-endian float64 matrix,
-as in a ``.npy`` file (``tobytes`` writes C order whatever the layout in
-memory); row i is the embedding of primitive record i, and
-``save`` writes both in ascending primitive id order. The file is the
-document in canonical form (sorted keys, no spaces) with the SHA-256 of
-those bytes as a leading ``"checksum"`` key, which sorts before every other
-key. ``save`` serialises only the small part of the document; it streams
-the base64 data a block of rows at a time, hashing every byte as it goes
-out, then fills the 64 checksum digits it reserved, so its peak memory is
-that small part plus one block. It rewrites an existing file in place and
-cuts it at the new end.
-
-``load`` reads a file whose bytes pass that check, as ``save`` writes it,
-in two passes and never whole. The first hashes the bytes after the
-checksum key a block at a time and finds the quote that closes the base64
-data, which comes first in the canonical document; it keeps only the
-document after that quote, and parses it once the digest matches. The
-second decodes the data ``_SAVE_BLOCK_ROWS`` rows at a time straight into
-the column-major matrix the index serves from, hashing it again so that a
-file rewritten between the passes is refused. Any other file (not written
-by ``save``, or one whose checksum digits were never filled) is read and
-parsed whole and passes if its canonical form matches its checksum.
-Either way the data's length is checked against the shape before the
-matrix is made, and ``load`` refuses a dtype, data length, row count or
-dimension that does not match, as it refuses a version 1 file, which must
-be rebuilt.
+The saved index (format version 3) is three parts: a line of the 64 hex
+digits of the SHA-256 of every byte after it; one canonical JSON head line
+(sorted keys, no spaces) ``{embeddings: {dtype, shape: [n, d]}, encoder_id,
+entries, primitives, version}``; then the n·d little-endian float64s of the
+matrix in column-major order, which is the matrix's own buffer. Primitive
+record i is row i; ``save`` writes both in ascending primitive id order, and
+rewrites an existing file in place, cut at its new end. ``load`` reads the
+data straight into the buffer its matrix keeps, and checks the digest before
+it parses the head. Any other file, version 1 and 2 included, is refused.
 """
 from __future__ import annotations
 
-import base64
 import hashlib
-import io
 import json
 import os
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,22 +48,10 @@ from .chunking import KnowledgePrimitive, SourceSpan
 from .encoder import HashedBowEncoder
 from .summarize import RepositoryEntry
 
-INDEX_FORMAT_VERSION = 2
+INDEX_FORMAT_VERSION = 3
 NORM_TOLERANCE = 1e-9
 EMBEDDING_DTYPE = "<f8"
-# what ``save`` writes before the canonical document's remaining keys
-_SAVED_PREFIX = re.compile(rb'\{"checksum":"([0-9a-f]{64})",')
-_CHECKSUM_HEAD = b'{"checksum":"'
-# the checksum digits ``save`` reserves until the rest of the file is written
-_UNSEALED = b"0" * 64
-# the canonical document up to its base64 embeddings data: "embeddings"
-# sorts first among the keys, and "data" first in its block
-_DATA_HEAD = '{"embeddings":{"data":"'
-# rows of embeddings ``save`` encodes at a time: a multiple of 3 rows is a
-# whole number of 3-byte base64 groups at any dimension
-_SAVE_BLOCK_ROWS = 384
-# bytes ``load`` reads at a time while it hashes a sealed file's data
-_READ_BLOCK_BYTES = 1 << 20
+_HEX_DIGITS = b"0123456789abcdef"
 
 
 @dataclass(frozen=True)
@@ -228,9 +193,8 @@ class KnowledgeBase:
 
     # -- persistence -------------------------------------------------------
 
-    def _document_without_data(self) -> dict:
-        """The index document without its checksum, its embeddings ``data``
-        left empty for ``save`` to stream."""
+    def _head(self) -> bytes:
+        """The canonical JSON head line of the saved index, with its newline."""
         primitives = []
         for pid in self.ids:
             p = self.primitives[pid]
@@ -243,48 +207,34 @@ class KnowledgeBase:
                 }
             )
         entries = [self.entries[name].to_json() for name in sorted(self.entries)]
-        return {
+        head = {
             "version": INDEX_FORMAT_VERSION,
             "encoder_id": self.encoder.encoder_id,
-            "embeddings": {"dtype": EMBEDDING_DTYPE, "shape": list(self._matrix.shape), "data": ""},
+            "embeddings": {"dtype": EMBEDDING_DTYPE, "shape": list(self._matrix.shape)},
             "primitives": primitives,
             "entries": entries,
         }
+        return json.dumps(head, sort_keys=True, separators=(",", ":")).encode("ascii") + b"\n"
 
     def save(self, path: str | Path) -> None:
-        """Write the checksummed canonical document, streaming the embeddings.
+        """Write the digest line, the head line and the column-major matrix.
 
         An existing file is rewritten in place and cut at the new end.
         """
-        canonical = _canonical(self._document_without_data())
-        if not canonical.startswith(_DATA_HEAD):
-            raise AssertionError(f"canonical index starts {canonical[:40]!r}")
-        tail = canonical[len(_DATA_HEAD):].encode("utf-8")
-        del canonical
+        head = self._head()
+        # the transpose of the column-major matrix is its buffer in C order
+        data = memoryview(np.ascontiguousarray(self._matrix.T, dtype=EMBEDDING_DTYPE))
+        digest = hashlib.sha256(head)
+        digest.update(data)
         try:
             fh = open(path, "r+b")
         except FileNotFoundError:
             fh = open(path, "wb")
         with fh:
-            fh.write(_CHECKSUM_HEAD + _UNSEALED + b'",')
-            digest = hashlib.sha256(b"{")
-            for chunk in self._canonical_chunks(tail):
-                digest.update(chunk)
-                fh.write(chunk)
-            fh.write(b"\n")
+            fh.write(digest.hexdigest().encode("ascii") + b"\n")
+            fh.write(head)
+            fh.write(data)
             fh.truncate()
-            fh.seek(len(_CHECKSUM_HEAD))
-            fh.write(digest.hexdigest().encode("ascii"))
-
-    def _canonical_chunks(self, tail: bytes):
-        """The canonical document's bytes after its opening brace: the data
-        head, the base64 of ``_SAVE_BLOCK_ROWS`` rows at a time, the tail."""
-        yield _DATA_HEAD[1:].encode("ascii")
-        for start in range(0, len(self.ids), _SAVE_BLOCK_ROWS):
-            rows = self._matrix[start:start + _SAVE_BLOCK_ROWS]
-            # a whole number of 3-byte groups: no padding inside the data
-            yield base64.b64encode(rows.astype(EMBEDDING_DTYPE, copy=False).tobytes())
-        yield tail
 
     @classmethod
     def load(cls, path: str | Path, encoder=None) -> "KnowledgeBase":
@@ -344,106 +294,61 @@ class KnowledgeBase:
 
 
 def _read_index(path: str | Path) -> tuple[dict, np.ndarray]:
-    """The verified index document and the column-major matrix its
-    embeddings data holds."""
+    """The verified index head and the column-major matrix its data holds."""
     try:
         with open(path, "rb") as fh:
-            sealed = _read_sealed(fh, path)
-            if sealed is None:
-                fh.seek(0)
-                doc = _parse(fh.read(), path)
-            else:
-                doc, length, read, unchanged = sealed
-            version = doc.get("version")
-            if version != INDEX_FORMAT_VERSION:
+            size = os.fstat(fh.fileno()).st_size
+            line = fh.readline(65)  # 64 hex digits and a newline
+            if not (len(line) == 65 and line.endswith(b"\n")
+                    and not line[:64].translate(None, _HEX_DIGITS)):
                 raise IndexLoadError(
-                    f"index version mismatch: file has {version!r}, expected "
-                    f"{INDEX_FORMAT_VERSION}; rebuild the index with build-kb"
+                    f"knowledge index {path} is not a version {INDEX_FORMAT_VERSION} index: "
+                    "its first line is not a SHA-256 digest; rebuild the index with build-kb"
                 )
-            if sealed is None and doc.get("checksum") != _checksum(
-                {k: v for k, v in doc.items() if k != "checksum"}
-            ):
-                raise IndexLoadError("index checksum mismatch: file corrupted or edited")
-            shape = _embedding_shape(doc)
-            if sealed is None:
-                data = _data_digits(doc)
-                read, length = io.BytesIO(data).read, len(data)
-            matrix = _decode_rows(shape, length, read)
-            if sealed is not None and not unchanged():
+            head = fh.readline()
+            data = np.empty(max(size - len(line) - len(head), 0), dtype=np.uint8)
+            if fh.readinto(data) != data.size:
                 raise IndexLoadError(f"knowledge index {path} changed while it was read")
-            return doc, matrix
     except OSError as exc:
         raise IndexLoadError(f"cannot read knowledge index {path}: {exc}") from exc
-
-
-def _read_sealed(fh, path):
-    """For a file whose bytes pass the check, as ``save`` writes it: its
-    document with the embeddings data left empty, the data's length,
-    ``read(k)`` for its next k digits, and whether the digits read match
-    the ones checked. None for any other file.
-
-    One pass hashes the bytes after the checksum key in blocks and finds
-    the quote that closes the base64 data; only the document after it is
-    read whole, and parsed once the digest matches. ``read`` hashes the
-    data again as it goes, so a file rewritten between the passes is
-    refused, not mixed.
-    """
-    # the checksum key, its 64 digits and '",', then the data head past its brace
-    head = fh.read(len(_CHECKSUM_HEAD) + len(_UNSEALED) + 2 + len(_DATA_HEAD) - 1)
-    prefix = _SAVED_PREFIX.match(head)
-    if prefix is None or head[prefix.end():] != _DATA_HEAD[1:].encode("ascii"):
-        return None
-    offset = len(head)
-    digest = hashlib.sha256(b"{")
-    digest.update(head[prefix.end():])
-    again = digest.copy()
-    size = os.fstat(fh.fileno()).st_size
-    end, quote = offset, -1
-    while quote < 0:
-        # a read asks for no more than the file holds: it allocates what it asks for
-        block = fh.read(min(_READ_BLOCK_BYTES, size - end))
-        if not block:
-            return None  # the data never ends
-        quote = block.find(b'"')
-        used = len(block) if quote < 0 else quote
-        digest.update(memoryview(block)[:used])
-        end += used
-    checked = digest.copy().digest()
-    fh.seek(end)
-    rest = _DATA_HEAD.encode("ascii") + fh.read()
-    stop = len(rest) - 1 if rest.endswith(b"\n") else len(rest)
-    digest.update(memoryview(rest)[len(_DATA_HEAD):stop])
-    if digest.hexdigest().encode("ascii") != prefix.group(1):
-        return None
-    doc = _parse(rest, path)
-    fh.seek(offset)
-
-    def read(k: int) -> bytes:
-        digits = fh.read(k)
-        again.update(digits)
-        return digits
-
-    return doc, end - offset, read, lambda: again.digest() == checked
-
-
-def _parse(data: bytes, path: str | Path) -> dict:
-    """The JSON object that the UTF-8 ``data`` holds."""
+    digest = hashlib.sha256(head)
+    digest.update(data)
+    if digest.hexdigest().encode("ascii") != line[:64]:
+        raise IndexLoadError("index checksum mismatch: file corrupted or edited")
     try:
-        text = data.decode("utf-8")
+        text = head.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise IndexLoadError(f"knowledge index {path} is not UTF-8 text: {exc}") from exc
-    del data
+    del head  # the parse needs only the text
+    doc = _parse(text, path)
+    version = doc.get("version")
+    if version != INDEX_FORMAT_VERSION:
+        raise IndexLoadError(
+            f"index version mismatch: file has {version!r}, expected "
+            f"{INDEX_FORMAT_VERSION}; rebuild the index with build-kb"
+        )
+    n, dim = _embedding_shape(doc)
+    if data.size != n * dim * 8:
+        raise IndexLoadError(
+            f"embeddings data holds {data.size} bytes, not the {n * dim * 8} "
+            f"that shape {[n, dim]} needs"
+        )
+    return doc, data.view(EMBEDDING_DTYPE).reshape(dim, n).T
+
+
+def _parse(text: str, path: str | Path) -> dict:
+    """The JSON object that the head line ``text`` holds."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise IndexLoadError(f"cannot read knowledge index {path}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise IndexLoadError("knowledge index must be a JSON object")
+        raise IndexLoadError("knowledge index head must be a JSON object")
     return doc
 
 
 def _embedding_shape(doc: dict) -> tuple[int, int]:
-    """The [n, d] shape of the document's embeddings block."""
+    """The [n, d] shape of the head's embeddings block."""
     block = doc.get("embeddings")
     if not isinstance(block, dict):
         raise IndexLoadError("knowledge index field 'embeddings' is missing or not an object")
@@ -458,61 +363,9 @@ def _embedding_shape(doc: dict) -> tuple[int, int]:
     return shape[0], shape[1]
 
 
-def _data_digits(doc: dict) -> bytes:
-    """The base64 digits of the embeddings data, which the document lets go."""
-    data = doc["embeddings"].pop("data", None)
-    if not isinstance(data, str):
-        raise IndexLoadError("embeddings data is not a string")
-    try:
-        return data.encode("ascii")
-    except UnicodeEncodeError as exc:
-        raise IndexLoadError(f"embeddings data is not valid base64: {exc}") from exc
-
-
-def _decode_rows(shape: tuple[int, int], length: int, read) -> np.ndarray:
-    """The column-major matrix of ``shape`` whose row-major bytes are the
-    ``length`` base64 digits that ``read(k)`` returns k at a time, decoded
-    ``_SAVE_BLOCK_ROWS`` rows at a time.
-
-    The length is checked against the shape before the matrix is made.
-    """
-    n, dim = shape
-    if length != _digits(n * dim * 8):
-        raise IndexLoadError(
-            f"embeddings data holds {length} base64 digits; shape {list(shape)} "
-            f"needs {_digits(n * dim * 8)} for {n * dim * 8} bytes"
-        )
-    matrix = np.empty((n, dim), dtype=np.float64, order="F")
-    for start in range(0, n, _SAVE_BLOCK_ROWS):
-        rows = min(_SAVE_BLOCK_ROWS, n - start)
-        try:
-            raw = base64.b64decode(read(_digits(rows * dim * 8)), validate=True)
-        except ValueError as exc:
-            raise IndexLoadError(f"embeddings data is not valid base64: {exc}") from exc
-        if len(raw) != rows * dim * 8:
-            raise IndexLoadError(
-                f"embeddings data is not valid base64: rows {start} to {start + rows - 1} "
-                f"decode to {len(raw)} bytes, not {rows * dim * 8}"
-            )
-        matrix[start:start + rows] = np.frombuffer(raw, dtype=EMBEDDING_DTYPE).reshape(rows, dim)
-    return matrix
-
-
-def _digits(nbytes: int) -> int:
-    """The length of the padded base64 of ``nbytes`` bytes."""
-    return -(-nbytes // 3) * 4
-
-
 def _records(doc: dict, key: str) -> list:
     records = doc.get(key, [])
     if not isinstance(records, list):
         raise IndexLoadError(f"knowledge index field {key!r} is not a list")
     return records
 
-
-def _canonical(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def _checksum(doc: dict) -> str:
-    return hashlib.sha256(_canonical(doc).encode("utf-8")).hexdigest()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -24,6 +25,36 @@ def make_primitive(pid, text, tags=()):
         source=SourceSpan("test", 0, len(text)),
         anatomy_tags=frozenset(tags),
     )
+
+
+def split_index(raw: bytes) -> tuple[bytes, bytes, bytes]:
+    """The digest, the head line and the data of a format 3 index file,
+    without the newlines that end the first two."""
+    digest, head, data = raw.split(b"\n", 2)
+    return digest, head, data
+
+
+def seal_index(head: dict | bytes, data: bytes) -> bytes:
+    """The format 3 index file of a head and its data, led by their digest.
+
+    A dict head is written as ``save`` writes it: canonical JSON, sorted
+    keys and no spaces.
+    """
+    if isinstance(head, dict):
+        head = json.dumps(head, sort_keys=True, separators=(",", ":")).encode("ascii")
+    body = head + b"\n" + data
+    return hashlib.sha256(body).hexdigest().encode("ascii") + b"\n" + body
+
+
+def index_matrix(head: dict, data: bytes) -> np.ndarray:
+    """The (n, d) matrix whose column-major bytes are ``data``."""
+    n, d = head["embeddings"]["shape"]
+    return np.frombuffer(data, dtype="<f8").reshape(d, n).T.copy()
+
+
+def matrix_data(matrix: np.ndarray) -> bytes:
+    """The column-major little-endian bytes of an (n, d) matrix."""
+    return np.asarray(matrix, dtype="<f8").T.tobytes()
 
 
 def translate(mask: SegmentationMask, dx: int, dy: int) -> SegmentationMask:

@@ -2,7 +2,6 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
-import base64
 import json
 import shutil
 import time
@@ -10,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import build_fixture_kb
+from conftest import build_fixture_kb, index_matrix, matrix_data, seal_index, split_index
 from oracles import all_pairs_auroc, brute_force_topk, confusion_gmean
 
 from echoagent.config import EngineConfig
@@ -22,7 +21,7 @@ from echoagent.hub.graph import CAUSAL_KINDS, ReasoningGraph
 from echoagent.hub.hypotheses import update_posteriors
 from echoagent.hub.toolkit import build_default_registry
 from echoagent.kb.encoder import HashedBowEncoder
-from echoagent.kb.index import KnowledgeBase, _checksum
+from echoagent.kb.index import KnowledgeBase
 from echoagent.quant.grading import grade_ef
 from echoagent.quant.volume import biplane_volume
 
@@ -344,24 +343,20 @@ def test_criterion_10_kb_persistence(tmp_path, kb):
     )
 
     rejected = 0
-    bad_norm = json.loads(path.read_text())
-    block = bad_norm["embeddings"]
-    rows = np.frombuffer(base64.b64decode(block["data"]), dtype="<f8").reshape(block["shape"]).copy()
+    _, head, data = split_index(path.read_bytes())
+    norm_head = json.loads(head)
+    rows = index_matrix(norm_head, data)
     rows[0] = 0.0
     rows[0, 0] = 0.5
-    block["data"] = base64.b64encode(rows.tobytes()).decode("ascii")
-    bad_norm.pop("checksum")
-    bad_norm["checksum"] = _checksum(bad_norm)
-    bad_dangling = json.loads(path.read_text())
-    bad_dangling["entries"][0]["supporting_primitive_ids"] = ["ghost#1"]
-    bad_dangling.pop("checksum")
-    bad_dangling["checksum"] = _checksum(bad_dangling)
-    bad_checksum = json.loads(path.read_text())
-    bad_checksum["checksum"] = "0" * 64
+    bad_norm = seal_index(norm_head, matrix_data(rows))
+    dangling_head = json.loads(head)
+    dangling_head["entries"][0]["supporting_primitive_ids"] = ["ghost#1"]
+    bad_dangling = seal_index(dangling_head, data)
+    bad_checksum = b"0" * 64 + b"\n" + head + b"\n" + data
 
     for i, corrupted in enumerate((bad_norm, bad_dangling, bad_checksum)):
         bad_path = tmp_path / f"bad{i}.json"
-        bad_path.write_text(json.dumps(corrupted))
+        bad_path.write_bytes(corrupted)
         try:
             KnowledgeBase.load(bad_path)
         except IndexLoadError:

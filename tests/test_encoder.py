@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_primitive
-from oracles import seed_token_counts
+from oracles import _seed_tokenize, seed_token_counts
 
 from echoagent.config import EngineConfig
 from echoagent.errors import ContractError, EncoderError, TransportError
 from echoagent.kb import encoder as encoder_module
-from echoagent.kb.encoder import HashedBowEncoder, HttpEncoder, normalize, token_counts
+from echoagent.kb.chunking import load_corpus
+from echoagent.kb.encoder import HashedBowEncoder, HttpEncoder, normalize, token_counts, tokenize
 from echoagent.kb.index import KnowledgeBase
 
 # repeated and mixed-case tokens, digits, non-ASCII letters (which split
@@ -30,6 +31,37 @@ def token_texts(draw):
     words = ["lv"] + draw(st.lists(_WORDS, max_size=20))
     separators = draw(st.lists(_SEPARATORS, min_size=len(words), max_size=len(words)))
     return "".join(w + s for w, s in zip(words, separators))
+
+
+@pytest.mark.parametrize("text, tokens", [
+    ("LV-EF: 55%, a4c/a2c (normal).", ["lv", "ef", "55", "a4c", "a2c", "normal"]),
+    ("end_diastole;end`systole~x|y{z}[0]", ["end", "diastole", "end", "systole", "x", "y", "z", "0"]),
+    ("2024-01-02T03:04 #1 @2 $3 ^4 &5 *6 +7 =8 <9> ?10 \\11 \"12\" '13'", [
+        "2024", "01", "02t03", "04", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11",
+        "12", "13"]),
+    ("caf\u00e9 na\u00efve", ["caf", "na", "ve"]),
+    ("Gr\u00f6\u00dfe stra\u00dfe", ["gr", "e", "stra", "e"]),
+    # "\u0130" lowercases to "i" and a combining dot, which splits
+    ("\u0130stanbul", ["i", "stanbul"]),
+    # the Kelvin sign lowercases to an ASCII "k"
+    ("\u212aelvin 5\u212a", ["kelvin", "5k"]),
+    ("\u017fs \ufb01ne", ["s", "ne"]),
+    ("a\udcffb \ud800", ["a", "b"]),
+    ("", []),
+    (" \t\n\r\x0b\x0c\x1c\x85\xa0\u2003\u3000", []),
+], ids=["ascii_punctuation", "ascii_symbols", "digits", "e_acute", "sharp_s",
+        "dotted_capital_i", "kelvin", "long_s_and_fi", "lone_surrogates", "empty", "whitespace"])
+def test_tokenize_splits_as_the_seed_pattern(text, tokens):
+    assert tokenize(text) == _seed_tokenize(text) == tokens
+
+
+def test_embed_batch_rows_equal_embed_on_the_fixture_corpus(corpus_dir):
+    texts = [p.text for p in load_corpus(corpus_dir)]
+    enc = HashedBowEncoder(256)
+    rows = enc.embed_batch(texts)
+    for row, text in zip(rows, texts):
+        assert np.array_equal(row, enc.embed(text))
+        assert np.array_equal(row, normalize(seed_token_counts(text, 256)))
 
 
 def test_embedding_is_deterministic():
