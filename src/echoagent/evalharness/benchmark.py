@@ -9,8 +9,8 @@ from pathlib import Path
 from ..config import EngineConfig
 from ..errors import EchoAgentError, MetricError
 from ..hub.engine import DiagnosticQuery, ReasoningHub
+from ..kb.criteria import GRADES
 from ..kb.index import KnowledgeBase
-from ..quant.grading import GRADES
 from ..tools.registry import ToolRegistry
 from .dataset import StudyRecord
 from .metrics import auroc, gmean, ovr_accuracy, overall_accuracy

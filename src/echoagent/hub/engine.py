@@ -20,7 +20,6 @@ from ..errors import ContractError, EchoAgentError, GraphError, ResolutionError
 from ..kb.criteria import ThresholdRule
 from ..kb.index import KnowledgeBase
 from ..kb.summarize import RepositoryEntry, empty_entry
-from ..quant.grading import normalize_grade_label
 from ..tools import backends
 from ..tools.registry import LogEntry, ToolRegistry
 from ..tools.views import A2C, A4C, ALTERNATE_VIEW, load_taxonomy
@@ -323,18 +322,11 @@ class ReasoningHub:
         if state.ef_anomalous:
             return state.fail(step, t, "ejection fraction flagged anomalous; grading withheld")
         node, outcome = self._measure(
-            step, state, t, {"ef_percent": state.ef_value},
+            step, state, t, {"ef_percent": state.ef_value, "rules": state.rules},
             [(state.ef_node[structure], "derives")],
         )
-        grade = outcome.payload["grade"]
-        state.grade_value = grade
-        # categorical evidence: endorse the same-named hypothesis, refute other grades
-        for label in state.labels:
-            label_grade = normalize_grade_label(label)
-            if label_grade is None:
-                continue
-            kind = "supports" if label_grade == grade else "contradicts"
-            state.graph.add_edge(node, state.hypothesis_nodes[label], kind, outcome.confidence)
+        state.grade_value = outcome.payload["grade"]
+        self._link_criteria(state, node, "ef_percent", state.ef_value, outcome.confidence)
         return outcome
 
     def _do_mask_metric(self, step, state, t):

@@ -15,8 +15,7 @@ import math
 
 import numpy as np
 
-from ..kb.criteria import ThresholdRule
-from ..quant.grading import GRADES, normalize_grade_label
+from ..kb.criteria import GRADES, ThresholdRule, normalize_grade_label
 from .graph import ReasoningGraph
 
 

@@ -2,8 +2,8 @@
 from __future__ import annotations
 
 from ..config import EngineConfig
+from ..kb.criteria import grade_ef
 from ..quant.geometry import long_axis, mask_area
-from ..quant.grading import grade_ef
 from ..quant.volume import biplane_volume, ejection_fraction
 from ..tools.backends import register_perception_tools
 from ..tools.registry import ToolDescriptor, ToolRegistry
@@ -29,7 +29,7 @@ def _ef_handler(inputs, ctx):
 
 
 def _grade_handler(inputs, ctx):
-    return {"grade": grade_ef(inputs["ef_percent"])}, 1.0
+    return {"grade": grade_ef(inputs["ef_percent"], inputs["rules"])}, 1.0
 
 
 def _area_handler(inputs, ctx):
@@ -71,7 +71,7 @@ def register_quant_tools(registry: ToolRegistry) -> None:
         ToolDescriptor(
             name=GRADE_TOOL,
             layer="functional",
-            input_schema=(FieldSpec("ef_percent", "number"),),
+            input_schema=(FieldSpec("ef_percent", "number"), FieldSpec("rules", "rules")),
             output_schema=(FieldSpec("grade", "string"),),
         ),
         _grade_handler,

@@ -2,10 +2,28 @@
 names a metric and a comparator; ``RepositoryEntry.rules`` holds an entry's."""
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
-from ..quant.grading import normalize_grade_label
+from ..errors import DomainError
+
+NORMAL = "Normal"
+MILDLY_REDUCED = "MildlyReduced"
+CONSIDERABLY_REDUCED = "ConsiderablyReduced"
+
+# Severity order, most function preserved first.
+GRADES = (NORMAL, MILDLY_REDUCED, CONSIDERABLY_REDUCED)
+
+# Human-readable variants accepted when matching criteria text or options.
+GRADE_SYNONYMS = {
+    NORMAL: ("normal",),
+    MILDLY_REDUCED: ("mildlyreduced", "mildly reduced", "mild reduction"),
+    CONSIDERABLY_REDUCED: (
+        "considerablyreduced", "considerably reduced", "severely reduced",
+        "considerable reduction",
+    ),
+}
 
 _NUMBER = r"(\d+(?:\.\d+)?)"
 
@@ -27,6 +45,7 @@ _METRIC_PATTERNS: tuple[tuple[str, str], ...] = (
     (r"\bdiameter\b|\bdimension\b", "dimension_mm"),
 )
 
+_OPERATORS = {">=": operator.ge, ">": operator.gt, "<": operator.lt, "<=": operator.le}
 _SENTENCE_RE = re.compile(r"(?<=[.!?])\s+")
 _INDICATES_RE = re.compile(r"indicates?\s+(?:an?\s+)?(.+?)\s*$")
 
@@ -39,21 +58,32 @@ class ThresholdRule:
     source_text: str
 
     def satisfied(self, value: float) -> bool:
-        for op, threshold in self.conditions:
-            if op == ">=" and not value >= threshold:
-                return False
-            if op == ">" and not value > threshold:
-                return False
-            if op == "<" and not value < threshold:
-                return False
-            if op == "<=" and not value <= threshold:
-                return False
-        return True
+        return all(_OPERATORS[op](value, threshold) for op, threshold in self.conditions)
 
     def describe(self) -> str:
         """``metric op value [and op value] -> label``."""
         conditions = " and ".join(f"{op} {value:g}" for op, value in self.conditions)
         return f"{self.metric} {conditions} -> {self.label}"
+
+
+def grade_ef(ef_percent: float, rules: tuple[ThresholdRule, ...]) -> str:
+    """The label of the one ``ef_percent`` rule the value satisfies: a run's
+    grade cut-offs are the guideline's."""
+    met = [r.label for r in rules if r.metric == "ef_percent" and r.satisfied(ef_percent)]
+    if len(met) != 1:
+        raise DomainError(f"ejection fraction {ef_percent:g}% satisfies {len(met)} of the "
+                          f"entry's ef_percent rules; a grade needs exactly one")
+    return met[0]
+
+
+def normalize_grade_label(text: str) -> str | None:
+    """Map a free-text label onto a canonical grade name, if it names one."""
+    lowered = text.strip().lower()
+    # longest synonyms first so "mildly reduced" is not swallowed by "normal"
+    for grade in (CONSIDERABLY_REDUCED, MILDLY_REDUCED, NORMAL):
+        if any(syn in lowered for syn in GRADE_SYNONYMS[grade]):
+            return grade
+    return None
 
 
 def criteria_sentences(items: list[str]) -> list[str]:

@@ -27,10 +27,10 @@ digits of the SHA-256 of every byte after it; one canonical JSON head line
 (sorted keys, no spaces) ``{embeddings: {dtype, shape: [n, d]}, encoder_id,
 entries, primitives, version}``; then the n·d little-endian float64s of the
 matrix in column-major order, which is the matrix's own buffer. Primitive
-record i is row i; ``save`` writes both in ascending primitive id order, and
-rewrites an existing file in place, cut at its new end. ``load`` reads the
-data straight into the buffer its matrix keeps, and checks the digest before
-it parses the head. Any other file, version 1 and 2 included, is refused.
+record i is row i; ``save`` writes both in ascending primitive id order, with
+``files.rewrite``. ``load`` reads the data straight into the buffer its
+matrix keeps, and checks the digest before it parses the head. Any other
+file, version 1 and 2 included, is refused.
 """
 from __future__ import annotations
 
@@ -44,6 +44,7 @@ import numpy as np
 
 from .. import anatomy
 from ..errors import IndexLoadError
+from ..files import rewrite
 from .chunking import KnowledgePrimitive, SourceSpan
 from .encoder import HashedBowEncoder
 from .summarize import RepositoryEntry
@@ -217,24 +218,13 @@ class KnowledgeBase:
         return json.dumps(head, sort_keys=True, separators=(",", ":")).encode("ascii") + b"\n"
 
     def save(self, path: str | Path) -> None:
-        """Write the digest line, the head line and the column-major matrix.
-
-        An existing file is rewritten in place and cut at the new end.
-        """
+        """Write the digest line, the head line and the column-major matrix."""
         head = self._head()
         # the transpose of the column-major matrix is its buffer in C order
         data = memoryview(np.ascontiguousarray(self._matrix.T, dtype=EMBEDDING_DTYPE))
         digest = hashlib.sha256(head)
         digest.update(data)
-        try:
-            fh = open(path, "r+b")
-        except FileNotFoundError:
-            fh = open(path, "wb")
-        with fh:
-            fh.write(digest.hexdigest().encode("ascii") + b"\n")
-            fh.write(head)
-            fh.write(data)
-            fh.truncate()
+        rewrite(path, digest.hexdigest().encode("ascii") + b"\n", head, data)
 
     @classmethod
     def load(cls, path: str | Path, encoder=None) -> "KnowledgeBase":

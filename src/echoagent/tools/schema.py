@@ -4,9 +4,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ContractError
+from ..kb.criteria import ThresholdRule
 from .masks import SegmentationMask
 
-FIELD_TYPES = ("string", "number", "integer", "boolean", "mask")
+FIELD_TYPES = ("string", "number", "integer", "boolean", "mask", "rules")
 
 
 @dataclass(frozen=True)
@@ -34,6 +35,8 @@ def _type_ok(value, type_name: str) -> bool:
         return isinstance(value, bool)
     if type_name == "mask":
         return isinstance(value, SegmentationMask)
+    if type_name == "rules":
+        return isinstance(value, tuple) and all(isinstance(r, ThresholdRule) for r in value)
     return False
 
 

@@ -13,7 +13,7 @@ from echoagent.evalharness.benchmark import run_benchmark, write_report
 from echoagent.evalharness.dataset import load_dataset
 from echoagent.hub.engine import ReasoningHub
 from echoagent.hub.toolkit import build_default_registry, register_quant_tools
-from echoagent.quant.grading import GRADES
+from echoagent.kb.criteria import GRADES
 from echoagent.tools.masks import SegmentationMask
 from echoagent.tools.registry import ToolDescriptor, ToolRegistry
 from echoagent.tools.schema import FieldSpec

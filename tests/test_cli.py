@@ -2,7 +2,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import shutil
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -395,6 +398,50 @@ def test_run_study_twice_into_one_trace_file_gives_the_same_bytes(
     trace.write_bytes(first + first)
     assert run_cli(capsys, *argv)[0] == 0
     assert trace.read_bytes() == first
+
+
+def _through_a_fifo(path: Path, work) -> tuple[object, bytes]:
+    """Run ``work`` while a thread reads everything written to a new FIFO at
+    ``path``; returns what ``work`` returned and the bytes read."""
+    os.mkfifo(path)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(path.read_bytes()), daemon=True)
+    reader.start()
+    result = work()
+    reader.join(timeout=60)
+    return result, got[0]
+
+
+@pytest.mark.parametrize("sink", ["dev_null", "fifo"])
+def test_build_kb_writes_an_index_into_a_file_that_is_not_regular(
+    capsys, corpus_dir, tmp_path, sink
+):
+    assert run_cli(capsys, "build-kb", str(corpus_dir), str(tmp_path / "kb.json"))[0] == 0
+    argv = ["build-kb", str(corpus_dir)]
+    if sink == "dev_null":
+        assert run_cli(capsys, *argv, os.devnull)[0] == 0
+        return
+    fifo = tmp_path / "kb.fifo"
+    (code, _, _), written = _through_a_fifo(fifo, lambda: run_cli(capsys, *argv, str(fifo)))
+    assert code == 0
+    assert written == (tmp_path / "kb.json").read_bytes()
+
+
+@pytest.mark.parametrize("sink", ["dev_null", "fifo"])
+def test_run_study_writes_a_trace_into_a_file_that_is_not_regular(
+    capsys, saved_kb, ef_dataset, tmp_path, sink
+):
+    argv = ["run-study", str(ef_dataset / "studies" / "study-11"),
+            "Is the ejection fraction normal?", "--kb", str(saved_kb), "--trace"]
+    assert run_cli(capsys, *argv, str(tmp_path / "t.jsonl"))[0] == 0
+    if sink == "dev_null":
+        code, out, _ = run_cli(capsys, *argv, os.devnull)
+        assert (code, out.splitlines()[-1]) == (0, f"trace: {os.devnull}")
+        return
+    fifo = tmp_path / "t.fifo"
+    (code, _, _), written = _through_a_fifo(fifo, lambda: run_cli(capsys, *argv, str(fifo)))
+    assert code == 0
+    assert written == (tmp_path / "t.jsonl").read_bytes()
 
 
 def _config_argv(raw: bytes):

@@ -5,7 +5,7 @@ import pytest
 
 from echoagent.errors import DatasetError
 from echoagent.evalharness.dataset import load_dataset
-from echoagent.quant.grading import GRADES
+from echoagent.kb.criteria import GRADES
 
 
 def test_fixture_dataset_loads_twelve_records_four_per_grade(ef_dataset):

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from echoagent.errors import DomainError
-from echoagent.quant.grading import (
+from echoagent.kb.criteria import (
     CONSIDERABLY_REDUCED,
     GRADES,
     MILDLY_REDUCED,
     NORMAL,
-    grade_ef,
     normalize_grade_label,
+    parse_criteria,
 )
+from echoagent.kb.criteria import grade_ef as grade_by_rules
+from echoagent.quant.grading import grade_ef
 
 
 def test_boundaries_exact_at_the_cutoffs():
@@ -54,3 +56,42 @@ def test_grade_label_normalization():
     assert normalize_grade_label("considerably reduced function") == CONSIDERABLY_REDUCED
     assert normalize_grade_label("severely reduced") == CONSIDERABLY_REDUCED
     assert normalize_grade_label("pericardial thickening") is None
+
+
+def test_the_fixture_rules_grade_as_the_fixed_cut_offs(kb):
+    # the fixture guideline's cut-offs are the dataset's truth: this is why a
+    # run that grades against the guideline keeps the fixture outputs' bytes
+    rules = kb.entries["left ventricle"].rules
+    assert [r.describe() for r in rules if r.metric == "ef_percent"] == [
+        "ef_percent >= 50 -> Normal",
+        "ef_percent >= 40 and < 50 -> MildlyReduced",
+        "ef_percent < 40 -> ConsiderablyReduced",
+    ]
+    edges = [x for c in (40.0, 50.0)
+             for x in (np.nextafter(c, -np.inf), c, np.nextafter(c, np.inf))]
+    for ef in [*np.linspace(-100.0, 100.0, 40_001), *edges, 39.999, 49.999]:
+        assert grade_by_rules(float(ef), rules) == grade_ef(float(ef)), ef
+
+
+_EF_SENTENCES = (
+    "Ejection fraction of 50% or higher indicates normal function.",
+    "Ejection fraction above 45% indicates mildly reduced function.",
+    "EF below 40% indicates considerably reduced function.",
+    "Left ventricular area above 10 mm2 indicates dilation.",
+)
+
+
+@pytest.mark.parametrize("sentences, ef, satisfied", [
+    (_EF_SENTENCES, 55.0, 2),
+    (_EF_SENTENCES, 47.0, 1),
+    (_EF_SENTENCES, 42.0, 0),
+    (_EF_SENTENCES[3:], 55.0, 0),
+    ((), 55.0, 0),
+], ids=["overlap", "one", "gap", "no_ef_rule", "no_rule"])
+def test_a_grade_needs_exactly_one_satisfied_ef_rule(sentences, ef, satisfied):
+    rules = parse_criteria(list(sentences))
+    if satisfied == 1:
+        assert grade_by_rules(ef, rules) == MILDLY_REDUCED
+        return
+    with pytest.raises(DomainError, match=f"satisfies {satisfied} of the entry's ef_percent rules"):
+        grade_by_rules(ef, rules)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import causal_parents, make_primitive
+from conftest import build_fixture_kb, causal_parents, make_primitive
 from oracles import brute_force_topk, seed_resolve
 
 from echoagent import anatomy
@@ -567,3 +567,53 @@ def test_a_failed_sidecar_read_is_not_kept_for_the_rest_of_the_run(
     registry.invoke(VIEW_TOOL, {"study_dir": str(study)})
     registry.invoke(VIEW_TOOL, {"study_dir": str(study)})
     assert len(load_study_calls) == 5
+
+
+def kb_with_lv_grading(corpus_dir, root, edit):
+    """An index built from a copy of the fixture corpus whose left-ventricle
+    grading text is ``edit`` applied to the original."""
+    shutil.copytree(corpus_dir, root)
+    grading = root / "lv-grading.txt"
+    grading.write_text(edit(grading.read_text()))
+    return build_fixture_kb(root)
+
+
+def test_the_grade_follows_the_guidelines_cut_offs(corpus_dir, registry, ef_dataset, tmp_path):
+    # the guideline's normal range starts at 56% here, not at the 50% of the
+    # dataset's truth
+    kb56 = kb_with_lv_grading(corpus_dir, tmp_path / "corpus", lambda t: t.replace("50%", "56%"))
+    assert [r.describe() for r in kb56.entries["left ventricle"].rules] == [
+        "ef_percent >= 56 -> Normal",
+        "ef_percent >= 40 and < 56 -> MildlyReduced",
+        "ef_percent < 40 -> ConsiderablyReduced",
+    ]
+    for i in range(1, 13):
+        conclusion = run_study(kb56, registry, ef_dataset, f"study-{i:02d}")
+        ef = conclusion.ef_percent
+        expected = ("Normal" if ef >= 56 else "MildlyReduced" if ef >= 40
+                    else "ConsiderablyReduced")
+        assert (conclusion.answer, conclusion.grade) == (expected, expected), (i, ef)
+        assert max(conclusion.posterior.values()) == pytest.approx(50 / 51)
+        if i == 2:  # the dataset's truth says Normal, the guideline says otherwise
+            assert (ef, conclusion.answer) == (pytest.approx(55.2576, abs=5e-5), "MildlyReduced")
+
+
+@pytest.mark.parametrize("edit, satisfied", [
+    # "above 45%" overlaps "50% or higher": study-02's EF of 55.26 meets both
+    (lambda t: t.replace("between 40% and 50%", "above 45%"), 2),
+    # nothing between 50% and 60%: study-02's EF meets no rule
+    (lambda t: t.replace("50% or higher", "60% or higher"), 0),
+], ids=["overlapping", "gapped"])
+def test_rules_that_overlap_or_leave_a_gap_fail_the_grade_step(
+    corpus_dir, registry, ef_dataset, tmp_path, edit, satisfied
+):
+    kb_edited = kb_with_lv_grading(corpus_dir, tmp_path / "corpus", edit)
+    conclusion = run_study(kb_edited, registry, ef_dataset, "study-02")
+    message = f"ejection fraction 55.2576% satisfies {satisfied} of the entry's ef_percent rules"
+    failed = [e for e in conclusion.invocation_log if e.status != "ok"]
+    assert [(e.tool_name, e.status) for e in failed] == [("quant.grade_ef", "tool_error")]
+    assert failed[0].error.startswith(message)
+    assert failed[0].error in _failures(conclusion, tmp_path)
+    assert conclusion.grade is None
+    assert conclusion.ef_percent == pytest.approx(55.2576, abs=5e-5)
+    assert conclusion.low_consistency

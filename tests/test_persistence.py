@@ -1,6 +1,7 @@
 import base64
 import hashlib
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from conftest import index_matrix, make_primitive, matrix_data, seal_index, split_index
 
+from echoagent import files as files_module
 from echoagent.cli import main
 from echoagent.errors import IndexLoadError
 from echoagent.kb import index as index_module
@@ -534,16 +536,19 @@ def test_saving_over_an_index_rewrites_it_in_place(old, kb, saved_kb, tmp_path, 
     fresh = saved_kb.read_bytes()
     target = tmp_path / "over.json"
     target.write_bytes(fresh * 2 if old == "longer" else fresh[: len(fresh) // 3])
-    modes = []
+    before = target.stat()
+    sizes_at_open = []
 
-    def spy_open(path, mode="r", *args, **kwargs):
-        modes.append(mode)
-        return open(path, mode, *args, **kwargs)
+    def spy_open(fd, mode, *args, **kwargs):
+        fh = open(fd, mode, *args, **kwargs)
+        sizes_at_open.append(os.fstat(fd).st_size)
+        return fh
 
-    monkeypatch.setattr(index_module, "open", spy_open, raising=False)
+    monkeypatch.setattr(files_module, "open", spy_open, raising=False)
     kb.save(target)
     # the old file is not truncated to zero first
-    assert modes == ["r+b"]
+    assert sizes_at_open == [before.st_size]
+    assert target.stat().st_ino == before.st_ino
     assert target.read_bytes() == fresh
 
 
@@ -584,7 +589,7 @@ def test_an_index_whose_save_died_is_refused(kb, tmp_path, monkeypatch, capsys):
     # the save dies after writing its digest line and head, halfway through
     # the matrix
     path = tmp_path / "kb.json"
-    monkeypatch.setattr(index_module, "open",
+    monkeypatch.setattr(files_module, "open",
                         lambda *args: _DiesInTheMatrix(open(*args)), raising=False)
     with pytest.raises(OSError):
         kb.save(path)
