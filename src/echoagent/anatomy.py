@@ -4,7 +4,9 @@ Every knowledge primitive is tagged with the anatomy groups whose keywords
 occur in its text (case-insensitive substring match), optionally unioned
 with explicit sidecar tags. Keywords are chosen to be unambiguous as
 substrings; two-letter abbreviations are deliberately avoided ("lv" occurs
-inside "valve").
+inside "valve"). The matcher reads one flat ``(keyword, group)`` table;
+``keywords_in`` narrows a table to the rows a text holds, so a document's
+chunks are tested only against the keywords of the document.
 """
 from __future__ import annotations
 
@@ -39,8 +41,14 @@ ANATOMY_GROUPS: tuple[AnatomyGroup, ...] = (
 )
 
 ANATOMY_NAMES: tuple[str, ...] = tuple(g.canonical_name for g in ANATOMY_GROUPS)
+ANATOMY_NAME_SET: frozenset[str] = frozenset(ANATOMY_NAMES)
 
 _BY_NAME = {g.canonical_name: g for g in ANATOMY_GROUPS}
+
+# every (keyword, group name) pair, in taxonomy order
+KEYWORD_TABLE: tuple[tuple[str, str], ...] = tuple(
+    (kw, g.canonical_name) for g in ANATOMY_GROUPS for kw in g.keywords
+)
 
 assert len(_BY_NAME) == 14, "taxonomy must contain exactly 14 uniquely named groups"
 
@@ -62,14 +70,17 @@ def keyword_hits(group: AnatomyGroup, text: str) -> int:
     return sum(lowered.count(kw) for kw in group.keywords)
 
 
+def keywords_in(
+    text: str, table: tuple[tuple[str, str], ...] = KEYWORD_TABLE
+) -> tuple[tuple[str, str], ...]:
+    """The rows of ``table`` whose keyword occurs in the lowercased text."""
+    lowered = text.lower()
+    return tuple(row for row in table if row[0] in lowered)
+
+
 def match_text(text: str) -> frozenset[str]:
     """Anatomy group names whose keywords occur anywhere in the text."""
-    lowered = text.lower()
-    return frozenset(
-        g.canonical_name
-        for g in ANATOMY_GROUPS
-        if any(kw in lowered for kw in g.keywords)
-    )
+    return frozenset(group for _, group in keywords_in(text))
 
 
 def dominant_group(text: str, candidates: frozenset[str]) -> str | None:

@@ -36,8 +36,8 @@ class KnowledgePrimitive:
     def __post_init__(self):
         if not self.text:
             raise ValueError(f"primitive {self.id} has empty text")
-        bad = sorted(t for t in self.anatomy_tags if not anatomy.is_valid_group(t))
-        if bad:
+        if not self.anatomy_tags <= anatomy.ANATOMY_NAME_SET:
+            bad = sorted(self.anatomy_tags - anatomy.ANATOMY_NAME_SET)
             raise ValueError(f"primitive {self.id} carries unknown anatomy tags: {bad}")
 
 
@@ -106,15 +106,22 @@ def ingest_document(
                 continue
         chunks.append((start, end))
 
+    # a chunk is a substring of the document, and lowercasing maps ASCII
+    # letters one character at a time, so every keyword a chunk holds is one
+    # the document holds
+    present = anatomy.keywords_in(doc_text)
     primitives = []
-    for ordinal, (start, end) in enumerate(chunks):
+    for start, end in chunks:
         text = doc_text[start:end].strip()
+        if not text:  # a hard split can cut a paragraph's trailing whitespace off alone
+            continue
         primitives.append(
             KnowledgePrimitive(
-                id=f"{source_id}#{ordinal}",
+                id=f"{source_id}#{len(primitives)}",
                 text=text,
                 source=SourceSpan(doc=source_id, start=start, end=end),
-                anatomy_tags=anatomy.match_text(text) | explicit,
+                anatomy_tags=frozenset(g for _, g in anatomy.keywords_in(text, present))
+                | explicit,
             )
         )
     return primitives
@@ -132,21 +139,32 @@ def load_corpus(
 ) -> list[KnowledgePrimitive]:
     """Ingest every .txt/.md file under a directory, in sorted name order.
 
-    A sidecar ``<name>.tags`` file (anatomy names, one per line) supplies
+    A sidecar ``<stem>.tags`` file (anatomy names, one per line) supplies
     explicit tags for its document. Undecodable bytes in either fail loudly
-    with the offending file and byte offset.
+    with the offending file and byte offset. The stem names a document's
+    primitives, so two documents with one stem (``a.txt`` and ``a.md``) are
+    refused.
     """
     root = Path(corpus_dir)
     if not root.is_dir():
         raise IngestError(f"corpus directory not found: {root}")
+    paths = sorted(root.iterdir(), key=lambda p: p.name)
+    names = {p.name for p in paths}
+    by_stem: dict[str, str] = {}
     primitives: list[KnowledgePrimitive] = []
-    for path in sorted(root.iterdir()):
+    for path in paths:
         if path.suffix.lower() not in (".txt", ".md"):
             continue
+        if path.stem in by_stem:
+            raise IngestError(
+                f"{by_stem[path.stem]} and {path.name} share the stem {path.stem!r}, which "
+                "names the primitives and the .tags file of each; rename one"
+            )
+        by_stem[path.stem] = path.name
         text = _read_text(path)
         explicit: set[str] = set()
         sidecar = path.with_suffix(".tags")
-        if sidecar.exists():
+        if sidecar.name in names and sidecar.exists():  # a dangling link is no sidecar
             for line in _read_text(sidecar).splitlines():
                 name = line.strip()
                 if not name:

@@ -8,20 +8,26 @@ model weights. ``tokenize`` maps every UTF-8 byte outside ``a-z0-9`` to a
 space and splits; a non-ASCII character encodes to bytes >= 0x80, so it
 splits tokens as the pattern ``[a-z0-9]+`` would. ``embed_batch`` hashes
 each distinct token once per call (a token -> bucket dict local to that
-call), counts with ``np.bincount`` into one matrix and normalises the whole
-matrix at once; counts are exact integers, so every sum of squares is exact
-and its rows equal ``embed`` bit for bit. A remote encoder can be plugged
-in over HTTP with the same batch interface.
+call). It counts each block of ``COUNT_BLOCK`` texts with one
+``np.bincount`` over ``row * dim + bucket``, written straight into a
+column-major (n, dim) matrix, and normalises the whole matrix at once.
+Counts are exact integers, so every sum of squares is exact whatever the
+layout, and the rows equal ``embed`` bit for bit. A remote encoder can be
+plugged in over HTTP with the same batch interface.
 """
 from __future__ import annotations
 
 import hashlib
+from itertools import chain
 
 import numpy as np
 
 from ..config import EngineConfig
 from ..errors import ContractError, EncoderError
 from ..wire import JsonEndpoint
+
+# texts counted per np.bincount call: its (COUNT_BLOCK * dim) counts stay small
+COUNT_BLOCK = 512
 
 # every byte outside a-z0-9 becomes a space
 _TOKEN_BYTES = bytes(
@@ -40,13 +46,10 @@ def _bucket(token: str, dim: int) -> int:
     return int.from_bytes(digest[:8], "big") % dim
 
 
-def token_counts(text: str, dim: int, buckets: dict[str, int] | None = None) -> np.ndarray:
-    """Per-bucket token counts; ``buckets`` memoises token -> bucket across calls."""
-    if buckets is None:
-        buckets = {}
+def token_counts(text: str, dim: int) -> np.ndarray:
+    """Per-bucket token counts of one text."""
     tokens = tokenize(text)
-    for token in set(tokens).difference(buckets):
-        buckets[token] = _bucket(token, dim)
+    buckets = {token: _bucket(token, dim) for token in set(tokens)}
     rows = np.fromiter(map(buckets.__getitem__, tokens), dtype=np.intp, count=len(tokens))
     return np.bincount(rows, minlength=dim).astype(np.float64)
 
@@ -74,12 +77,22 @@ class HashedBowEncoder:
         return normalize(token_counts(text, self.dim))
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
+        """The (n, dim) column-major matrix whose row i embeds ``texts[i]``."""
         if not all(texts):
             raise EncoderError("cannot embed empty text")
+        dim = self.dim
         buckets: dict[str, int] = {}
-        out = np.empty((len(texts), self.dim), dtype=np.float64)
-        for i, text in enumerate(texts):
-            out[i] = token_counts(text, self.dim, buckets)
+        out = np.empty((len(texts), dim), dtype=np.float64, order="F")
+        for start in range(0, len(texts), COUNT_BLOCK):
+            block = [tokenize(text) for text in texts[start:start + COUNT_BLOCK]]
+            for token in set(chain.from_iterable(block)).difference(buckets):
+                buckets[token] = _bucket(token, dim)
+            lengths = np.fromiter(map(len, block), dtype=np.intp, count=len(block))
+            cells = np.fromiter(map(buckets.__getitem__, chain.from_iterable(block)),
+                                dtype=np.intp, count=int(lengths.sum()))
+            cells += np.repeat(np.arange(0, len(block) * dim, dim), lengths)
+            out[start:start + len(block)] = np.bincount(
+                cells, minlength=len(block) * dim).reshape(len(block), dim)
         norms = np.sqrt(np.einsum("ij,ij->i", out, out))
         if not norms.all():
             raise EncoderError("text produced a zero embedding vector (no tokens)")

@@ -18,9 +18,11 @@ The matrix is the only copy of the embeddings; primitives carry none.
 embeddings it is given or embeds every text in one ``encoder.embed_batch``
 call, and checks the batch's shape and every row's norm in one pass before
 it scatters the held and added rows into one new column-major matrix in
-ascending id order. It never keeps an array a caller passed in; only
-``load`` hands over the matrix it read, which an empty index keeps
-as it is when its rows already come in ascending id order.
+ascending id order. It never keeps an array a caller passed in. It owns a
+batch its encoder returned, and ``load`` hands over the matrix it read: an
+empty index keeps such a batch as its matrix, with no scatter copy, when it
+is column-major (as ``HashedBowEncoder.embed_batch`` returns it) and its
+rows already come in ascending id order.
 
 The saved index (format version 3) is three parts: a line of the 64 hex
 digits of the SHA-256 of every byte after it; one canonical JSON head line
@@ -96,8 +98,9 @@ class KnowledgeBase:
     def _add(self, primitives: list[KnowledgePrimitive], embeddings: np.ndarray | None,
              owned: bool) -> None:
         """``add_primitives``; with ``owned`` the caller hands ``embeddings``
-        over, and an empty index keeps a column-major one as its matrix when
-        its rows already come in ascending id order."""
+        over, as does the encoder when it embeds the batch here. An empty
+        index keeps an owned column-major batch as its matrix when its rows
+        already come in ascending id order."""
         seen: set[str] = set()
         for p in primitives:
             if p.id in self.primitives or p.id in seen:
@@ -107,6 +110,7 @@ class KnowledgeBase:
         if embeddings is None:
             embeddings = (self.encoder.embed_batch([p.text for p in primitives])
                           if primitives else np.zeros((0, dim)))
+            owned = True
         added = np.asarray(embeddings, dtype=np.float64)
         if added.shape != (len(primitives), dim):
             raise IndexLoadError(

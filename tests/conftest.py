@@ -7,7 +7,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
+from echoagent import anatomy
 from echoagent.fixtures.corpus import write_corpus
 from echoagent.fixtures.studies import generate_ef_dataset, generate_qa_dataset
 from echoagent.hub.graph import CAUSAL_KINDS
@@ -25,6 +27,27 @@ def make_primitive(pid, text, tags=()):
         source=SourceSpan("test", 0, len(text)),
         anatomy_tags=frozenset(tags),
     )
+
+
+# keywords in several cases, glued to each other and to non-ASCII letters
+# whose lowercase forms change length ("\u0130") or depend on context ("\u03a3")
+TAGGING_WORDS = st.one_of(
+    st.sampled_from([kw for kw, _ in anatomy.KEYWORD_TABLE]),
+    st.sampled_from([kw.upper() for kw, _ in anatomy.KEYWORD_TABLE]),
+    st.sampled_from([kw.title() for kw, _ in anatomy.KEYWORD_TABLE]),
+    st.sampled_from(["left", "ventricular", "aortic", "vena", "\u0130", "\u03a3", "\u03a3A\u03a3",
+                     "mi\u0130tral", "valve", "lv", "ef", "septal."]),
+    st.text(max_size=5),
+)
+TAGGING_SEPARATORS = st.sampled_from(["", " ", ". ", "\n\n", " \n \n", "\u03a3 ", "\u0130"])
+
+
+@st.composite
+def tagging_texts(draw):
+    """Texts whose keywords may run across words, sentences and paragraphs."""
+    words = draw(st.lists(TAGGING_WORDS, max_size=30))
+    separators = draw(st.lists(TAGGING_SEPARATORS, min_size=len(words), max_size=len(words)))
+    return "".join(w + s for w, s in zip(words, separators))
 
 
 def split_index(raw: bytes) -> tuple[bytes, bytes, bytes]:

@@ -6,7 +6,8 @@ confusion counting, chords via a per-sample python loop, component sizes
 via scipy's sum_labels, axis moments and extreme projections per
 pixel, knowledge resolution via a dict of similarities and
 a keyed python sort, mask label validation via a full np.unique scan, token
-counts via one SHA-1 per token occurrence, index bytes via the seed's
+counts via one SHA-1 per token occurrence, anatomy tags via the seed's
+scan of every group's keywords, index bytes via the seed's
 checksum-then-serialise save, evidence-graph invariants via the seed's
 append-then-recheck graph, measurement plans via the seed's per-op blocks,
 and trace digests via the seed's recursive canonicaliser.
@@ -23,6 +24,7 @@ from dataclasses import asdict, is_dataclass
 import numpy as np
 from scipy import ndimage
 
+from echoagent.anatomy import ANATOMY_GROUPS
 from echoagent.errors import GraphError
 from echoagent.hub.graph import CAUSAL_KINDS, EvidenceNode, ReasoningGraph
 from echoagent.hub.planning import ED, ES, ActionStep, Plan, _find_tool, _structures_in
@@ -190,6 +192,13 @@ def seed_unmapped_labels(labels, structure_map):
     present = set(int(v) for v in np.unique(labels)) - {0}
     unmapped = sorted(present - set(structure_map))
     return unmapped
+
+
+def seed_match_text(text: str) -> frozenset[str]:
+    """The seed's anatomy tags: every group with a keyword in the lowercased text."""
+    lowered = text.lower()
+    return frozenset(g.canonical_name for g in ANATOMY_GROUPS
+                     if any(kw in lowered for kw in g.keywords))
 
 
 _SEED_TOKEN_RE = re.compile(r"[a-z0-9]+")

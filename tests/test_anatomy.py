@@ -1,3 +1,10 @@
+import inspect
+
+from hypothesis import given, settings
+
+from conftest import tagging_texts
+from oracles import seed_match_text
+
 from echoagent import anatomy
 
 
@@ -40,3 +47,20 @@ def test_group_by_name_rejects_unknown():
 
     with pytest.raises(KeyError):
         anatomy.group_by_name("spleen")
+
+
+def test_match_text_takes_the_text_alone():
+    # the benchmark's corpus writer calls match_text(text)
+    assert list(inspect.signature(anatomy.match_text).parameters) == ["text"]
+
+
+def test_the_keyword_table_holds_every_groups_keywords_in_order():
+    assert anatomy.KEYWORD_TABLE == tuple(
+        (kw, g.canonical_name) for g in anatomy.ANATOMY_GROUPS for kw in g.keywords)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=tagging_texts())
+def test_match_text_equals_the_seeds_per_group_scan(text):
+    assert anatomy.match_text(text) == seed_match_text(text)
+    assert anatomy.keywords_in(text, anatomy.keywords_in(text)) == anatomy.keywords_in(text)

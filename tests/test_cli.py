@@ -278,6 +278,25 @@ def test_gen_fixtures_bytes_are_pinned(capsys, tmp_path):
         assert hashlib.sha256(data).hexdigest() == DEFAULT_MASK_SHA256
 
 
+# the first line of the fixture corpus's kb.json: the SHA-256 of the rest
+FIXTURE_INDEX_DIGEST = "9607ba1deb374724c1059f86f43fa4703c31009c3bf1303324bb362bdcb8ea80"
+
+
+def test_build_kb_index_bytes_are_pinned(capsys, tmp_path):
+    """The fixture corpus builds to these exact index bytes.
+
+    Tagging, chunking, embedding and saving must not move a byte of the
+    saved index; a change that moves one by design must state the new
+    digest here.
+    """
+    assert run_cli(capsys, "gen-fixtures", "corpus", str(tmp_path / "c"))[0] == 0
+    assert run_cli(capsys, "build-kb", str(tmp_path / "c"), str(tmp_path / "kb.json"))[0] == 0
+    raw = (tmp_path / "kb.json").read_bytes()
+    digest, rest = raw.split(b"\n", 1)
+    assert digest.decode("ascii") == FIXTURE_INDEX_DIGEST
+    assert hashlib.sha256(rest).hexdigest() == FIXTURE_INDEX_DIGEST
+
+
 @pytest.mark.parametrize("argv", [
     ["--size", "0"],
     ["--size", "-1"],
@@ -473,6 +492,14 @@ def _tags_argv(tmp_path, saved_kb, ef_dataset):
     return ["build-kb", str(corpus), str(tmp_path / "kb.json")]
 
 
+def _same_stem_argv(tmp_path, saved_kb, ef_dataset):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.txt").write_text("The pericardium is thin.\n")
+    (corpus / "a.md").write_text("The aortic root is dilated.\n")
+    return ["build-kb", str(corpus), str(tmp_path / "kb.json")]
+
+
 def _taxonomy_argv(tmp_path, saved_kb, ef_dataset):
     taxonomy = tmp_path / "views.txt"
     taxonomy.write_bytes(b"apical-4-chamber\n\xff\n")
@@ -524,6 +551,7 @@ BROKEN_INPUTS = [
     ("record-ef-infinity", 1, "record.json",
      _record_argv(lambda raw: {**raw, "truth": {"ef_percent": float("inf"), "grade": "Normal"}})),
     ("tags-non-utf8", 1, "notes.tags", _tags_argv),
+    ("corpus-same-stem", 1, "a.md and a.txt share the stem 'a'", _same_stem_argv),
     ("taxonomy-non-utf8", 3, "views.txt", _taxonomy_argv),
     ("query-kb-k-0", 3, "-k must be >= 1", _query_argv("0")),
     ("query-kb-k-negative", 3, "-k must be >= 1", _query_argv("-3")),

@@ -197,3 +197,74 @@ def test_http_encoder_failure_leaves_the_knowledge_base_unchanged(stub_server):
     assert len(kb) == 0
     assert kb.ids == []
     assert kb._matrix.shape == (0, 4)
+
+
+def _block_texts(n: int) -> list[str]:
+    """n texts of 1 to 40 words drawn from a small vocabulary with repeats."""
+    rng = np.random.default_rng(n)
+    vocabulary = ["LV", "ventricle", "EF", "55", "a4c", "Mitral", "valve", "naïve", "x", "日本"]
+    return [" ".join(rng.choice(vocabulary, int(rng.integers(1, 41)))) + " lv"
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("n", [
+    encoder_module.COUNT_BLOCK, encoder_module.COUNT_BLOCK + 1, 3 * encoder_module.COUNT_BLOCK + 5,
+], ids=["one_block", "one_block_plus_one", "several_blocks"])
+def test_embed_batch_counts_block_by_block_into_a_column_major_matrix(n):
+    enc = HashedBowEncoder(32)
+    texts = _block_texts(n)
+    rows = enc.embed_batch(texts)
+    assert rows.shape == (n, 32)
+    assert rows.flags.f_contiguous
+    for row, text in zip(rows, texts):
+        assert np.array_equal(row, enc.embed(text))
+
+
+def _recording_encoder(monkeypatch, dim: int) -> tuple[HashedBowEncoder, list]:
+    """A hashed-bow encoder that keeps every batch it returns."""
+    enc = HashedBowEncoder(dim)
+    batches = []
+    real = enc.embed_batch
+
+    def embed_batch(texts):
+        batches.append(real(texts))
+        return batches[-1]
+
+    monkeypatch.setattr(enc, "embed_batch", embed_batch)
+    return enc, batches
+
+
+def test_add_primitives_keeps_the_encoders_batch_as_its_matrix(monkeypatch):
+    enc, batches = _recording_encoder(monkeypatch, 16)
+    texts = _block_texts(40)
+    kb = KnowledgeBase(encoder=enc)
+    kb.add_primitives([make_primitive(f"p#{i:02d}", t) for i, t in enumerate(texts)])
+    [batch] = batches
+    assert kb._matrix is batch
+    assert np.array_equal(kb._matrix, np.array([enc.embed(t) for t in texts]))
+
+
+@pytest.mark.parametrize("held", [0, 5], ids=["empty_index", "non_empty_index"])
+def test_add_primitives_scatters_a_batch_whose_ids_do_not_ascend(monkeypatch, held):
+    enc, batches = _recording_encoder(monkeypatch, 16)
+    texts = _block_texts(40)
+    kb = KnowledgeBase(encoder=enc)
+    # unpadded ids: "p#10" sorts before "p#2"
+    primitives = [make_primitive(f"p#{i}", t) for i, t in enumerate(texts)]
+    kb.add_primitives(primitives[:held])
+    kb.add_primitives(primitives[held:])
+    assert not np.shares_memory(kb._matrix, batches[-1])
+    assert kb._matrix.flags.f_contiguous
+    assert kb.ids == sorted(p.id for p in primitives)
+    assert np.array_equal(kb._matrix, np.array([enc.embed(texts[int(pid[2:])]) for pid in kb.ids]))
+
+
+def test_add_primitives_copies_a_batch_into_a_non_empty_index_even_in_id_order(monkeypatch):
+    enc, batches = _recording_encoder(monkeypatch, 16)
+    kb = KnowledgeBase(encoder=enc)
+    kb.add_primitives([make_primitive("a#0", "left ventricle")])
+    kb.add_primitives([make_primitive("b#0", "aortic root"), make_primitive("c#0", "mitral")])
+    assert kb.ids == ["a#0", "b#0", "c#0"]
+    assert not np.shares_memory(kb._matrix, batches[-1])
+    assert np.array_equal(kb._matrix, np.array(
+        [enc.embed(t) for t in ("left ventricle", "aortic root", "mitral")]))

@@ -1,7 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import tagging_texts
+
+from echoagent import anatomy
 from echoagent.errors import IngestError
-from echoagent.kb.chunking import ingest_document, load_corpus
+from echoagent.kb.chunking import KnowledgePrimitive, SourceSpan, ingest_document, load_corpus
 
 
 def test_empty_document_yields_no_primitives():
@@ -78,3 +83,61 @@ def test_corpus_loader_names_undecodable_byte_offset(tmp_path):
 def test_corpus_loader_requires_directory(tmp_path):
     with pytest.raises(IngestError):
         load_corpus(tmp_path / "missing")
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=tagging_texts(), limit=st.integers(min_value=4, max_value=120),
+       explicit=st.frozensets(st.sampled_from(anatomy.ANATOMY_NAMES), max_size=2))
+def test_each_chunk_is_tagged_as_match_text_tags_its_text(doc, limit, explicit):
+    # small limits split paragraphs at sentences and inside words, so a
+    # keyword of the document can straddle two chunks and tag neither
+    for p in ingest_document(doc, "doc", explicit, max_chunk_chars=limit):
+        assert p.anatomy_tags == anatomy.match_text(p.text) | explicit
+
+
+@pytest.mark.parametrize("doc, texts", [
+    ("The pericardium.\n\n" + "a" * 800 + "   \n", ["The pericardium.", "a" * 800]),
+    ("a" * 800 + "   \n\n" + "b" * 900, ["a" * 800, "b" * 800, "b" * 100]),
+], ids=["last_chunk", "mid_document"])
+def test_a_hard_split_that_leaves_only_whitespace_makes_no_primitive(doc, texts):
+    primitives = ingest_document(doc, "doc")
+    assert [p.id for p in primitives] == [f"doc#{i}" for i in range(len(texts))]
+    assert [p.text for p in primitives] == texts
+
+
+def test_a_document_keyword_tags_only_the_chunks_that_hold_it():
+    # a hard split cuts the keyword, so no chunk holds it whole
+    doc = "x" * 10 + "pericardium" + "y" * 10
+    primitives = ingest_document(doc, "doc", max_chunk_chars=15)
+    assert "pericardium" in doc and len(primitives) == 3
+    assert all(p.anatomy_tags == frozenset() for p in primitives)
+
+
+def test_corpus_loader_refuses_two_documents_with_one_stem(tmp_path):
+    (tmp_path / "a.txt").write_text("The pericardium is thin.\n")
+    (tmp_path / "a.md").write_text("The aortic root is dilated.\n")
+    (tmp_path / "a.tags").write_text("aorta\n")
+    with pytest.raises(IngestError, match="a.md and a.txt share the stem 'a'"):
+        load_corpus(tmp_path)
+
+
+def test_corpus_loader_ignores_a_dangling_tags_link(tmp_path):
+    (tmp_path / "notes.txt").write_text("The pericardium is thin.\n")
+    (tmp_path / "notes.tags").symlink_to(tmp_path / "missing.tags")
+    [p] = load_corpus(tmp_path)
+    assert p.anatomy_tags == {"pericardium"}
+
+
+def test_corpus_loader_reads_documents_in_name_order(tmp_path):
+    # "a-b.txt" sorts before "a.txt" by name, though "a#0" sorts before "a-b#0"
+    for name in ("b.md", "a.txt", "a-b.txt", "B.txt"):
+        (tmp_path / name).write_text(f"Notes of {name}.\n")
+    assert [p.id for p in load_corpus(tmp_path)] == ["B#0", "a-b#0", "a#0", "b#0"]
+
+
+def test_a_primitive_refuses_unknown_anatomy_tags_naming_them():
+    with pytest.raises(ValueError, match=r"unknown anatomy tags: \['gallbladder', 'spleen'\]"):
+        KnowledgePrimitive("doc#0", "text", SourceSpan("doc", 0, 4),
+                           frozenset({"spleen", "aorta", "gallbladder"}))
+    assert KnowledgePrimitive("doc#0", "text", SourceSpan("doc", 0, 4),
+                              {"aorta"}).anatomy_tags == {"aorta"}
