@@ -4,8 +4,11 @@ Every knowledge primitive is tagged with the anatomy groups whose keywords
 occur in its text (case-insensitive substring match), optionally unioned
 with explicit sidecar tags. Keywords are chosen to be unambiguous as
 substrings; two-letter abbreviations are deliberately avoided ("lv" occurs
-inside "valve"). The matcher reads one flat ``(keyword, group)`` table;
-``keywords_in`` narrows a table to the rows a text holds, so a document's
+inside "valve"). The matcher reads the ``(keyword, group)`` rows grouped
+under a few shared stems (``STEM_TABLE``): every keyword holds exactly one
+stem, so a text that lacks a stem lacks every keyword under it, and the scan
+tests each stem once and only the keywords under the stems it finds.
+``keywords_in`` narrows a stem table to what a text holds, so a document's
 chunks are tested only against the keywords of the document.
 """
 from __future__ import annotations
@@ -50,7 +53,30 @@ KEYWORD_TABLE: tuple[tuple[str, str], ...] = tuple(
     (kw, g.canonical_name) for g in ANATOMY_GROUPS for kw in g.keywords
 )
 
+# lowercase substrings shared by the keywords; each keyword holds exactly one
+KEYWORD_STEMS: tuple[str, ...] = (
+    "ventric", "atri", "aort", "pulmon", "pericardi", "vena cava", "lvef", "mitral", "tricuspid",
+)
+
 assert len(_BY_NAME) == 14, "taxonomy must contain exactly 14 uniquely named groups"
+
+
+# (stem, the (keyword, group) rows whose keyword holds it) pairs
+StemTable = tuple[tuple[str, tuple[tuple[str, str], ...]], ...]
+
+
+def stem_table(table: tuple[tuple[str, str], ...]) -> StemTable:
+    """The rows of ``table`` grouped under the one stem each keyword holds,
+    in stem order; a keyword that holds no stem, or several, is refused."""
+    for keyword, _ in table:
+        held = [stem for stem in KEYWORD_STEMS if stem in keyword]
+        if len(held) != 1:
+            raise ValueError(f"keyword {keyword!r} holds {len(held)} of the stems "
+                             f"{KEYWORD_STEMS}; it needs exactly one")
+    return tuple((stem, tuple(row for row in table if stem in row[0])) for stem in KEYWORD_STEMS)
+
+
+STEM_TABLE = stem_table(KEYWORD_TABLE)
 
 
 def group_by_name(name: str) -> AnatomyGroup:
@@ -70,17 +96,18 @@ def keyword_hits(group: AnatomyGroup, text: str) -> int:
     return sum(lowered.count(kw) for kw in group.keywords)
 
 
-def keywords_in(
-    text: str, table: tuple[tuple[str, str], ...] = KEYWORD_TABLE
-) -> tuple[tuple[str, str], ...]:
-    """The rows of ``table`` whose keyword occurs in the lowercased text."""
+def keywords_in(text: str, table: StemTable = STEM_TABLE) -> StemTable:
+    """The stem table ``table`` narrowed to the rows whose keyword occurs in
+    the lowercased text; a stem the text lacks is tested alone."""
     lowered = text.lower()
-    return tuple(row for row in table if row[0] in lowered)
+    narrowed = ((stem, tuple(row for row in rows if row[0] in lowered))
+                for stem, rows in table if stem in lowered)
+    return tuple((stem, rows) for stem, rows in narrowed if rows)
 
 
 def match_text(text: str) -> frozenset[str]:
     """Anatomy group names whose keywords occur anywhere in the text."""
-    return frozenset(group for _, group in keywords_in(text))
+    return frozenset(group for _, rows in keywords_in(text) for _, group in rows)
 
 
 def dominant_group(text: str, candidates: frozenset[str]) -> str | None:

@@ -3,11 +3,13 @@
 Chunking policy: split at blank-line paragraph boundaries, then greedily
 merge adjacent paragraphs while the merged text stays within
 ``max_chunk_chars``. A single paragraph longer than the limit is split at
-sentence boundaries (hard character split only as a last resort), so the
-length invariant holds unconditionally.
+sentence boundaries, and a sentence longer than the limit at its last
+whitespace within the limit (a hard character split only where a piece has
+no whitespace), so the length invariant holds unconditionally.
 """
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,6 +19,7 @@ from ..errors import IngestError
 
 _PARAGRAPH_RE = re.compile(r"\n\s*\n")
 _SENTENCE_RE = re.compile(r"(?<=[.!?])\s+")
+_LAST_SPACE_RE = re.compile(r".*\s", re.DOTALL)  # a match ends with the last whitespace
 
 
 @dataclass(frozen=True)
@@ -59,11 +62,14 @@ def _split_oversize(text: str, start: int, limit: int) -> list[tuple[int, int]]:
         begin = text.index(sentence, cursor)
         end = begin + len(sentence)
         cursor = end
-        while len(sentence) > limit:  # pathological single sentence
-            pieces.append((start + begin, start + begin + limit))
-            begin += limit
-            sentence = text[begin:end]
-        if sentence:
+        while end - begin > limit:  # a sentence longer than the limit
+            # cut before the last whitespace that keeps the piece within the
+            # limit, so no word is split; a piece with no whitespace is cut hard
+            space = _LAST_SPACE_RE.match(text, begin + 1, begin + limit + 1)
+            cut = space.end() - 1 if space else begin + limit
+            pieces.append((start + begin, start + cut))
+            begin = cut
+        if end > begin:
             pieces.append((start + begin, start + end))
     # greedy re-merge of sentence pieces up to the limit
     merged: list[tuple[int, int]] = []
@@ -113,25 +119,29 @@ def ingest_document(
     primitives = []
     for start, end in chunks:
         text = doc_text[start:end].strip()
-        if not text:  # a hard split can cut a paragraph's trailing whitespace off alone
+        if not text:  # a split can cut a paragraph's trailing whitespace off alone
             continue
+        tags = explicit
+        if present:
+            tags = tags | {g for _, rows in anatomy.keywords_in(text, present) for _, g in rows}
         primitives.append(
             KnowledgePrimitive(
                 id=f"{source_id}#{len(primitives)}",
                 text=text,
                 source=SourceSpan(doc=source_id, start=start, end=end),
-                anatomy_tags=frozenset(g for _, g in anatomy.keywords_in(text, present))
-                | explicit,
+                anatomy_tags=tags,
             )
         )
     return primitives
 
 
-def _read_text(path: Path) -> str:
+def _read_text(directory: Path, name: str) -> str:
+    with open(os.path.join(directory, name), "rb") as fh:
+        raw = fh.read()
     try:
-        return path.read_bytes().decode("utf-8")
+        return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise IngestError(f"{path.name}: undecodable byte at offset {exc.start}") from exc
+        raise IngestError(f"{name}: undecodable byte at offset {exc.start}") from exc
 
 
 def load_corpus(
@@ -148,31 +158,34 @@ def load_corpus(
     root = Path(corpus_dir)
     if not root.is_dir():
         raise IngestError(f"corpus directory not found: {root}")
-    paths = sorted(root.iterdir(), key=lambda p: p.name)
-    names = {p.name for p in paths}
+    names = sorted(os.listdir(root))
+    listed = set(names)
     by_stem: dict[str, str] = {}
     primitives: list[KnowledgePrimitive] = []
-    for path in paths:
-        if path.suffix.lower() not in (".txt", ".md"):
+    for name in names:
+        # the stem and suffix as pathlib reads them: ".txt" has no suffix
+        stem, _, suffix = name.rpartition(".")
+        if not stem or suffix.lower() not in ("txt", "md"):
             continue
-        if path.stem in by_stem:
+        if stem in by_stem:
             raise IngestError(
-                f"{by_stem[path.stem]} and {path.name} share the stem {path.stem!r}, which "
+                f"{by_stem[stem]} and {name} share the stem {stem!r}, which "
                 "names the primitives and the .tags file of each; rename one"
             )
-        by_stem[path.stem] = path.name
-        text = _read_text(path)
+        by_stem[stem] = name
+        text = _read_text(root, name)
         explicit: set[str] = set()
-        sidecar = path.with_suffix(".tags")
-        if sidecar.name in names and sidecar.exists():  # a dangling link is no sidecar
-            for line in _read_text(sidecar).splitlines():
-                name = line.strip()
-                if not name:
+        sidecar = stem + ".tags"
+        # a dangling link is no sidecar
+        if sidecar in listed and os.path.exists(os.path.join(root, sidecar)):
+            for line in _read_text(root, sidecar).splitlines():
+                tag = line.strip()
+                if not tag:
                     continue
-                if not anatomy.is_valid_group(name):
-                    raise IngestError(f"{sidecar.name}: unknown anatomy tag {name!r}")
-                explicit.add(name)
+                if not anatomy.is_valid_group(tag):
+                    raise IngestError(f"{sidecar}: unknown anatomy tag {tag!r}")
+                explicit.add(tag)
         primitives.extend(
-            ingest_document(text, path.stem, explicit, max_chunk_chars)
+            ingest_document(text, stem, explicit, max_chunk_chars)
         )
     return primitives

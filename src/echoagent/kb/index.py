@@ -27,19 +27,22 @@ rows already come in ascending id order.
 The saved index (format version 3) is three parts: a line of the 64 hex
 digits of the SHA-256 of every byte after it; one canonical JSON head line
 (sorted keys, no spaces) ``{embeddings: {dtype, shape: [n, d]}, encoder_id,
-entries, primitives, version}``; then the n·d little-endian float64s of the
-matrix in column-major order, which is the matrix's own buffer. Primitive
-record i is row i; ``save`` writes both in ascending primitive id order, with
-``files.rewrite``. ``load`` reads the data straight into the buffer its
-matrix keeps, and checks the digest before it parses the head. Any other
-file, version 1 and 2 included, is refused.
+entries, primitives, version}``, whose primitive records ``save`` writes one
+by one straight into one buffer, with no dict per record; then the n·d
+little-endian float64s of the matrix in column-major order, which is the
+matrix's own buffer. Primitive record i is row i; ``save`` writes both in
+ascending primitive id order, with ``files.rewrite``. ``load`` reads the data
+straight into the buffer its matrix keeps, and checks the digest before it
+parses the head. Any other file, version 1 and 2 included, is refused.
 """
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as quote
 from pathlib import Path
 
 import numpy as np
@@ -199,27 +202,35 @@ class KnowledgeBase:
     # -- persistence -------------------------------------------------------
 
     def _head(self) -> bytes:
-        """The canonical JSON head line of the saved index, with its newline."""
-        primitives = []
+        """The canonical JSON head line of the saved index, with its newline.
+
+        Each primitive record is written straight into one bytes buffer,
+        keys in sorted order and every string through the escaper
+        ``json.dumps`` uses, so the line is the ``sort_keys`` dump of the
+        head with no dict or bytes object kept per record.
+        """
+        canonical = {"sort_keys": True, "separators": (",", ":")}
+        entries = [self.entries[name].to_json() for name in sorted(self.entries)]
+        embeddings = {"dtype": EMBEDDING_DTYPE, "shape": list(self._matrix.shape)}
+        out = io.BytesIO()
+        out.write(
+            f'{{"embeddings":{json.dumps(embeddings, **canonical)},'
+            f'"encoder_id":{quote(self.encoder.encoder_id)},'
+            f'"entries":{json.dumps(entries, **canonical)},"primitives":['.encode("ascii")
+        )
+        comma = ""
         for pid in self.ids:
             p = self.primitives[pid]
-            primitives.append(
-                {
-                    "id": p.id,
-                    "text": p.text,
-                    "source": {"doc": p.source.doc, "start": p.source.start, "end": p.source.end},
-                    "tags": sorted(p.anatomy_tags),
-                }
+            src = p.source
+            tags = ",".join([quote(tag) for tag in sorted(p.anatomy_tags)])
+            out.write(
+                f'{comma}{{"id":{quote(p.id)},"source":{{"doc":{quote(src.doc)},'
+                f'"end":{src.end},"start":{src.start}}},"tags":[{tags}],'
+                f'"text":{quote(p.text)}}}'.encode("ascii")
             )
-        entries = [self.entries[name].to_json() for name in sorted(self.entries)]
-        head = {
-            "version": INDEX_FORMAT_VERSION,
-            "encoder_id": self.encoder.encoder_id,
-            "embeddings": {"dtype": EMBEDDING_DTYPE, "shape": list(self._matrix.shape)},
-            "primitives": primitives,
-            "entries": entries,
-        }
-        return json.dumps(head, sort_keys=True, separators=(",", ":")).encode("ascii") + b"\n"
+            comma = ","
+        out.write(f'],"version":{INDEX_FORMAT_VERSION}}}\n'.encode("ascii"))
+        return out.getvalue()
 
     def save(self, path: str | Path) -> None:
         """Write the digest line, the head line and the column-major matrix."""

@@ -7,8 +7,9 @@ via scipy's sum_labels, axis moments and extreme projections per
 pixel, knowledge resolution via a dict of similarities and
 a keyed python sort, mask label validation via a full np.unique scan, token
 counts via one SHA-1 per token occurrence, anatomy tags via the seed's
-scan of every group's keywords, index bytes via the seed's
-checksum-then-serialise save, evidence-graph invariants via the seed's
+scan of every group's keywords, a text's keyword rows via a scan of every
+keyword, the index head line via a dict per record and one ``json.dumps``,
+evidence-graph invariants via the seed's
 append-then-recheck graph, measurement plans via the seed's per-op blocks,
 and trace digests via the seed's recursive canonicaliser.
 """
@@ -24,7 +25,7 @@ from dataclasses import asdict, is_dataclass
 import numpy as np
 from scipy import ndimage
 
-from echoagent.anatomy import ANATOMY_GROUPS
+from echoagent.anatomy import ANATOMY_GROUPS, KEYWORD_TABLE
 from echoagent.errors import GraphError
 from echoagent.hub.graph import CAUSAL_KINDS, EvidenceNode, ReasoningGraph
 from echoagent.hub.planning import ED, ES, ActionStep, Plan, _find_tool, _structures_in
@@ -199,6 +200,36 @@ def seed_match_text(text: str) -> frozenset[str]:
     lowered = text.lower()
     return frozenset(g.canonical_name for g in ANATOMY_GROUPS
                      if any(kw in lowered for kw in g.keywords))
+
+
+def flat_keywords_in(text: str) -> frozenset[tuple[str, str]]:
+    """Every (keyword, group) row whose keyword is in the lowercased text."""
+    lowered = text.lower()
+    return frozenset(row for row in KEYWORD_TABLE if row[0] in lowered)
+
+
+def dumped_head(kb) -> bytes:
+    """The index head line as a dict per primitive record and one canonical
+    ``json.dumps`` of the whole head, with its newline."""
+    primitives = []
+    for pid in kb.ids:
+        p = kb.primitives[pid]
+        primitives.append(
+            {
+                "id": p.id,
+                "text": p.text,
+                "source": {"doc": p.source.doc, "start": p.source.start, "end": p.source.end},
+                "tags": sorted(p.anatomy_tags),
+            }
+        )
+    head = {
+        "version": 3,
+        "encoder_id": kb.encoder.encoder_id,
+        "embeddings": {"dtype": "<f8", "shape": list(kb._matrix.shape)},
+        "primitives": primitives,
+        "entries": [kb.entries[name].to_json() for name in sorted(kb.entries)],
+    }
+    return json.dumps(head, sort_keys=True, separators=(",", ":")).encode("ascii") + b"\n"
 
 
 _SEED_TOKEN_RE = re.compile(r"[a-z0-9]+")

@@ -500,6 +500,13 @@ def _same_stem_argv(tmp_path, saved_kb, ef_dataset):
     return ["build-kb", str(corpus), str(tmp_path / "kb.json")]
 
 
+def _directory_document_argv(tmp_path, saved_kb, ef_dataset):
+    corpus = tmp_path / "corpus"
+    (corpus / "x.md").mkdir(parents=True)
+    (corpus / "a.txt").write_text("The pericardium is thin.\n")
+    return ["build-kb", str(corpus), str(tmp_path / "kb.json")]
+
+
 def _taxonomy_argv(tmp_path, saved_kb, ef_dataset):
     taxonomy = tmp_path / "views.txt"
     taxonomy.write_bytes(b"apical-4-chamber\n\xff\n")
@@ -552,6 +559,7 @@ BROKEN_INPUTS = [
      _record_argv(lambda raw: {**raw, "truth": {"ef_percent": float("inf"), "grade": "Normal"}})),
     ("tags-non-utf8", 1, "notes.tags", _tags_argv),
     ("corpus-same-stem", 1, "a.md and a.txt share the stem 'a'", _same_stem_argv),
+    ("corpus-directory-document", 1, "x.md", _directory_document_argv),
     ("taxonomy-non-utf8", 3, "views.txt", _taxonomy_argv),
     ("query-kb-k-0", 3, "-k must be >= 1", _query_argv("0")),
     ("query-kb-k-negative", 3, "-k must be >= 1", _query_argv("-3")),

@@ -113,6 +113,17 @@ def test_a_document_keyword_tags_only_the_chunks_that_hold_it():
     assert all(p.anatomy_tags == frozenset() for p in primitives)
 
 
+def test_an_over_long_sentence_is_cut_between_words():
+    doc = "pericardium " * 100
+    primitives = ingest_document(doc, "doc", max_chunk_chars=50)
+    assert len(primitives) > 1
+    for p in primitives:
+        assert len(doc[p.source.start:p.source.end]) <= 50
+        assert set(p.text.split()) == {"pericardium"}
+        assert p.anatomy_tags == {"pericardium"}
+    assert sum(len(p.text.split()) for p in primitives) == 100
+
+
 def test_corpus_loader_refuses_two_documents_with_one_stem(tmp_path):
     (tmp_path / "a.txt").write_text("The pericardium is thin.\n")
     (tmp_path / "a.md").write_text("The aortic root is dilated.\n")
@@ -141,3 +152,15 @@ def test_a_primitive_refuses_unknown_anatomy_tags_naming_them():
                            frozenset({"spleen", "aorta", "gallbladder"}))
     assert KnowledgePrimitive("doc#0", "text", SourceSpan("doc", 0, 4),
                               {"aorta"}).anatomy_tags == {"aorta"}
+
+
+def test_corpus_loader_reads_names_as_pathlib_splits_them(tmp_path):
+    # ".txt" has no suffix; a suffix matches in any case; the stem keeps
+    # every dot but the last
+    for name in (".txt", "A.TXT", "a.b.txt", "c.md.bak", "d.", "e.Md"):
+        (tmp_path / name).write_text(f"Notes of {name}.\n")
+    (tmp_path / "a.b.tags").write_text("aorta\n")
+    primitives = load_corpus(tmp_path)
+    assert [p.id for p in primitives] == ["A#0", "a.b#0", "e#0"]
+    assert [p.text for p in primitives] == ["Notes of A.TXT.", "Notes of a.b.txt.", "Notes of e.Md."]
+    assert [p.anatomy_tags for p in primitives] == [set(), {"aorta"}, set()]
