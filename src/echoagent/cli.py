@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import anatomy
 from .config import EngineConfig
-from .errors import ContractError, EchoAgentError, FixtureError, ResolutionError
+from .errors import ContractError, EchoAgentError, FixtureError
 from .kb.chunking import load_corpus
 from .kb.criteria import criteria_sentences
 from .kb.encoder import HashedBowEncoder, HttpEncoder
@@ -175,12 +175,7 @@ def cmd_run_study(args, config: EngineConfig) -> int:
     query = DiagnosticQuery(
         text=args.question, study_refs=_study_refs(study_dir), options=options
     )
-    trace_path = args.trace or "trace.jsonl"
-    try:
-        conclusion = hub.run(query, trace_path=trace_path)
-    except ResolutionError as exc:
-        nearest = ", ".join(exc.nearest) if exc.nearest else "none"
-        return _fail(f"{exc} (nearest anatomies: {nearest})", exc.exit_code)
+    conclusion = hub.run(query, trace_path=args.trace or "trace.jsonl")
     if args.json:
         print(json.dumps({
             "answer": conclusion.answer,
@@ -240,15 +235,13 @@ def cmd_tools(args, config: EngineConfig) -> int:
                 "name": d.name,
                 "layer": d.layer,
                 "backend": d.backend,
-                "anatomy": sorted(d.applicable_anatomy) or "universal",
-                "outputs": sorted(d.output_fields()),
+                "outputs": sorted(spec.name for spec in d.output_schema),
             }
             for d in tools
         ], indent=2, sort_keys=True))
         return EXIT_OK
     for d in tools:
-        scope = ", ".join(sorted(d.applicable_anatomy)) or "universal"
-        print(f"{d.name:28s} {d.layer:12s} {d.backend:7s} [{scope}]")
+        print(f"{d.name:28s} {d.layer:12s} {d.backend}")
     return EXIT_OK
 
 

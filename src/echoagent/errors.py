@@ -85,17 +85,15 @@ class GraphError(EchoAgentError):
 
 
 class ResolutionError(EchoAgentError):
-    """Query could not be resolved to any anatomy repository entry."""
+    """Query could not be resolved to any anatomy repository entry. Given
+    ``nearest``, the message names those anatomies, or ``none``."""
     exit_code = 2
 
-    def __init__(self, message: str, nearest: tuple[str, ...] = ()):
+    def __init__(self, message: str, nearest: tuple[str, ...] | None = None):
+        if nearest is not None:
+            message += f" (nearest anatomies: {', '.join(nearest) or 'none'})"
         super().__init__(message)
-        self.nearest = nearest
-
-
-class PlanningError(EchoAgentError):
-    """A repository entry demands a capability no registered tool provides."""
-    exit_code = 3
+        self.nearest = nearest or ()
 
 
 class DatasetError(EchoAgentError):

@@ -86,7 +86,7 @@ class ReasoningHub:
         in ascending id order and ``np.argmax`` keeps the first maximum, so
         ties go to the smallest primitive id."""
         if len(self.kb) == 0:
-            raise ResolutionError("knowledge base is empty; query unresolvable")
+            raise ResolutionError("knowledge base is empty; query unresolvable", nearest=())
         sims = self.kb.all_similarities(self.kb.encoder.embed(query.text))
         best_sim = float(sims[np.argmax(sims)])
         if best_sim < self.config.s_min:

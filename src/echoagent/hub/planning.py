@@ -3,19 +3,20 @@
 Sections compile mechanically: view mentions become view-identification
 steps, structure mentions become per-view per-phase segmentation steps,
 measurement phrases become quantification steps wired to the segmentation
-outputs. Diagnostic criteria define hypotheses, not steps. Tool selection
-matches layer, anatomy applicability, and the output field the step needs;
-ambiguity resolves to the lexicographically-first tool with a warning.
+outputs. Diagnostic criteria define hypotheses, not steps. Each op names
+its tool, whose inputs the engine's op handler builds; a registry that lacks
+a planned tool is refused here, before any step runs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from .. import anatomy
-from ..errors import PlanningError
 from ..kb.summarize import RepositoryEntry
+from ..tools.backends import SEGMENT_TOOL, VIEW_TOOL
 from ..tools.registry import ToolRegistry
 from ..tools.views import find_views_in_text
+from .toolkit import AREA_TOOL, DIMENSION_TOOL, EF_TOOL, GRADE_TOOL, VOLUME_TOOL
 
 ED = "ED"
 ES = "ES"
@@ -23,18 +24,15 @@ ES = "ES"
 _EF_WORDS = ("ejection fraction",)
 _VOLUME_WORDS = ("volume", "method of disks", "disk summation") + _EF_WORDS
 
-# One row per measurement op, in emission order: (trigger words, op, tool
-# output, capability, goal). Each (op, structure) is planned once, with one
-# tool lookup. Volume expands to ED and ES; area and dimension measure the
-# first planned view at ED.
+# One row per measurement op, in emission order: (trigger words, op, tool,
+# goal). Each (op, structure) is planned once. Volume expands to ED and ES;
+# area and dimension measure the first planned view at ED.
 _MEASUREMENTS = (
-    (_VOLUME_WORDS, "volume", "volume_ml", "disk-summation volume",
-     "compute biplane {structure} volume at {phase}"),
-    (_EF_WORDS, "ef", "ef_percent", "ejection fraction", "compute {structure} ejection fraction"),
-    (_EF_WORDS, "grade", "grade", "ejection fraction grading",
-     "grade {structure} ejection fraction"),
-    (("area",), "area", "area_mm2", "cross-sectional area", "measure {structure} area"),
-    (("diameter", "dimension"), "dimension", "dimension_mm", "linear dimension",
+    (_VOLUME_WORDS, "volume", VOLUME_TOOL, "compute biplane {structure} volume at {phase}"),
+    (_EF_WORDS, "ef", EF_TOOL, "compute {structure} ejection fraction"),
+    (_EF_WORDS, "grade", GRADE_TOOL, "grade {structure} ejection fraction"),
+    (("area",), "area", AREA_TOOL, "measure {structure} area"),
+    (("diameter", "dimension"), "dimension", DIMENSION_TOOL,
      "measure {structure} long-axis dimension"),
 )
 
@@ -54,19 +52,6 @@ class Plan:
     warnings: list[str] = field(default_factory=list)
     views: list[str] = field(default_factory=list)
     structures: list[str] = field(default_factory=list)
-
-
-def _find_tool(registry: ToolRegistry, layer: str, anatomy_name: str | None,
-               required_output: str, capability: str, warnings: list[str]) -> str:
-    descriptor, warning = registry.find(layer, anatomy_name, required_output)
-    if descriptor is None:
-        raise PlanningError(
-            f"no registered {layer} tool provides {required_output!r} "
-            f"(needed for {capability})"
-        )
-    if warning:
-        warnings.append(warning)
-    return descriptor.name
 
 
 def _structures_in(items: list[str], fallback: str) -> list[str]:
@@ -121,28 +106,20 @@ def plan_steps(
         next_id += 1
 
     if plan.views and query.study_refs:
-        classify_tool = _find_tool(
-            registry, "perceptual", entry.anatomy, "view", "view identification",
-            plan.warnings,
-        )
         for ref in query.study_refs:
             add(
                 f"identify the echocardiographic view of {ref}",
-                classify_tool,
+                VIEW_TOOL,
                 {"op": "classify_view", "study_dir": str(ref)},
             )
 
     if plan.structures and plan.views:
         for structure in plan.structures:
-            segment_tool = _find_tool(
-                registry, "operational", structure, "mask", "structure segmentation",
-                plan.warnings,
-            )
             for view in plan.views:
                 for phase in phases:
                     add(
                         f"segment {structure} on {view} at {phase}",
-                        segment_tool,
+                        SEGMENT_TOOL,
                         {"op": "segment", "structure": structure, "view": view, "phase": phase},
                     )
     elif plan.structures and not plan.views:
@@ -154,12 +131,10 @@ def plan_steps(
         lowered = item.lower()
         targets = [s for s in _structures_in([item], entry.anatomy) if s in plan.structures]
         for structure in targets or [entry.anatomy]:
-            for words, op, output, capability, goal in _MEASUREMENTS:
+            for words, op, tool, goal in _MEASUREMENTS:
                 if (op, structure) in planned or not any(w in lowered for w in words):
                     continue
                 planned.add((op, structure))
-                tool = _find_tool(registry, "functional", structure, output, capability,
-                                  plan.warnings)
                 inputs = {"op": op, "structure": structure}
                 if op == "volume":
                     for phase in (ED, ES):
@@ -170,4 +145,6 @@ def plan_steps(
                         {**inputs, "view": first_view, "phase": ED})
                 else:
                     add(goal.format(structure=structure), tool, inputs)
+    for step in plan.steps:
+        registry.get(step.tool_name)  # refuses a registry that lacks a planned tool
     return plan

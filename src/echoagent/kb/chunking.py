@@ -4,7 +4,8 @@ Chunking policy: split at blank-line paragraph boundaries, then greedily
 merge adjacent paragraphs while the merged text stays within
 ``max_chunk_chars``. A single paragraph longer than the limit is split at
 sentence boundaries, and a sentence longer than the limit at its last
-whitespace within the limit (a hard character split only where a piece has
+whitespace within the limit, or at the whitespace before an anatomy keyword
+that would straddle that cut (a hard character split only where a piece has
 no whitespace), so the length invariant holds unconditionally.
 """
 from __future__ import annotations
@@ -20,6 +21,7 @@ from ..errors import IngestError
 _PARAGRAPH_RE = re.compile(r"\n\s*\n")
 _SENTENCE_RE = re.compile(r"(?<=[.!?])\s+")
 _LAST_SPACE_RE = re.compile(r".*\s", re.DOTALL)  # a match ends with the last whitespace
+_LONGEST_KEYWORD = max(len(kw) for kw, _ in anatomy.KEYWORD_TABLE)
 
 
 @dataclass(frozen=True)
@@ -64,9 +66,10 @@ def _split_oversize(text: str, start: int, limit: int) -> list[tuple[int, int]]:
         cursor = end
         while end - begin > limit:  # a sentence longer than the limit
             # cut before the last whitespace that keeps the piece within the
-            # limit, so no word is split; a piece with no whitespace is cut hard
+            # limit, so no word (nor anatomy keyword) is split; a piece with no
+            # whitespace is cut hard
             space = _LAST_SPACE_RE.match(text, begin + 1, begin + limit + 1)
-            cut = space.end() - 1 if space else begin + limit
+            cut = _cut_before_keyword(text, begin, space.end() - 1) if space else begin + limit
             pieces.append((start + begin, start + cut))
             begin = cut
         if end > begin:
@@ -79,6 +82,23 @@ def _split_oversize(text: str, start: int, limit: int) -> list[tuple[int, int]]:
         else:
             merged.append((s, e))
     return merged
+
+
+def _cut_before_keyword(text: str, begin: int, cut: int) -> int:
+    """``cut``, moved back to the whitespace before the earliest anatomy
+    keyword that spans it, while one does and the piece from ``begin`` keeps
+    a whitespace to cut at."""
+    while True:
+        lowered = text[begin:cut + _LONGEST_KEYWORD].lower()
+        at = cut - begin
+        # kw spans the cut iff it starts in (at - len(kw), at), i.e. lies
+        # within [at - len(kw) + 1, at + len(kw) - 1)
+        starts = [found for kw, _ in anatomy.KEYWORD_TABLE
+                  if (found := lowered.find(kw, max(0, at - len(kw) + 1), at + len(kw) - 1)) >= 0]
+        space = starts and _LAST_SPACE_RE.match(text, begin + 1, begin + min(starts))
+        if not space:
+            return cut
+        cut = space.end() - 1
 
 
 def ingest_document(

@@ -12,8 +12,8 @@ call). It counts each block of ``COUNT_BLOCK`` texts with one
 ``np.bincount`` over ``row * dim + bucket``, written straight into a
 column-major (n, dim) matrix, and normalises the whole matrix at once.
 Counts are exact integers, so every sum of squares is exact whatever the
-layout, and the rows equal ``embed`` bit for bit. A remote encoder can be
-plugged in over HTTP with the same batch interface.
+layout. ``embed`` is the one-text batch. A remote encoder can be plugged in
+over HTTP with the same batch interface.
 """
 from __future__ import annotations
 
@@ -46,14 +46,6 @@ def _bucket(token: str, dim: int) -> int:
     return int.from_bytes(digest[:8], "big") % dim
 
 
-def token_counts(text: str, dim: int) -> np.ndarray:
-    """Per-bucket token counts of one text."""
-    tokens = tokenize(text)
-    buckets = {token: _bucket(token, dim) for token in set(tokens)}
-    rows = np.fromiter(map(buckets.__getitem__, tokens), dtype=np.intp, count=len(tokens))
-    return np.bincount(rows, minlength=dim).astype(np.float64)
-
-
 def normalize(vec: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
@@ -72,9 +64,7 @@ class HashedBowEncoder:
         return f"hashed-bow-{self.dim}"
 
     def embed(self, text: str) -> np.ndarray:
-        if not text:
-            raise EncoderError("cannot embed empty text")
-        return normalize(token_counts(text, self.dim))
+        return self.embed_batch([text])[0]
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
         """The (n, dim) column-major matrix whose row i embeds ``texts[i]``."""

@@ -5,13 +5,14 @@ behind the wire protocol, is registered under a descriptor and invoked
 through one validated code path. Every invocation, including failed ones,
 lands in an append-only log with a monotonically increasing id. A run takes
 its own ids, log and study memo from ``ToolRegistry.for_run``, so it never
-writes to a shared registry.
+writes to a shared registry. The registry does not choose tools: each
+planned op names its tool, and the planner refuses, through ``get``, a
+registry that lacks one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .. import anatomy
 from ..errors import ContractError, EchoAgentError, RegistrationError
 from .schema import Schema, validate_value_map
 
@@ -25,7 +26,6 @@ class ToolDescriptor:
     layer: str
     input_schema: Schema
     output_schema: Schema
-    applicable_anatomy: frozenset[str] = frozenset()  # empty = universal
     backend: str = "native"
 
     def __post_init__(self):
@@ -33,15 +33,6 @@ class ToolDescriptor:
             raise RegistrationError(f"tool {self.name!r}: unknown layer {self.layer!r}")
         if self.backend not in BACKENDS:
             raise RegistrationError(f"tool {self.name!r}: unknown backend {self.backend!r}")
-        bad = sorted(a for a in self.applicable_anatomy if not anatomy.is_valid_group(a))
-        if bad:
-            raise RegistrationError(f"tool {self.name!r}: unknown anatomy {bad}")
-
-    def applies_to(self, anatomy_name: str | None) -> bool:
-        return not self.applicable_anatomy or anatomy_name in self.applicable_anatomy
-
-    def output_fields(self) -> frozenset[str]:
-        return frozenset(spec.name for spec in self.output_schema)
 
 
 @dataclass
@@ -103,30 +94,6 @@ class ToolRegistry:
         if layer is not None:
             listed = [d for d in listed if d.layer == layer]
         return listed
-
-    def find(
-        self, layer: str, anatomy_name: str | None, required_output: str
-    ) -> tuple[ToolDescriptor | None, str | None]:
-        """Match by layer, anatomy applicability, and an output field.
-
-        Returns (descriptor, warning). With several matches the
-        lexicographically-first name wins and the tie is reported as a
-        warning; with none, (None, None).
-        """
-        matches = [
-            d for d in self.list_tools(layer)
-            if d.applies_to(anatomy_name) and required_output in d.output_fields()
-        ]
-        if not matches:
-            return None, None
-        matches.sort(key=lambda d: d.name)
-        warning = None
-        if len(matches) > 1:
-            warning = (
-                f"{len(matches)} tools provide {required_output!r} in layer {layer}; "
-                f"picked {matches[0].name!r}"
-            )
-        return matches[0], warning
 
     def for_run(self) -> "ToolRegistry":
         """The same tools (the map is copied); ids from ``inv-000001``, an empty log and memo."""

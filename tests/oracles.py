@@ -28,7 +28,9 @@ from scipy import ndimage
 from echoagent.anatomy import ANATOMY_GROUPS, KEYWORD_TABLE
 from echoagent.errors import GraphError
 from echoagent.hub.graph import CAUSAL_KINDS, EvidenceNode, ReasoningGraph
-from echoagent.hub.planning import ED, ES, ActionStep, Plan, _find_tool, _structures_in
+from echoagent.hub.planning import ED, ES, ActionStep, Plan, _structures_in
+from echoagent.hub.toolkit import AREA_TOOL, DIMENSION_TOOL, EF_TOOL, GRADE_TOOL, VOLUME_TOOL
+from echoagent.tools.backends import SEGMENT_TOOL, VIEW_TOOL
 from echoagent.tools.masks import SegmentationMask
 from echoagent.tools.pgm import encode_pgm
 from echoagent.tools.views import find_views_in_text
@@ -352,7 +354,8 @@ _SEED_DIMENSION_WORDS = ("diameter", "dimension")
 
 
 def seed_plan_steps(entry, query, registry, taxonomy, n_disks: int = 20) -> Plan:
-    """The seed's ``plan_steps``, with one spelled-out block per measurement."""
+    """The seed's ``plan_steps``, with one spelled-out block per measurement.
+    Each op names its tool, so ``registry`` is not read."""
     plan = Plan()
     view_items = entry.section_items("views_to_acquire")
     segment_items = entry.section_items("structures_to_segment")
@@ -382,28 +385,20 @@ def seed_plan_steps(entry, query, registry, taxonomy, n_disks: int = 20) -> Plan
         next_id += 1
 
     if plan.views and query.study_refs:
-        classify_tool = _find_tool(
-            registry, "perceptual", entry.anatomy, "view", "view identification",
-            plan.warnings,
-        )
         for ref in query.study_refs:
             add(
                 f"identify the echocardiographic view of {ref}",
-                classify_tool,
+                VIEW_TOOL,
                 {"op": "classify_view", "study_dir": str(ref)},
             )
 
     if plan.structures and plan.views:
         for structure in plan.structures:
-            segment_tool = _find_tool(
-                registry, "operational", structure, "mask", "structure segmentation",
-                plan.warnings,
-            )
             for view in plan.views:
                 for phase in phases:
                     add(
                         f"segment {structure} on {view} at {phase}",
-                        segment_tool,
+                        SEGMENT_TOOL,
                         {"op": "segment", "structure": structure, "view": view, "phase": phase},
                     )
     elif plan.structures and not plan.views:
@@ -418,64 +413,44 @@ def seed_plan_steps(entry, query, registry, taxonomy, n_disks: int = 20) -> Plan
         for structure in targets:
             if (any(w in lowered for w in _SEED_VOLUME_WORDS)
                     or any(w in lowered for w in _SEED_EF_WORDS)):
-                volume_tool = _find_tool(
-                    registry, "functional", structure, "volume_ml", "disk-summation volume",
-                    plan.warnings,
-                )
                 for phase in (ED, ES):
                     key = ("volume", structure, phase)
                     if key not in measured:
                         measured.add(key)
                         add(
                             f"compute biplane {structure} volume at {phase}",
-                            volume_tool,
+                            VOLUME_TOOL,
                             {"op": "volume", "structure": structure, "phase": phase,
                              "n_disks": n_disks},
                         )
             if any(w in lowered for w in _SEED_EF_WORDS) and ("ef", structure) not in measured:
                 measured.add(("ef", structure))
-                ef_tool = _find_tool(
-                    registry, "functional", structure, "ef_percent", "ejection fraction",
-                    plan.warnings,
-                )
                 add(
                     f"compute {structure} ejection fraction",
-                    ef_tool,
+                    EF_TOOL,
                     {"op": "ef", "structure": structure},
-                )
-                grade_tool = _find_tool(
-                    registry, "functional", structure, "grade", "ejection fraction grading",
-                    plan.warnings,
                 )
                 add(
                     f"grade {structure} ejection fraction",
-                    grade_tool,
+                    GRADE_TOOL,
                     {"op": "grade", "structure": structure},
                 )
             if (any(w in lowered for w in _SEED_AREA_WORDS)
                     and ("area", structure) not in measured):
                 measured.add(("area", structure))
-                area_tool = _find_tool(
-                    registry, "functional", structure, "area_mm2", "cross-sectional area",
-                    plan.warnings,
-                )
                 view = plan.views[0] if plan.views else None
                 add(
                     f"measure {structure} area",
-                    area_tool,
+                    AREA_TOOL,
                     {"op": "area", "structure": structure, "view": view, "phase": ED},
                 )
             if (any(w in lowered for w in _SEED_DIMENSION_WORDS)
                     and ("dimension", structure) not in measured):
                 measured.add(("dimension", structure))
-                dim_tool = _find_tool(
-                    registry, "functional", structure, "dimension_mm", "linear dimension",
-                    plan.warnings,
-                )
                 view = plan.views[0] if plan.views else None
                 add(
                     f"measure {structure} long-axis dimension",
-                    dim_tool,
+                    DIMENSION_TOOL,
                     {"op": "dimension", "structure": structure, "view": view, "phase": ED},
                 )
     return plan

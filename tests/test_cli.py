@@ -142,6 +142,21 @@ def test_unresolvable_query_exits_two_with_nearest(capsys, saved_kb, ef_dataset,
     assert "nearest" in err
 
 
+def test_unresolvable_records_name_their_nearest_anatomies(capsys, saved_kb, ef_dataset,
+                                                          tmp_path):
+    config = tmp_path / "strict.json"
+    config.write_text(json.dumps({"s_min": 1.0}))
+    report = tmp_path / "report.json"
+    code, _, err = run_cli(
+        capsys, "--config", str(config),
+        "evaluate", str(ef_dataset), "--kb", str(saved_kb), "--report", str(report),
+    )
+    assert code == 1
+    records = json.loads(report.read_text())["records"]
+    assert records and all("(nearest anatomies: " in r["error"] for r in records)
+    assert "Traceback" not in err
+
+
 def test_unknown_config_key_exits_three(capsys, tmp_path, saved_kb, ef_dataset):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({"not_a_key": 1}))
@@ -326,6 +341,13 @@ def test_tools_listing_covers_all_three_layers(capsys):
     assert layers == {"perceptual", "operational", "functional"}
     names = {t["name"] for t in tools}
     assert "echo.view_classifier" in names and "quant.biplane_volume" in names
+    assert all(set(t) == {"name", "layer", "backend", "outputs"} for t in tools)
+
+
+def test_tools_listing_prints_name_layer_and_backend(capsys):
+    code, out, _ = run_cli(capsys, "tools", "--layer", "functional")
+    assert code == 0
+    assert out.splitlines()[0].split() == ["quant.biplane_volume", "functional", "native"]
 
 
 def test_tools_layer_filter(capsys):

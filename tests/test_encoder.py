@@ -10,7 +10,7 @@ from echoagent.config import EngineConfig
 from echoagent.errors import ContractError, EncoderError, TransportError
 from echoagent.kb import encoder as encoder_module
 from echoagent.kb.chunking import load_corpus
-from echoagent.kb.encoder import HashedBowEncoder, HttpEncoder, normalize, token_counts, tokenize
+from echoagent.kb.encoder import HashedBowEncoder, HttpEncoder, normalize, tokenize
 from echoagent.kb.index import KnowledgeBase
 
 # repeated and mixed-case tokens, digits, non-ASCII letters (which split
@@ -93,7 +93,7 @@ def test_tokenless_text_raises_zero_vector_error():
 
 
 def test_scaling_counts_before_normalization_changes_nothing():
-    counts = token_counts("ejection fraction of the left ventricle", 64)
+    counts = seed_token_counts("ejection fraction of the left ventricle", 64)
     assert np.allclose(normalize(counts), normalize(counts * 37.5))
 
 

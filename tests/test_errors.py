@@ -22,7 +22,6 @@ EXPECTED = {
     "DomainError": (3, "tool_error"),
     "GraphError": (3, "tool_error"),
     "ResolutionError": (2, "tool_error"),
-    "PlanningError": (3, "tool_error"),
     "DatasetError": (1, "tool_error"),
     "MetricError": (3, "tool_error"),
 }

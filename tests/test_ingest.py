@@ -124,6 +124,23 @@ def test_an_over_long_sentence_is_cut_between_words():
     assert sum(len(p.text.split()) for p in primitives) == 100
 
 
+@pytest.mark.parametrize(("doc", "last", "tags"), [
+    # the last whitespace within 800 characters falls inside "left ventricle"
+    ("The " + "wall " * 158 + "left ventricle is thick.", "left ventricle is thick.",
+     {"left ventricle"}),
+    # "ventricular septal" straddles the cut, and cutting before it would
+    # split "right ventricular", so the cut moves before that as well
+    ("The " + "wall " * 154 + "right ventricular septalthickeningisseen here.",
+     "right ventricular septalthickeningisseen here.",
+     {"right ventricle", "interventricular septum"}),
+], ids=["one-keyword", "overlapping-keywords"])
+def test_an_over_long_sentence_is_cut_before_a_keyword_that_straddles_the_cut(doc, last, tags):
+    primitives = ingest_document(doc, "doc")
+    assert [p.text for p in primitives][1:] == [last]
+    assert primitives[-1].anatomy_tags == tags
+    assert all(len(doc[p.source.start:p.source.end]) <= 800 for p in primitives)
+
+
 def test_corpus_loader_refuses_two_documents_with_one_stem(tmp_path):
     (tmp_path / "a.txt").write_text("The pericardium is thin.\n")
     (tmp_path / "a.md").write_text("The aortic root is dilated.\n")

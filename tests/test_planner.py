@@ -1,13 +1,16 @@
 import pytest
 
 from echoagent.config import EngineConfig
-from echoagent.errors import PlanningError
-from echoagent.hub.engine import DiagnosticQuery
+from echoagent.errors import RegistrationError
+from echoagent.hub.engine import DiagnosticQuery, ReasoningHub
 from echoagent.hub.planning import plan_steps
+from echoagent.hub.toolkit import (
+    AREA_TOOL, DIMENSION_TOOL, EF_TOOL, GRADE_TOOL, VOLUME_TOOL, build_default_registry,
+)
 from echoagent.kb.summarize import empty_entry
 from echoagent.kb.summarize import RepositoryEntry
-from echoagent.tools.registry import ToolDescriptor
-from echoagent.tools.schema import FieldSpec
+from echoagent.tools.backends import SEGMENT_TOOL, VIEW_TOOL, register_perception_tools
+from echoagent.tools.registry import ToolRegistry
 from echoagent.tools.views import DEFAULT_TAXONOMY
 
 
@@ -43,34 +46,41 @@ def test_empty_entry_gives_empty_plan_with_warning(registry, lv_query):
     assert plan.warnings and "no guidance" in plan.warnings[0]
 
 
-def test_tool_tie_resolves_lexicographically_with_warning(kb, registry, lv_query):
-    registry.register(
-        ToolDescriptor(
-            name="aaa.segmenter", layer="operational",
-            input_schema=(
-                FieldSpec("study_dir", "string"),
-                FieldSpec("phase", "string"),
-                FieldSpec("target", "string"),
-            ),
-            output_schema=(FieldSpec("mask", "mask"),),
-            backend="mock",
-        ),
-        lambda inputs, ctx: ({}, 1.0),
-    )
-    plan = plan_steps(kb.entries["left ventricle"], lv_query, registry, DEFAULT_TAXONOMY)
-    segment_tools = {s.tool_name for s in plan.steps if s.inputs["op"] == "segment"}
-    assert segment_tools == {"aaa.segmenter"}
-    assert any("aaa.segmenter" in w for w in plan.warnings)
+def perception_only_registry():
+    bare = ToolRegistry()
+    register_perception_tools(bare, EngineConfig())  # no functional layer registered
+    return bare
 
 
 def test_missing_capability_is_a_planning_error_naming_the_gap(kb, lv_query):
-    from echoagent.tools.backends import register_perception_tools
-    from echoagent.tools.registry import ToolRegistry
+    with pytest.raises(RegistrationError, match="quant.biplane_volume") as err:
+        plan_steps(kb.entries["left ventricle"], lv_query, perception_only_registry(),
+                   DEFAULT_TAXONOMY)
+    assert err.value.exit_code == 3
 
-    bare = ToolRegistry()
-    register_perception_tools(bare, EngineConfig())  # no functional layer registered
-    with pytest.raises(PlanningError, match="volume_ml"):
-        plan_steps(kb.entries["left ventricle"], lv_query, bare, DEFAULT_TAXONOMY)
+
+def test_a_run_over_a_registry_without_a_planned_tool_invokes_nothing(kb, lv_query, tmp_path,
+                                                                     monkeypatch):
+    invoked = []
+    monkeypatch.setattr(ToolRegistry, "invoke", lambda self, *args: invoked.append(args))
+    hub = ReasoningHub(kb, perception_only_registry())
+    trace = tmp_path / "trace.jsonl"
+    with pytest.raises(RegistrationError, match="quant.biplane_volume"):
+        hub.run(lv_query, trace_path=trace)
+    assert invoked == []
+    assert not trace.exists()
+
+
+@pytest.mark.parametrize("tool_url", [None, "http://127.0.0.1:9"])
+def test_every_planned_tool_is_registered(kb, lv_query, tool_url):
+    registry = build_default_registry(EngineConfig(tool_url=tool_url))
+    entries = [kb.entries["left ventricle"], kb.entries["pericardium"], *_MIXED_ENTRIES.values()]
+    planned = {s.tool_name for entry in entries
+               for s in plan_steps(entry, lv_query, registry, DEFAULT_TAXONOMY).steps}
+    # every op plans its tool, and each is registered under that name
+    assert planned == {VIEW_TOOL, SEGMENT_TOOL, VOLUME_TOOL, EF_TOOL, GRADE_TOOL, AREA_TOOL,
+                       DIMENSION_TOOL}
+    assert planned == {d.name for d in registry.list_tools()}
 
 
 def test_pericardium_fixture_compiles_to_classify_segment_area(kb, registry):
@@ -167,21 +177,3 @@ def test_measurement_table_plans_the_seed_steps(registry, lv_query, name):
         (s.step_id, s.goal, s.tool_name, s.inputs) for s in want.steps
     ]
     assert got == want
-
-
-def test_a_volume_tool_tie_is_warned_once_per_structure(registry, lv_query):
-    from echoagent.hub.toolkit import VOLUME_TOOL
-
-    volume = registry.get(VOLUME_TOOL)
-    registry.register(
-        ToolDescriptor(
-            name="aaa.volume", layer="functional",
-            input_schema=volume.input_schema, output_schema=volume.output_schema,
-        ),
-        lambda inputs, ctx: ({}, 1.0),
-    )
-    plan = plan_steps(_MIXED_ENTRIES["lv-volume-then-ef-repeated"], lv_query, registry,
-                      DEFAULT_TAXONOMY)
-    volume_steps = [s for s in plan.steps if s.inputs["op"] == "volume"]
-    assert [s.tool_name for s in volume_steps] == ["aaa.volume", "aaa.volume"]
-    assert sum("volume_ml" in w for w in plan.warnings) == 1

@@ -8,7 +8,7 @@ from echoagent.tools.registry import ToolDescriptor, ToolRegistry
 from echoagent.tools.schema import FieldSpec
 
 
-def echo_tool(name="t.echo", layer="functional", anatomy=frozenset()):
+def echo_tool(name="t.echo", layer="functional"):
     schema = (
         FieldSpec("text", "string"),
         FieldSpec("count", "integer"),
@@ -17,7 +17,6 @@ def echo_tool(name="t.echo", layer="functional", anatomy=frozenset()):
     )
     descriptor = ToolDescriptor(
         name=name, layer=layer, input_schema=schema, output_schema=schema,
-        applicable_anatomy=anatomy,
     )
     return descriptor, lambda inputs, ctx: (dict(inputs), 1.0)
 
@@ -96,33 +95,6 @@ def test_confidence_outside_unit_interval_is_a_contract_error():
     registry.register(descriptor, lambda inputs, ctx: ({}, 1.5))
     with pytest.raises(ContractError, match="confidence"):
         registry.invoke("t.bad", {})
-
-
-def test_find_prefers_unique_match_then_lexicographic_with_warning():
-    registry = ToolRegistry()
-    for name in ("zzz.seg", "aaa.seg"):
-        descriptor = ToolDescriptor(
-            name=name, layer="operational",
-            input_schema=(), output_schema=(FieldSpec("mask", "mask"),),
-        )
-        registry.register(descriptor, lambda inputs, ctx: ({}, 1.0))
-    descriptor, warning = registry.find("operational", None, "mask")
-    assert descriptor.name == "aaa.seg"
-    assert warning and "aaa.seg" in warning
-    missing, warning = registry.find("operational", None, "nonexistent_output")
-    assert missing is None and warning is None
-
-
-def test_anatomy_scoped_tool_only_matches_its_anatomy():
-    registry = ToolRegistry()
-    descriptor = ToolDescriptor(
-        name="t.lv", layer="functional",
-        input_schema=(), output_schema=(FieldSpec("volume_ml", "number"),),
-        applicable_anatomy=frozenset({"left ventricle"}),
-    )
-    registry.register(descriptor, lambda inputs, ctx: ({"volume_ml": 1.0}, 1.0))
-    assert registry.find("functional", "left ventricle", "volume_ml")[0] is descriptor
-    assert registry.find("functional", "aorta", "volume_ml")[0] is None
 
 
 @settings(max_examples=200, deadline=None)

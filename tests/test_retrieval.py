@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_primitive
-from oracles import brute_force_topk
+from oracles import brute_force_topk, seed_token_counts
 
 from echoagent import anatomy
 from echoagent.errors import EncoderError, IndexLoadError
-from echoagent.kb.encoder import HashedBowEncoder, normalize, token_counts
+from echoagent.kb.encoder import HashedBowEncoder, normalize
 from echoagent.kb.index import KnowledgeBase
 
 
@@ -48,7 +48,7 @@ def test_k_larger_than_subset_returns_whole_subset(kb):
 def test_empty_anatomy_subset_flags_no_knowledge():
     kb = KnowledgeBase(encoder=HashedBowEncoder(16))
     kb.add_primitives([make_primitive("a#0", "text", {"aorta"})],
-                      normalize(token_counts("text", 16))[None])
+                      normalize(seed_token_counts("text", 16))[None])
     result = kb.retrieve_topk("anything", anatomy_name="pericardium", k=3)
     assert result.hits == []
     assert result.no_knowledge
