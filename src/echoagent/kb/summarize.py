@@ -147,15 +147,23 @@ class HttpSummarizer:
         return sections
 
 
-def build_repository_entry(kb, anatomy_name: str, k: int, summarizer=None) -> RepositoryEntry:
+def anatomy_query(anatomy_name: str) -> str:
+    """The text an anatomy's entry retrieves its primitives with."""
+    group = anatomy.group_by_name(anatomy_name)
+    return " ".join((group.canonical_name, *group.keywords))
+
+
+def build_repository_entry(kb, anatomy_name: str, k: int, summarizer=None,
+                           query_vec=None) -> RepositoryEntry:
     """Retrieve the anatomy's top-k primitives and condense them.
 
+    ``query_vec``, when given, is the embedding of ``anatomy_query``.
     Backend failures of any kind degrade to the template path and mark the
     entry instead of failing the build.
     """
-    group = anatomy.group_by_name(anatomy_name)
-    query = " ".join((group.canonical_name, *group.keywords))
-    result = kb.retrieve_topk(query, anatomy_name=anatomy_name, k=k)
+    if query_vec is None:
+        query_vec = kb.encoder.embed(anatomy_query(anatomy_name))
+    result = kb.retrieve_topk_vector(query_vec, anatomy_name=anatomy_name, k=k)
     if result.no_knowledge or not result.hits:
         return empty_entry(anatomy_name, k)
     supporting = result.ids()
@@ -180,5 +188,7 @@ def build_repository_entry(kb, anatomy_name: str, k: int, summarizer=None) -> Re
 
 
 def build_all_entries(kb, k: int, summarizer=None) -> None:
-    for name in anatomy.ANATOMY_NAMES:
-        kb.entries[name] = build_repository_entry(kb, name, k, summarizer)
+    # one batch: each embed call pays the batch's fixed numpy calls
+    queries = kb.encoder.embed_batch([anatomy_query(name) for name in anatomy.ANATOMY_NAMES])
+    for name, query_vec in zip(anatomy.ANATOMY_NAMES, queries):
+        kb.entries[name] = build_repository_entry(kb, name, k, summarizer, query_vec)

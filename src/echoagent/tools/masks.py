@@ -8,6 +8,8 @@ import numpy as np
 
 from ..errors import ContractError
 
+LABEL_BLOCK = 1 << 16  # pixels per label compare: a 64 KiB bool temporary
+
 
 def valid_spacing(sx: float, sy: float) -> bool:
     """Each spacing and the pixel footprint ``sx * sy`` are finite and > 0,
@@ -24,6 +26,9 @@ class SegmentationMask:
     check counts the pixels equal to 0 and to each mapped label in 0-255;
     the mask is valid iff those disjoint counts cover every pixel. Only an
     invalid mask pays for a full ``np.unique`` scan, to name its strays.
+    Zeros are counted by ``count_nonzero`` and labels in blocks of
+    ``LABEL_BLOCK`` pixels, so the check makes no canvas-sized temporary for
+    a heap trim to return and the next mask to fault back in.
     A valid mask keeps those counts for ``pixel_count``, each label's bounding
     box once ``label_box`` has found it, and a read-only view of its labels,
     so neither can go stale; a caller who keeps writing to the array it
@@ -43,8 +48,13 @@ class SegmentationMask:
         if not valid_spacing(sx, sy):
             raise ContractError(f"pixel spacing must be positive and finite, got {(sx, sy)}")
         # range membership also drops non-integer keys, which numpy could broadcast
-        counted = {0} | {v for v in self.structure_map if v in range(256)}
-        self._counts = {v: np.count_nonzero(self.labels == v) for v in counted}
+        self._counts = dict.fromkeys({v for v in self.structure_map if v in range(256)} - {0}, 0)
+        flat = self.labels.reshape(-1)  # a view when the canvas is contiguous
+        for start in range(0, flat.size, LABEL_BLOCK):
+            block = flat[start:start + LABEL_BLOCK]
+            for v in self._counts:
+                self._counts[v] += np.count_nonzero(block == v)
+        self._counts[0] = flat.size - np.count_nonzero(flat)
         self._boxes: dict[int, tuple[slice, slice] | None] = {}
         if sum(self._counts.values()) != self.labels.size:
             present = set(int(v) for v in np.unique(self.labels)) - {0}

@@ -3,11 +3,12 @@
 Frames and masks travel as P5 files: no codec dependency, trivially
 content-addressable. Only maxval <= 255 is supported; masks use the label
 semantics defined by SegmentationMask. One header parser serves
-``decode_pgm`` and ``pgm_dimensions``, so both reject the same headers; the
-errors of the two file readers name the file.
+``decode_pgm``, ``read_pgm`` and ``pgm_dimensions``, so all three reject the
+same headers; the errors of the two file readers name the file.
 """
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -57,15 +58,29 @@ def _parse_header(data: bytes) -> tuple[int, int, int] | None:
     return width, height, pos + 1  # one whitespace byte separates header from raster
 
 
+def _check_raster(expected: int, got: int) -> None:
+    if got < expected:
+        raise PgmFormatError(f"PGM raster truncated: expected {expected} bytes, got {got}")
+
+
+def _read_header(fh) -> tuple[int, int, int]:
+    """``_parse_header`` of an open file, read in a prefix that doubles
+    until the header is complete, so a long ``#`` comment still parses."""
+    data = fh.read(64)
+    while (header := _parse_header(data)) is None:
+        more = fh.read(len(data))
+        if not more:
+            raise PgmFormatError("truncated PGM header")
+        data += more
+    return header
+
+
 def decode_pgm(data: bytes) -> np.ndarray:
     header = _parse_header(data)
     if header is None:
         raise PgmFormatError("truncated PGM header")
     width, height, pos = header
-    if len(data) - pos < width * height:
-        raise PgmFormatError(
-            f"PGM raster truncated: expected {width * height} bytes, got {len(data) - pos}"
-        )
+    _check_raster(width * height, len(data) - pos)
     raster = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
     return raster.reshape(height, width).copy()  # the one copy: a writable array
 
@@ -88,10 +103,21 @@ def encode_pgm(pixels: np.ndarray) -> bytes:
 
 
 def read_pgm(path: str | Path) -> np.ndarray:
+    """The writable (height, width) raster of a P5 file, checked as
+    ``decode_pgm`` checks bytes. The file size is checked before the array
+    is allocated, so an overstated canvas is never a MemoryError, and the
+    raster is read into it: no bytes object or copy of the canvas for a heap
+    trim to return and the next read to fault back in."""
     try:
-        return decode_pgm(Path(path).read_bytes())
+        with open(path, "rb") as fh:
+            width, height, pos = _read_header(fh)
+            _check_raster(width * height, os.fstat(fh.fileno()).st_size - pos)
+            pixels = np.empty((height, width), dtype=np.uint8)
+            fh.seek(pos)
+            _check_raster(pixels.size, fh.readinto(pixels))  # the file may shrink meanwhile
     except PgmFormatError as exc:
         raise PgmFormatError(f"{path}: {exc}") from None
+    return pixels
 
 
 def write_pgm(path: str | Path, pixels: np.ndarray) -> None:
@@ -99,20 +125,11 @@ def write_pgm(path: str | Path, pixels: np.ndarray) -> None:
 
 
 def pgm_dimensions(path: str | Path) -> tuple[int, int]:
-    """(width, height) from the header without materializing the raster.
-
-    Reads a prefix that doubles until the header is complete, so a long
-    ``#`` comment still parses; the header is checked as ``decode_pgm``
-    checks it.
-    """
+    """(width, height) from the header without reading the raster; the
+    header is checked as ``decode_pgm`` checks it."""
     with open(path, "rb") as fh:
-        data = fh.read(64)
         try:
-            while (header := _parse_header(data)) is None:
-                more = fh.read(len(data))
-                if not more:
-                    raise PgmFormatError("truncated PGM header")
-                data += more
+            width, height, _ = _read_header(fh)
         except PgmFormatError as exc:
             raise PgmFormatError(f"{path}: {exc}") from None
-    return header[0], header[1]
+    return width, height

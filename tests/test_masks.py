@@ -1,11 +1,14 @@
 """SegmentationMask's label check against the seed's np.unique scan."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from echoagent.errors import ContractError
-from echoagent.tools.masks import SegmentationMask
+from echoagent.tools.masks import LABEL_BLOCK, SegmentationMask
+from echoagent.tools.pgm import read_pgm, write_pgm
 
 from oracles import seed_unmapped_labels
 
@@ -44,6 +47,8 @@ def assert_matches_seed(labels, structure_map):
     if not unmapped:
         mask = SegmentationMask(labels, (1.0, 1.0), structure_map)
         assert np.array_equal(mask.labels, labels)
+        for v in {0, 1, 255} | set(np.unique(labels).tolist()):
+            assert mask.pixel_count(v) == np.count_nonzero(labels == v), v
         return
     with pytest.raises(ContractError) as info:
         SegmentationMask(labels, (1.0, 1.0), structure_map)
@@ -150,3 +155,60 @@ def test_mask_labels_are_read_only():
         mask.labels.fill(0)
     # the caller's array stays writable; writing to it is the caller's to avoid
     assert labels.flags.writeable
+
+
+def _block_edge_canvas(shape):
+    """Label 1 in a band, label 7 on both sides of every block edge and
+    label 9 on the last pixel alone."""
+    labels = np.zeros(shape, dtype=np.uint8)
+    flat = labels.reshape(-1)
+    flat[flat.size // 3:flat.size // 2] = 1
+    edges = np.arange(LABEL_BLOCK, flat.size, LABEL_BLOCK)
+    flat[edges - 1] = 7
+    flat[edges] = 7
+    flat[-1] = 9
+    return labels
+
+
+# several blocks tall, with edges mid-row (251 is prime) and at row ends
+# (512 x 512), and one row wider than a block
+_BLOCK_SHAPES = [(3 * LABEL_BLOCK // 251 + 1, 251), (512, 512), (1, LABEL_BLOCK + 7)]
+
+
+@pytest.mark.parametrize("shape", _BLOCK_SHAPES, ids=str)
+@pytest.mark.parametrize("structure_map", [
+    {1: "a", 7: "b", 9: "c"},
+    {0: "background", 1: "a", 7: "b", 9: "c", 3: "absent"},
+    {1: "a", 7: "b"},
+    {1: "a", 9: "c"},
+    {},
+], ids=["all", "all_and_extra", "no_last_pixel", "no_edges", "none"])
+def test_label_check_across_block_edges_matches_the_seed(shape, structure_map):
+    labels = _block_edge_canvas(shape)
+    assert labels.size > LABEL_BLOCK
+    assert_matches_seed(labels, structure_map)
+
+
+def test_label_check_of_a_strided_canvas_matches_the_seed():
+    labels = _block_edge_canvas((5, 3 * LABEL_BLOCK // 5 + 1)).T
+    assert not labels.flags.c_contiguous
+    assert_matches_seed(labels, {1: "a", 7: "b", 9: "c"})
+    assert_matches_seed(labels, {1: "a", 7: "b"})
+
+
+def test_reading_and_checking_a_mask_adds_less_than_one_canvas(tmp_path):
+    """A 512 x 512 mask costs its own array and at most 128 KiB more."""
+    labels = np.zeros((512, 512), dtype=np.uint8)
+    labels[100:300, 150:350] = 1
+    labels[320:400, 200:300] = 2
+    path = tmp_path / "mask.pgm"
+    write_pgm(path, labels)
+    tracemalloc.start()
+    try:
+        mask = SegmentationMask(read_pgm(path), (0.5, 0.5), {1: "lv", 2: "la"})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mask.pixel_count(1) == 200 * 200
+    canvas = labels.nbytes
+    assert peak <= canvas + 128 * 1024, f"peak {peak / canvas:.2f} x the canvas"

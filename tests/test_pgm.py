@@ -109,3 +109,31 @@ def test_dimensions_and_decode_reject_the_same_headers(tmp_path, data):
         read_pgm(path)
     # one check, one message; a file's error adds its path
     assert str(from_file.value) == str(read_whole.value) == f"{path}: {from_bytes.value}"
+
+
+@pytest.mark.parametrize("data", [
+    b"P5\n4 4\n255\n" + bytes(3),
+    b"P5\n# " + b"x" * 100 + b"\n4 4\n255\n" + bytes(3),
+    b"P5\n2000000000 2000000000\n255\n" + bytes(3),
+], ids=["raster_ends_in_first_read", "header_past_first_read", "overstated_canvas"])
+def test_read_pgm_rejects_a_short_raster_as_decode_does(tmp_path, data):
+    # the file size is checked before the array is allocated, so an
+    # overstated canvas is a format error, never a MemoryError
+    path = tmp_path / "short.pgm"
+    path.write_bytes(data)
+    with pytest.raises(PgmFormatError) as from_bytes:
+        decode_pgm(data)
+    with pytest.raises(PgmFormatError) as from_file:
+        read_pgm(path)
+    assert "raster truncated" in str(from_bytes.value)
+    assert str(from_file.value) == f"{path}: {from_bytes.value}"
+
+
+@pytest.mark.parametrize("prefix", [b"P5\n3 2\n255\n", b"P5\n# " + b"c" * 200 + b"\n3 2\n255\n"])
+def test_read_pgm_reads_the_raster_and_ignores_trailing_bytes(tmp_path, prefix):
+    data = prefix + bytes(range(1, 7)) + b"trailing"
+    path = tmp_path / "long.pgm"
+    path.write_bytes(data)
+    pixels = read_pgm(path)
+    assert np.array_equal(pixels, decode_pgm(data))
+    assert pixels.flags.writeable and pixels.flags.c_contiguous

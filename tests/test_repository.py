@@ -4,6 +4,7 @@ from echoagent.kb.summarize import (
     SECTION_NAMES,
     HttpSummarizer,
     RepositoryEntry,
+    build_all_entries,
     build_repository_entry,
     template_sections,
 )
@@ -57,6 +58,28 @@ def test_supporting_ids_equal_topk_for_same_anatomy_and_k(kb):
     query = " ".join((group.canonical_name, *group.keywords))
     result = kb.retrieve_topk(query, anatomy_name="left ventricle", k=entry.created_from_k)
     assert entry.supporting_primitive_ids == result.ids()
+
+
+def test_build_all_entries_embeds_its_queries_in_one_batch(kb, corpus_dir, monkeypatch):
+    from echoagent import anatomy
+    from echoagent.kb.chunking import load_corpus
+    from echoagent.kb.index import KnowledgeBase
+
+    fresh = KnowledgeBase()
+    fresh.add_primitives(load_corpus(corpus_dir))
+    batches = []
+    embed_batch = fresh.encoder.embed_batch
+
+    def counted(texts):
+        batches.append(list(texts))
+        return embed_batch(texts)
+
+    monkeypatch.setattr(fresh.encoder, "embed_batch", counted)
+    build_all_entries(fresh, 8)
+    assert [len(texts) for texts in batches] == [len(anatomy.ANATOMY_NAMES)]
+    # the batch's rows rank as each query embedded alone does
+    for name in anatomy.ANATOMY_NAMES:
+        assert fresh.entries[name] == build_repository_entry(fresh, name, 8) == kb.entries[name]
 
 
 def test_summarizer_backend_used_when_well_formed(kb, stub_server):
