@@ -109,6 +109,11 @@ def _parse_record(record_path: Path) -> StudyRecord:
         if not anatomy.is_valid_group(group):
             raise DatasetError(f"record {record_id}: unknown anatomy group {group!r}")
         truth = QaTruth(answer_option=str(truth_raw["answer_option"]), anatomy_group=group)
+        if options and truth.answer_option not in options:
+            raise DatasetError(
+                f"record {record_id}: answer_option {truth.answer_option!r} "
+                f"is not one of its options {options}"
+            )
 
     study_dirs = {}
     for hint, rel in studies.items():

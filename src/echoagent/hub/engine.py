@@ -21,11 +21,13 @@ from ..kb.criteria import ThresholdRule
 from ..kb.index import KnowledgeBase
 from ..kb.summarize import RepositoryEntry, empty_entry
 from ..tools import backends
+from ..tools.backends import SEGMENT_TOOL, VIEW_TOOL
 from ..tools.registry import LogEntry, ToolRegistry
 from ..tools.views import A2C, A4C, ALTERNATE_VIEW, load_taxonomy
 from .graph import ReasoningGraph
 from .hypotheses import hypothesis_labels, labels_match, normalized_entropy, update_posteriors
 from .planning import ED, ES, ActionStep, plan_steps
+from .toolkit import AREA_TOOL, DIMENSION_TOOL, EF_TOOL, GRADE_TOOL, VOLUME_TOOL
 from .trace import TraceWriter, digest
 
 
@@ -44,6 +46,8 @@ class DiagnosticQuery:
             raise ContractError("multiple-choice query needs at least two options")
         if self.options is not None and len(set(self.options)) != len(self.options):
             raise ContractError(f"multiple-choice query repeats an option: {self.options}")
+        if self.options is not None and not all(option.strip() for option in self.options):
+            raise ContractError(f"multiple-choice query has a blank option: {self.options}")
 
 
 @dataclass
@@ -67,7 +71,6 @@ class Conclusion:
 class _StepOutcome:
     confidence: float
     payload: dict
-    anomalous: bool = False
 
 
 class ReasoningHub:
@@ -158,7 +161,7 @@ class ReasoningHub:
             executed += 1
             if step.origin != "planned":
                 subgoal_steps += 1
-            outcome = self._execute_step(step, state, executed)
+            outcome = self._execute_step(step, state)
             posterior = update_posteriors(graph, hypothesis_nodes, labels, cfg.beta, cfg.gamma)
             total = float(posterior.sum())
             if not abs(total - 1.0) <= 1e-9 or np.any(posterior < 0):
@@ -209,39 +212,33 @@ class ReasoningHub:
 
     # -- step execution ---------------------------------------------------------
 
-    def _execute_step(self, step: ActionStep, state: "_RunState", t: int) -> _StepOutcome:
-        op = step.inputs.get("op", "")
-        handler = _STEP_HANDLERS.get(op)
-        if handler is None:
-            return state.fail(step, t, f"unknown step op {op!r}")
+    def _execute_step(self, step: ActionStep, state: "_RunState") -> _StepOutcome:
         try:
-            return handler(self, step, state, t)
+            return _STEP_HANDLERS[step.tool_name](self, step, state)
         except GraphError:
             raise  # a broken graph invariant is a defect, not a failed step
         except EchoAgentError as exc:
-            return state.fail(step, t, str(exc))
+            return state.fail(step, str(exc))
 
-    def _do_classify(self, step, state, t):
+    def _do_classify(self, step, state):
         study_dir = step.inputs["study_dir"]
         result = backends.classify_view(state.registry, step.tool_name, study_dir, self.taxonomy)
         view = result.outputs["view"]
         payload = {"view": view, "study_ref": study_dir,
                    "invocation_id": result.invocation_id}
         node = state.graph.add_evidence(
-            payload, result.confidence, t,
-            causes=[(state.anchors[study_dir], "generates")],
+            payload, result.confidence, causes=[(state.anchors[study_dir], "generates")]
         )
-        state.study_of_view[view] = study_dir
-        state.classify_node[view] = node
+        state.classified[view] = (study_dir, node)
         return _StepOutcome(result.confidence, payload)
 
-    def _do_segment(self, step, state, t):
+    def _do_segment(self, step, state):
         view = step.inputs["view"]
         phase = step.inputs["phase"]
         structure = step.inputs["structure"]
-        study_dir = state.study_of_view.get(view)
-        if study_dir is None:
-            return state.fail(step, t, f"no study classified as view {view!r}")
+        if view not in state.classified:
+            return state.fail(step, f"no study classified as view {view!r}")
+        study_dir, classify_node = state.classified[view]
         result = backends.segment_structure(
             state.registry, step.tool_name, study_dir, phase, structure
         )
@@ -252,14 +249,13 @@ class ReasoningHub:
             "empty_structure": empty, "mask": mask,
             "invocation_id": result.invocation_id,
         }
-        causes = [(state.anchors[study_dir], "generates")]
-        if view in state.classify_node:
-            causes.append((state.classify_node[view], "derives"))
-        node = state.graph.add_evidence(payload, result.confidence, t, causes=causes)
+        node = state.graph.add_evidence(payload, result.confidence, causes=[
+            (state.anchors[study_dir], "generates"), (classify_node, "derives"),
+        ])
         state.masks[(view, phase, structure)] = (node, mask)
         return _StepOutcome(result.confidence, payload)
 
-    def _measure(self, step, state, t, inputs: dict, causes: list, **context):
+    def _measure(self, step, state, inputs: dict, causes: list, **context):
         """Invoke the step's tool; add its outputs, the structure, any step
         context and the invocation id as one evidence node. Its confidence is
         the lowest of the tool's and those of the evidence it derives from,
@@ -269,25 +265,23 @@ class ReasoningHub:
                    "invocation_id": result.invocation_id}
         confidence = min(result.confidence,
                          *(state.graph.nodes[src].confidence for src, _ in causes))
-        node = state.graph.add_evidence(payload, confidence, t, causes=causes)
+        node = state.graph.add_evidence(payload, confidence, causes=causes)
         return node, _StepOutcome(confidence, payload)
 
-    def _do_volume(self, step, state, t):
+    def _do_volume(self, step, state):
         phase = step.inputs["phase"]
         structure = step.inputs["structure"]
         pair = []
         for view in (A2C, A4C):
             got = state.masks.get((view, phase, structure))
             if got is None:
-                return state.fail(
-                    step, t, f"missing {view} mask of {structure} at {phase}"
-                )
+                return state.fail(step, f"missing {view} mask of {structure} at {phase}")
             pair.append(got)
         (node_a2c, mask_a2c), (node_a4c, mask_a4c) = pair
         label = mask_a2c.label_for(structure)
         if label is None:
-            return state.fail(step, t, f"structure {structure!r} not in mask label map")
-        node, outcome = self._measure(step, state, t, {
+            return state.fail(step, f"structure {structure!r} not in mask label map")
+        node, outcome = self._measure(step, state, {
             "mask_a2c": mask_a2c, "mask_a4c": mask_a4c,
             "target_label": label, "n_disks": step.inputs["n_disks"],
         }, [(node_a2c, "derives"), (node_a4c, "derives")], phase=phase)
@@ -296,62 +290,60 @@ class ReasoningHub:
         self._link_criteria(state, node, "volume_ml", value, outcome.confidence)
         return outcome
 
-    def _do_ef(self, step, state, t):
+    def _do_ef(self, step, state):
         structure = step.inputs["structure"]
         edv = state.volumes.get((structure, ED))
         esv = state.volumes.get((structure, ES))
         if edv is None or esv is None:
             missing = ED if edv is None else ES
-            return state.fail(step, t, f"missing {structure} volume at {missing}")
+            return state.fail(step, f"missing {structure} volume at {missing}")
         node, outcome = self._measure(
-            step, state, t, {"edv_ml": edv[1], "esv_ml": esv[1]},
+            step, state, {"edv_ml": edv[1], "esv_ml": esv[1]},
             [(edv[0], "derives"), (esv[0], "derives")],
         )
-        outcome.anomalous = bool(outcome.payload["anomalous"])
         state.ef_node[structure] = node
         state.ef_value = float(outcome.payload["ef_percent"])
-        state.ef_anomalous = outcome.anomalous
-        if not outcome.anomalous:
+        state.ef_anomalous = bool(outcome.payload["anomalous"])
+        if not state.ef_anomalous:
             self._link_criteria(state, node, "ef_percent", state.ef_value, outcome.confidence)
         return outcome
 
-    def _do_grade(self, step, state, t):
+    def _do_grade(self, step, state):
         structure = step.inputs["structure"]
         if state.ef_value is None or structure not in state.ef_node:
-            return state.fail(step, t, f"no ejection fraction available for {structure}")
+            return state.fail(step, f"no ejection fraction available for {structure}")
         if state.ef_anomalous:
-            return state.fail(step, t, "ejection fraction flagged anomalous; grading withheld")
+            return state.fail(step, "ejection fraction flagged anomalous; grading withheld")
         node, outcome = self._measure(
-            step, state, t, {"ef_percent": state.ef_value, "rules": state.rules},
+            step, state, {"ef_percent": state.ef_value, "rules": state.rules},
             [(state.ef_node[structure], "derives")],
         )
         state.grade_value = outcome.payload["grade"]
         self._link_criteria(state, node, "ef_percent", state.ef_value, outcome.confidence)
         return outcome
 
-    def _do_mask_metric(self, step, state, t):
+    def _do_mask_metric(self, step, state):
         """Area or long-axis dimension of the structure on the planned view's
         mask. Only area falls back to another view's mask at the phase."""
-        op = step.inputs["op"]
         structure = step.inputs["structure"]
         view = step.inputs.get("view")
         phase = step.inputs.get("phase", ED)
         got = state.masks.get((view, phase, structure)) if view else None
-        if got is None and op == "area":
+        if got is None and step.tool_name == AREA_TOOL:
             # the structure's mask at the phase with the smallest (view, ...) key
             got = state.masks.get(
                 min((key for key in state.masks if key[1:] == (phase, structure)), default=None)
             )
         if got is None:
-            return state.fail(step, t, f"no mask available for {structure} at {phase}")
+            return state.fail(step, f"no mask available for {structure} at {phase}")
         node_mask, mask = got
         label = mask.label_for(structure)
         if label is None:
-            return state.fail(step, t, f"structure {structure!r} not in mask label map")
+            return state.fail(step, f"structure {structure!r} not in mask label map")
         node, outcome = self._measure(
-            step, state, t, {"mask": mask, "target_label": label}, [(node_mask, "derives")]
+            step, state, {"mask": mask, "target_label": label}, [(node_mask, "derives")]
         )
-        metric = _MASK_METRICS[op]
+        metric = _MASK_METRICS[step.tool_name]
         if not outcome.payload.get("empty_structure", False):
             self._link_criteria(
                 state, node, metric, float(outcome.payload[metric]), outcome.confidence
@@ -384,19 +376,18 @@ class ReasoningHub:
         sub-goal: the same structure and phase on the other apical view."""
         cfg = self.config
         low_confidence = outcome.confidence < cfg.c_min
-        fired = (low_confidence or outcome.anomalous
+        fired = (low_confidence or outcome.payload.get("anomalous", False)
                  or normalized_entropy(posterior) > cfg.e_max)
         alternate = ALTERNATE_VIEW.get(step.inputs.get("view", ""))
         if not (low_confidence and alternate and step.origin == "planned"
-                and step.inputs.get("op") == "segment"):
+                and step.tool_name == SEGMENT_TOOL):
             return fired, None
         structure = step.inputs["structure"]
         return fired, ActionStep(
             step_id=subgoal_id,
             goal=f"re-measure {structure} from the alternate view {alternate}",
             tool_name=step.tool_name,
-            inputs={"op": "segment", "structure": structure,
-                    "view": alternate, "phase": step.inputs["phase"]},
+            inputs={"structure": structure, "view": alternate, "phase": step.inputs["phase"]},
             origin="subgoal",
         )
 
@@ -409,9 +400,9 @@ class _RunState:
     rules: tuple[ThresholdRule, ...]
     hypothesis_nodes: dict[str, str]
     labels: tuple[str, ...]
-    study_of_view: dict[str, str] = field(default_factory=dict)
-    classify_node: dict[str, str] = field(default_factory=dict)
-    # (view, phase, structure) -> (node, mask); (structure, phase) -> (node, mL)
+    # view -> (study_dir, node); (view, phase, structure) -> (node, mask);
+    # (structure, phase) -> (node, mL)
+    classified: dict[str, tuple] = field(default_factory=dict)
     masks: dict[tuple, tuple] = field(default_factory=dict)
     volumes: dict[tuple, tuple] = field(default_factory=dict)
     ef_node: dict[str, str] = field(default_factory=dict)
@@ -419,22 +410,22 @@ class _RunState:
     ef_anomalous: bool = False
     grade_value: str | None = None
 
-    def fail(self, step: ActionStep, t: int, message: str) -> _StepOutcome:
+    def fail(self, step: ActionStep, message: str) -> _StepOutcome:
         """Record a failed attempt as zero-confidence evidence."""
         payload = {"failure": message, "goal": step.goal}
         causes = [(anchor, "generates") for anchor in self.anchors.values()]
-        self.graph.add_evidence(payload, 0.0, t, causes=causes)
+        self.graph.add_evidence(payload, 0.0, causes=causes)
         return _StepOutcome(0.0, payload)
 
 
-_MASK_METRICS = {"area": "area_mm2", "dimension": "dimension_mm"}
+_MASK_METRICS = {AREA_TOOL: "area_mm2", DIMENSION_TOOL: "dimension_mm"}
 
 _STEP_HANDLERS = {
-    "classify_view": ReasoningHub._do_classify,
-    "segment": ReasoningHub._do_segment,
-    "volume": ReasoningHub._do_volume,
-    "ef": ReasoningHub._do_ef,
-    "grade": ReasoningHub._do_grade,
-    "area": ReasoningHub._do_mask_metric,
-    "dimension": ReasoningHub._do_mask_metric,
+    VIEW_TOOL: ReasoningHub._do_classify,
+    SEGMENT_TOOL: ReasoningHub._do_segment,
+    VOLUME_TOOL: ReasoningHub._do_volume,
+    EF_TOOL: ReasoningHub._do_ef,
+    GRADE_TOOL: ReasoningHub._do_grade,
+    AREA_TOOL: ReasoningHub._do_mask_metric,
+    DIMENSION_TOOL: ReasoningHub._do_mask_metric,
 }

@@ -27,7 +27,6 @@ class EvidenceNode:
     kind: str
     payload: object
     confidence: float
-    created_at: int
 
     def __post_init__(self):
         if self.kind not in NODE_KINDS:
@@ -55,25 +54,19 @@ class ReasoningGraph:
 
     # -- mutation ------------------------------------------------------------
 
-    def add_anchor(self, payload, created_at: int = 0) -> str:
+    def add_anchor(self, payload) -> str:
         node_id = self._new_id("anchor")
-        self.nodes[node_id] = EvidenceNode(node_id, "raw_anchor", payload, 1.0, created_at)
+        self.nodes[node_id] = EvidenceNode(node_id, "raw_anchor", payload, 1.0)
         self.checks_run += 1  # a node without edges keeps both invariants
         return node_id
 
-    def add_concept(self, payload, created_at: int = 0) -> str:
+    def add_concept(self, payload) -> str:
         node_id = self._new_id("concept")
-        self.nodes[node_id] = EvidenceNode(node_id, "concept", payload, 1.0, created_at)
+        self.nodes[node_id] = EvidenceNode(node_id, "concept", payload, 1.0)
         self.checks_run += 1
         return node_id
 
-    def add_evidence(
-        self,
-        payload,
-        confidence: float,
-        created_at: int,
-        causes: list[tuple[str, str]],
-    ) -> str:
+    def add_evidence(self, payload, confidence: float, causes: list[tuple[str, str]]) -> str:
         """Add one evidence node atomically with its incoming causal edges.
 
         ``causes`` is a list of (source node id, edge kind) with kinds from
@@ -84,7 +77,7 @@ class ReasoningGraph:
         if not causes:
             raise GraphError("evidence node needs at least one generates/derives cause")
         node_id = self._new_id("evidence")
-        node = EvidenceNode(node_id, "evidence", payload, confidence, created_at)
+        node = EvidenceNode(node_id, "evidence", payload, confidence)
         staged = []
         for src, kind in causes:
             if kind not in CAUSAL_KINDS:

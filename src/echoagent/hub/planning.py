@@ -3,9 +3,9 @@
 Sections compile mechanically: view mentions become view-identification
 steps, structure mentions become per-view per-phase segmentation steps,
 measurement phrases become quantification steps wired to the segmentation
-outputs. Diagnostic criteria define hypotheses, not steps. Each op names
-its tool, whose inputs the engine's op handler builds; a registry that lacks
-a planned tool is refused here, before any step runs.
+outputs. Diagnostic criteria define hypotheses, not steps. A step is keyed
+by its tool, whose inputs the engine's handler for that tool builds; a
+registry that lacks a planned tool is refused here, before any step runs.
 """
 from __future__ import annotations
 
@@ -24,16 +24,15 @@ ES = "ES"
 _EF_WORDS = ("ejection fraction",)
 _VOLUME_WORDS = ("volume", "method of disks", "disk summation") + _EF_WORDS
 
-# One row per measurement op, in emission order: (trigger words, op, tool,
-# goal). Each (op, structure) is planned once. Volume expands to ED and ES;
+# One row per measurement tool, in emission order: (trigger words, tool,
+# goal). Each (tool, structure) is planned once. Volume expands to ED and ES;
 # area and dimension measure the first planned view at ED.
 _MEASUREMENTS = (
-    (_VOLUME_WORDS, "volume", VOLUME_TOOL, "compute biplane {structure} volume at {phase}"),
-    (_EF_WORDS, "ef", EF_TOOL, "compute {structure} ejection fraction"),
-    (_EF_WORDS, "grade", GRADE_TOOL, "grade {structure} ejection fraction"),
-    (("area",), "area", AREA_TOOL, "measure {structure} area"),
-    (("diameter", "dimension"), "dimension", DIMENSION_TOOL,
-     "measure {structure} long-axis dimension"),
+    (_VOLUME_WORDS, VOLUME_TOOL, "compute biplane {structure} volume at {phase}"),
+    (_EF_WORDS, EF_TOOL, "compute {structure} ejection fraction"),
+    (_EF_WORDS, GRADE_TOOL, "grade {structure} ejection fraction"),
+    (("area",), AREA_TOOL, "measure {structure} area"),
+    (("diameter", "dimension"), DIMENSION_TOOL, "measure {structure} long-axis dimension"),
 )
 
 
@@ -110,7 +109,7 @@ def plan_steps(
             add(
                 f"identify the echocardiographic view of {ref}",
                 VIEW_TOOL,
-                {"op": "classify_view", "study_dir": str(ref)},
+                {"study_dir": str(ref)},
             )
 
     if plan.structures and plan.views:
@@ -120,7 +119,7 @@ def plan_steps(
                     add(
                         f"segment {structure} on {view} at {phase}",
                         SEGMENT_TOOL,
-                        {"op": "segment", "structure": structure, "view": view, "phase": phase},
+                        {"structure": structure, "view": view, "phase": phase},
                     )
     elif plan.structures and not plan.views:
         plan.warnings.append("structures to segment but no views to acquire; skipping segmentation")
@@ -131,16 +130,16 @@ def plan_steps(
         lowered = item.lower()
         targets = [s for s in _structures_in([item], entry.anatomy) if s in plan.structures]
         for structure in targets or [entry.anatomy]:
-            for words, op, tool, goal in _MEASUREMENTS:
-                if (op, structure) in planned or not any(w in lowered for w in words):
+            for words, tool, goal in _MEASUREMENTS:
+                if (tool, structure) in planned or not any(w in lowered for w in words):
                     continue
-                planned.add((op, structure))
-                inputs = {"op": op, "structure": structure}
-                if op == "volume":
+                planned.add((tool, structure))
+                inputs = {"structure": structure}
+                if tool == VOLUME_TOOL:
                     for phase in (ED, ES):
                         add(goal.format(structure=structure, phase=phase), tool,
                             {**inputs, "phase": phase, "n_disks": n_disks})
-                elif op in ("area", "dimension"):
+                elif tool in (AREA_TOOL, DIMENSION_TOOL):
                     add(goal.format(structure=structure), tool,
                         {**inputs, "view": first_view, "phase": ED})
                 else:

@@ -10,7 +10,7 @@ counts via one SHA-1 per token occurrence, anatomy tags via the seed's
 scan of every group's keywords, a text's keyword rows via a scan of every
 keyword, the index head line via a dict per record and one ``json.dumps``,
 evidence-graph invariants via the seed's
-append-then-recheck graph, measurement plans via the seed's per-op blocks,
+append-then-recheck graph, measurement plans via the seed's per-measurement blocks,
 and trace digests via the seed's recursive canonicaliser.
 """
 from __future__ import annotations
@@ -264,23 +264,23 @@ class SeedReasoningGraph(ReasoningGraph):
     A rejected mutation stays in ``nodes``/``edges``, as it did in the seed.
     """
 
-    def add_anchor(self, payload, created_at: int = 0) -> str:
+    def add_anchor(self, payload) -> str:
         node_id = self._new_id("anchor")
-        self.nodes[node_id] = EvidenceNode(node_id, "raw_anchor", payload, 1.0, created_at)
+        self.nodes[node_id] = EvidenceNode(node_id, "raw_anchor", payload, 1.0)
         self._check()
         return node_id
 
-    def add_concept(self, payload, created_at: int = 0) -> str:
+    def add_concept(self, payload) -> str:
         node_id = self._new_id("concept")
-        self.nodes[node_id] = EvidenceNode(node_id, "concept", payload, 1.0, created_at)
+        self.nodes[node_id] = EvidenceNode(node_id, "concept", payload, 1.0)
         self._check()
         return node_id
 
-    def add_evidence(self, payload, confidence, created_at, causes) -> str:
+    def add_evidence(self, payload, confidence, causes) -> str:
         if not causes:
             raise GraphError("evidence node needs at least one generates/derives cause")
         node_id = self._new_id("evidence")
-        node = EvidenceNode(node_id, "evidence", payload, confidence, created_at)
+        node = EvidenceNode(node_id, "evidence", payload, confidence)
         staged = []
         for src, kind in causes:
             if kind not in CAUSAL_KINDS:
@@ -354,8 +354,8 @@ _SEED_DIMENSION_WORDS = ("diameter", "dimension")
 
 
 def seed_plan_steps(entry, query, registry, taxonomy, n_disks: int = 20) -> Plan:
-    """The seed's ``plan_steps``, with one spelled-out block per measurement.
-    Each op names its tool, so ``registry`` is not read."""
+    """The seed's ``plan_steps``, with one spelled-out block per measurement,
+    restated with each step keyed by its tool alone. ``registry`` is not read."""
     plan = Plan()
     view_items = entry.section_items("views_to_acquire")
     segment_items = entry.section_items("structures_to_segment")
@@ -389,7 +389,7 @@ def seed_plan_steps(entry, query, registry, taxonomy, n_disks: int = 20) -> Plan
             add(
                 f"identify the echocardiographic view of {ref}",
                 VIEW_TOOL,
-                {"op": "classify_view", "study_dir": str(ref)},
+                {"study_dir": str(ref)},
             )
 
     if plan.structures and plan.views:
@@ -399,7 +399,7 @@ def seed_plan_steps(entry, query, registry, taxonomy, n_disks: int = 20) -> Plan
                     add(
                         f"segment {structure} on {view} at {phase}",
                         SEGMENT_TOOL,
-                        {"op": "segment", "structure": structure, "view": view, "phase": phase},
+                        {"structure": structure, "view": view, "phase": phase},
                     )
     elif plan.structures and not plan.views:
         plan.warnings.append("structures to segment but no views to acquire; skipping segmentation")
@@ -420,20 +420,19 @@ def seed_plan_steps(entry, query, registry, taxonomy, n_disks: int = 20) -> Plan
                         add(
                             f"compute biplane {structure} volume at {phase}",
                             VOLUME_TOOL,
-                            {"op": "volume", "structure": structure, "phase": phase,
-                             "n_disks": n_disks},
+                            {"structure": structure, "phase": phase, "n_disks": n_disks},
                         )
             if any(w in lowered for w in _SEED_EF_WORDS) and ("ef", structure) not in measured:
                 measured.add(("ef", structure))
                 add(
                     f"compute {structure} ejection fraction",
                     EF_TOOL,
-                    {"op": "ef", "structure": structure},
+                    {"structure": structure},
                 )
                 add(
                     f"grade {structure} ejection fraction",
                     GRADE_TOOL,
-                    {"op": "grade", "structure": structure},
+                    {"structure": structure},
                 )
             if (any(w in lowered for w in _SEED_AREA_WORDS)
                     and ("area", structure) not in measured):
@@ -442,7 +441,7 @@ def seed_plan_steps(entry, query, registry, taxonomy, n_disks: int = 20) -> Plan
                 add(
                     f"measure {structure} area",
                     AREA_TOOL,
-                    {"op": "area", "structure": structure, "view": view, "phase": ED},
+                    {"structure": structure, "view": view, "phase": ED},
                 )
             if (any(w in lowered for w in _SEED_DIMENSION_WORDS)
                     and ("dimension", structure) not in measured):
@@ -451,7 +450,7 @@ def seed_plan_steps(entry, query, registry, taxonomy, n_disks: int = 20) -> Plan
                 add(
                     f"measure {structure} long-axis dimension",
                     DIMENSION_TOOL,
-                    {"op": "dimension", "structure": structure, "view": view, "phase": ED},
+                    {"structure": structure, "view": view, "phase": ED},
                 )
     return plan
 

@@ -202,7 +202,7 @@ def test_criterion_6_posterior_contract(tmp_path):
             g = ReasoningGraph()
             node_ids = {label: g.add_concept(label) for label in labs}
             anchor = g.add_anchor("raw")
-            evidence = g.add_evidence({"v": 1}, 1.0, 1, causes=[(anchor, "generates")])
+            evidence = g.add_evidence({"v": 1}, 1.0, causes=[(anchor, "generates")])
             for index, kind, weight in edge_plan:
                 g.add_edge(evidence, node_ids[labs[index]], kind, weight * factor)
             p = update_posteriors(g, node_ids, labs)

@@ -312,6 +312,65 @@ def test_build_kb_index_bytes_are_pinned(capsys, tmp_path):
     assert hashlib.sha256(rest).hexdigest() == FIXTURE_INDEX_DIGEST
 
 
+# SHA-256 of the fixture evaluation's report and traces, run from a fresh
+# directory with relative paths (study paths enter the plan digest)
+FIXTURE_REPORT_SHA256 = "67862d86f7260b99246eeeb096c15b89109d64ae2d2ac41c7598d431f4239538"
+FIXTURE_TRACE_SHA256 = {
+    "qa-01": "aeef710cfe41a04e5e637fd7b5bcb8442a0767d74c5eb7fc9e551943343775ab",
+    "qa-02": "f3832f03d8729aac77e5d895079beb2afb39499cba34782e075c379c6fd380e8",
+    "qa-03": "e4222ef76927eea237e20de1a316221495af1ddc00d39059d3644e017bdeefe2",
+    "qa-04": "c75cea885fae8f87adc236aba3dbf6e1cc3e8472c67decf675201e80fae7e64d",
+    "study-01": "f24eb532af0e04d9afd24e7b0de537d0f4d9c8bfc4848a1e1a5b2f0e44e04f6d",
+    "study-02": "111acd22627c9009eb5e6ecd1925e3559a26c35612e3f03eac8e169b7dbda873",
+    "study-03": "93bbe0f9216fa3151d3edf1d33569912688b63847a9b44c92e493b83bfd99f37",
+    "study-04": "7c8c619b6b8253eff4edd85dae9960100ef56b7bbe0e9dd02b22bba595854e6e",
+    "study-05": "ba08cd874610ee8b67d20efdb98b30e894fc7f3fb377b80560f48180d219c0b7",
+    "study-06": "09cc771691660ee54dc5dc627b228ed2a7a6b52d784dc136c489e1335bad44df",
+    "study-07": "353578d2463360c98d6194d4d7dcf54b485105303440a7946d5249ca9826e6f6",
+    "study-08": "954d81f06b555f188547861941b74862fabc1d448576ae1507cbf752a8457bc9",
+    "study-09": "b59db9134812b98055b15929a4cb1a011be7de51b18ec93dfe527a4270975f3b",
+    "study-10": "a6eef3f520a487516eb9cb55b32a8d73f0bff973fc3466b8410ae838f6b3c485",
+    "study-11": "b5e99450a7e4e51576e8c19b881107ca4692ab2e081afd552d36b786ff87dd59",
+    "study-12": "3b52b512b89eb7166081f101bff31e7ba49e77816ba70b9908d7f36c04365999",
+}
+# study-11's trace with its a4c masks removed: both a4c segmentations fail
+# and each spawns a sub-goal on the a2c view
+SUBGOAL_TRACE_SHA256 = "8ba3498ea102ca1fd98c32b26f6fdbcbc89e002700e789b2e03cd5781bde149b"
+
+
+def _trace_digests(traces: Path) -> dict[str, str]:
+    return {path.name.removesuffix(".trace.jsonl"): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in traces.iterdir()}
+
+
+def test_fixture_evaluation_bytes_are_pinned(capsys, tmp_path, monkeypatch):
+    """The fixture evaluation writes these exact report and trace bytes, and
+    so does its sub-goal path: evaluated again with study-11's a4c masks
+    removed, only study-11's trace changes.
+
+    Planning, tool dispatch, graph updates and tracing must not move a byte;
+    a change that moves one by design must state the new digests here.
+    """
+    monkeypatch.chdir(tmp_path)
+    for argv in (["gen-fixtures", "corpus", "corpus"],
+                 ["gen-fixtures", "dataset", "dataset", "--include-qa"],
+                 ["build-kb", "corpus", "kb.json"],
+                 ["evaluate", "dataset", "--kb", "kb.json", "--report", "report.json",
+                  "--traces", "traces"]):
+        assert run_cli(capsys, *argv)[0] == 0
+    report = Path("report.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == FIXTURE_REPORT_SHA256
+    assert _trace_digests(Path("traces")) == FIXTURE_TRACE_SHA256
+
+    shutil.rmtree("dataset/studies/study-11/a4c/masks")
+    assert run_cli(capsys, "evaluate", "dataset", "--kb", "kb.json",
+                   "--report", "subgoal.json", "--traces", "subgoal")[0] == 0
+    trace = Path("subgoal/study-11.trace.jsonl").read_text()
+    assert trace.count('"event_kind":"subgoal_step"') == 2
+    assert _trace_digests(Path("subgoal")) == {**FIXTURE_TRACE_SHA256,
+                                               "study-11": SUBGOAL_TRACE_SHA256}
+
+
 @pytest.mark.parametrize("argv", [
     ["--size", "0"],
     ["--size", "-1"],
@@ -539,6 +598,14 @@ def _taxonomy_argv(tmp_path, saved_kb, ef_dataset):
             "--trace", str(tmp_path / "t.jsonl")]
 
 
+def _options_argv(*options):
+    def argv(tmp_path, saved_kb, ef_dataset):
+        return ["run-study", str(ef_dataset / "studies" / "study-01"),
+                "Is the ejection fraction normal?", "--kb", str(saved_kb),
+                "--trace", str(tmp_path / "t.jsonl"), "--options", *options]
+    return argv
+
+
 def _query_argv(k: str):
     def argv(tmp_path, saved_kb, ef_dataset):
         return ["query-kb", "ejection fraction", "--kb", str(saved_kb), "-k", k]
@@ -579,10 +646,17 @@ BROKEN_INPUTS = [
      _record_argv(lambda raw: {**raw, "truth": {"ef_percent": float("nan"), "grade": "Normal"}})),
     ("record-ef-infinity", 1, "record.json",
      _record_argv(lambda raw: {**raw, "truth": {"ef_percent": float("inf"), "grade": "Normal"}})),
+    ("record-answer-not-an-option", 1, "record study-01: answer_option 'Normla'",
+     _record_argv(lambda raw: {**raw, "question": "Is the ejection fraction normal?",
+                               "options": ["Normal", "Reduced"],
+                               "truth": {"answer_option": "Normla",
+                                         "anatomy_group": "left ventricle"}})),
     ("tags-non-utf8", 1, "notes.tags", _tags_argv),
     ("corpus-same-stem", 1, "a.md and a.txt share the stem 'a'", _same_stem_argv),
     ("corpus-directory-document", 1, "x.md", _directory_document_argv),
     ("taxonomy-non-utf8", 3, "views.txt", _taxonomy_argv),
+    ("run-study-empty-option", 3, "blank option", _options_argv("", "Normal")),
+    ("run-study-whitespace-option", 3, "blank option", _options_argv(" \t", "Normal")),
     ("query-kb-k-0", 3, "-k must be >= 1", _query_argv("0")),
     ("query-kb-k-negative", 3, "-k must be >= 1", _query_argv("-3")),
 ]

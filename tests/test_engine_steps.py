@@ -24,7 +24,7 @@ def a4c_only_state(registry):
     labels = np.zeros((40, 30), dtype=np.uint8)
     labels[5:35, 10:20] = 1
     mask = SegmentationMask(labels, (0.5, 0.5), {1: LV})
-    node = graph.add_evidence({"mask": "a4c"}, 1.0, 1, causes=[(anchor, "generates")])
+    node = graph.add_evidence({"mask": "a4c"}, 1.0, causes=[(anchor, "generates")])
     state.masks[(A4C, ED, LV)] = (node, mask)
     return state, node
 
@@ -36,8 +36,8 @@ def newest_node(graph):
 def test_area_step_falls_back_to_another_views_mask(kb, registry, a4c_only_state):
     state, mask_node = a4c_only_state
     step = ActionStep(3, "measure area", AREA_TOOL,
-                      {"op": "area", "structure": LV, "view": A2C, "phase": ED})
-    outcome = ReasoningHub(kb, registry)._execute_step(step, state, 2)
+                      {"structure": LV, "view": A2C, "phase": ED})
+    outcome = ReasoningHub(kb, registry)._execute_step(step, state)
     assert outcome.confidence == 1.0
     assert outcome.payload["area_mm2"] == 300 * 0.25
     assert outcome.payload["structure"] == LV
@@ -48,8 +48,8 @@ def test_area_step_falls_back_to_another_views_mask(kb, registry, a4c_only_state
 def test_dimension_step_does_not_fall_back(kb, registry, a4c_only_state):
     state, _ = a4c_only_state
     step = ActionStep(3, "measure dimension", DIMENSION_TOOL,
-                      {"op": "dimension", "structure": LV, "view": A2C, "phase": ED})
-    outcome = ReasoningHub(kb, registry)._execute_step(step, state, 2)
+                      {"structure": LV, "view": A2C, "phase": ED})
+    outcome = ReasoningHub(kb, registry)._execute_step(step, state)
     assert outcome.confidence == 0.0
     assert outcome.payload == {"failure": f"no mask available for {LV} at {ED}",
                                "goal": "measure dimension"}
@@ -58,8 +58,8 @@ def test_dimension_step_does_not_fall_back(kb, registry, a4c_only_state):
 def test_dimension_step_measures_the_planned_views_mask(kb, registry, a4c_only_state):
     state, mask_node = a4c_only_state
     step = ActionStep(3, "measure dimension", DIMENSION_TOOL,
-                      {"op": "dimension", "structure": LV, "view": A4C, "phase": ED})
-    outcome = ReasoningHub(kb, registry)._execute_step(step, state, 2)
+                      {"structure": LV, "view": A4C, "phase": ED})
+    outcome = ReasoningHub(kb, registry)._execute_step(step, state)
     assert outcome.confidence == 1.0
     assert outcome.payload["dimension_mm"] > 0
     assert set(outcome.payload) == {"dimension_mm", "structure", "invocation_id"}
@@ -69,11 +69,11 @@ def test_dimension_step_measures_the_planned_views_mask(kb, registry, a4c_only_s
 def test_a_measurement_is_no_more_confident_than_its_mask(kb, registry, a4c_only_state):
     state, _ = a4c_only_state
     anchor = state.anchors["study"]
-    weak = state.graph.add_evidence({"mask": "weak"}, 0.2, 1, causes=[(anchor, "generates")])
+    weak = state.graph.add_evidence({"mask": "weak"}, 0.2, causes=[(anchor, "generates")])
     _, mask = state.masks[(A4C, ED, LV)]
     state.masks[(A4C, ED, LV)] = (weak, mask)
     step = ActionStep(3, "measure area", AREA_TOOL,
-                      {"op": "area", "structure": LV, "view": A4C, "phase": ED})
-    outcome = ReasoningHub(kb, registry)._execute_step(step, state, 2)
+                      {"structure": LV, "view": A4C, "phase": ED})
+    outcome = ReasoningHub(kb, registry)._execute_step(step, state)
     assert outcome.confidence == 0.2
     assert state.graph.nodes[newest_node(state.graph)].confidence == 0.2

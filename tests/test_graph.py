@@ -12,7 +12,7 @@ def test_anchor_concept_evidence_lifecycle():
     graph = ReasoningGraph()
     anchor = graph.add_anchor({"study_ref": "a2c"})
     concept = graph.add_concept("Normal")
-    evidence = graph.add_evidence({"view": "a2c"}, 0.9, 1, causes=[(anchor, "generates")])
+    evidence = graph.add_evidence({"view": "a2c"}, 0.9, causes=[(anchor, "generates")])
     graph.add_edge(evidence, concept, "supports", 0.9)
     assert graph.nodes[anchor].kind == "raw_anchor"
     assert graph.nodes[evidence].confidence == 0.9
@@ -22,21 +22,21 @@ def test_anchor_concept_evidence_lifecycle():
 def test_evidence_without_causes_rejected():
     graph = ReasoningGraph()
     with pytest.raises(GraphError, match="cause"):
-        graph.add_evidence({"x": 1}, 0.5, 1, causes=[])
+        graph.add_evidence({"x": 1}, 0.5, causes=[])
 
 
 def test_evidence_must_trace_back_to_an_anchor():
     graph = ReasoningGraph()
     concept = graph.add_concept("h1")
     with pytest.raises(GraphError, match="raw anchor"):
-        graph.add_evidence({"x": 1}, 0.5, 1, causes=[(concept, "derives")])
+        graph.add_evidence({"x": 1}, 0.5, causes=[(concept, "derives")])
 
 
 def test_causal_cycle_rejected_at_the_offending_mutation():
     graph = ReasoningGraph()
     anchor = graph.add_anchor("raw")
-    first = graph.add_evidence({"a": 1}, 1.0, 1, causes=[(anchor, "generates")])
-    second = graph.add_evidence({"b": 2}, 1.0, 2, causes=[(first, "derives")])
+    first = graph.add_evidence({"a": 1}, 1.0, causes=[(anchor, "generates")])
+    second = graph.add_evidence({"b": 2}, 1.0, causes=[(first, "derives")])
     with pytest.raises(GraphError, match="cycle"):
         graph.add_edge(second, first, "derives")
 
@@ -44,8 +44,8 @@ def test_causal_cycle_rejected_at_the_offending_mutation():
 def test_supports_edges_do_not_participate_in_cycles():
     graph = ReasoningGraph()
     anchor = graph.add_anchor("raw")
-    a = graph.add_evidence({"a": 1}, 1.0, 1, causes=[(anchor, "generates")])
-    b = graph.add_evidence({"b": 2}, 1.0, 2, causes=[(a, "derives")])
+    a = graph.add_evidence({"a": 1}, 1.0, causes=[(anchor, "generates")])
+    b = graph.add_evidence({"b": 2}, 1.0, causes=[(a, "derives")])
     graph.add_edge(a, b, "supports", 0.5)
     graph.add_edge(b, a, "supports", 0.5)  # symmetric association is fine
 
@@ -69,7 +69,7 @@ def test_anchor_confidence_must_be_full():
     from echoagent.hub.graph import EvidenceNode
 
     with pytest.raises(GraphError, match="anchors"):
-        EvidenceNode("anchor-0000", "raw_anchor", "x", 0.5, 0)
+        EvidenceNode("anchor-0000", "raw_anchor", "x", 0.5)
 
 
 def test_unknown_edge_endpoint_rejected():
@@ -83,7 +83,7 @@ def test_checks_run_after_every_mutation():
     graph = ReasoningGraph()
     anchor = graph.add_anchor("raw")
     graph.add_concept("h")
-    graph.add_evidence({"a": 1}, 1.0, 1, causes=[(anchor, "generates")])
+    graph.add_evidence({"a": 1}, 1.0, causes=[(anchor, "generates")])
     assert graph.checks_run == 3
 
 
@@ -117,7 +117,7 @@ def _apply(graph, op, ids):
         return graph.add_concept(f"h{len(ids)}")
     if name == "evidence":
         confidence, causes = args
-        return graph.add_evidence({"n": len(ids)}, confidence, len(ids),
+        return graph.add_evidence({"n": len(ids)}, confidence,
                                   causes=[(_pick(ids, i), kind) for i, kind in causes])
     src, dst, kind, weight = args
     return graph.add_edge(_pick(ids, src), _pick(ids, dst), kind, weight)
@@ -154,8 +154,8 @@ def test_a_causal_add_edge_is_refused_even_without_a_cycle(kind):
     graphs = []
     for graph in (ReasoningGraph(), SeedReasoningGraph()):
         anchor = graph.add_anchor("raw")
-        first = graph.add_evidence({"a": 1}, 1.0, 1, causes=[(anchor, "generates")])
-        second = graph.add_evidence({"b": 2}, 1.0, 2, causes=[(anchor, "generates")])
+        first = graph.add_evidence({"a": 1}, 1.0, causes=[(anchor, "generates")])
+        second = graph.add_evidence({"b": 2}, 1.0, causes=[(anchor, "generates")])
         graphs.append((graph, first, second))
     (graph, first, second), (seed, _, _) = graphs
     edges = list(graph.edges)

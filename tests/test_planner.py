@@ -2,7 +2,7 @@ import pytest
 
 from echoagent.config import EngineConfig
 from echoagent.errors import RegistrationError
-from echoagent.hub.engine import DiagnosticQuery, ReasoningHub
+from echoagent.hub.engine import _STEP_HANDLERS, DiagnosticQuery, ReasoningHub
 from echoagent.hub.planning import plan_steps
 from echoagent.hub.toolkit import (
     AREA_TOOL, DIMENSION_TOOL, EF_TOOL, GRADE_TOOL, VOLUME_TOOL, build_default_registry,
@@ -23,18 +23,18 @@ def lv_query():
 
 def test_lv_fixture_compiles_to_the_canonical_step_sequence(kb, registry, lv_query):
     plan = plan_steps(kb.entries["left ventricle"], lv_query, registry, DEFAULT_TAXONOMY)
-    ops = [(s.inputs["op"], s.inputs.get("view"), s.inputs.get("phase")) for s in plan.steps]
-    assert ops == [
-        ("classify_view", None, None),
-        ("classify_view", None, None),
-        ("segment", "apical-2-chamber", "ED"),
-        ("segment", "apical-2-chamber", "ES"),
-        ("segment", "apical-4-chamber", "ED"),
-        ("segment", "apical-4-chamber", "ES"),
-        ("volume", None, "ED"),
-        ("volume", None, "ES"),
-        ("ef", None, None),
-        ("grade", None, None),
+    tools = [(s.tool_name, s.inputs.get("view"), s.inputs.get("phase")) for s in plan.steps]
+    assert tools == [
+        (VIEW_TOOL, None, None),
+        (VIEW_TOOL, None, None),
+        (SEGMENT_TOOL, "apical-2-chamber", "ED"),
+        (SEGMENT_TOOL, "apical-2-chamber", "ES"),
+        (SEGMENT_TOOL, "apical-4-chamber", "ED"),
+        (SEGMENT_TOOL, "apical-4-chamber", "ES"),
+        (VOLUME_TOOL, None, "ED"),
+        (VOLUME_TOOL, None, "ES"),
+        (EF_TOOL, None, None),
+        (GRADE_TOOL, None, None),
     ]
     assert [s.step_id for s in plan.steps] == list(range(10))
     assert all(s.origin == "planned" for s in plan.steps)
@@ -77,10 +77,24 @@ def test_every_planned_tool_is_registered(kb, lv_query, tool_url):
     entries = [kb.entries["left ventricle"], kb.entries["pericardium"], *_MIXED_ENTRIES.values()]
     planned = {s.tool_name for entry in entries
                for s in plan_steps(entry, lv_query, registry, DEFAULT_TAXONOMY).steps}
-    # every op plans its tool, and each is registered under that name
+    # every tool is planned, and each is registered under that name
     assert planned == {VIEW_TOOL, SEGMENT_TOOL, VOLUME_TOOL, EF_TOOL, GRADE_TOOL, AREA_TOOL,
                        DIMENSION_TOOL}
     assert planned == {d.name for d in registry.list_tools()}
+
+
+def test_the_step_handlers_are_exactly_the_registered_tools():
+    assert set(_STEP_HANDLERS) == {d.name for d in build_default_registry().list_tools()}
+
+
+@pytest.mark.parametrize("options", [None, ("normal", "abnormal")])
+def test_every_step_planned_over_the_fixture_entries_has_a_handler(kb, registry, options):
+    query = DiagnosticQuery("Assess the study.", study_refs=("studies/a2c", "studies/a4c"),
+                            options=options)
+    assert len(kb.entries) == 14
+    planned = {s.tool_name for entry in kb.entries.values()
+               for s in plan_steps(entry, query, registry, DEFAULT_TAXONOMY).steps}
+    assert planned and planned <= set(_STEP_HANDLERS)
 
 
 def test_pericardium_fixture_compiles_to_classify_segment_area(kb, registry):
@@ -89,8 +103,7 @@ def test_pericardium_fixture_compiles_to_classify_segment_area(kb, registry):
         options=("normal pericardium", "pericardial thickening"),
     )
     plan = plan_steps(kb.entries["pericardium"], query, registry, DEFAULT_TAXONOMY)
-    ops = [s.inputs["op"] for s in plan.steps]
-    assert ops == ["classify_view", "segment", "area"]
+    assert [s.tool_name for s in plan.steps] == [VIEW_TOOL, SEGMENT_TOOL, AREA_TOOL]
     assert plan.views == ["parasternal-long-axis"]
     assert plan.structures == ["pericardium"]
 
@@ -108,7 +121,7 @@ def test_view_only_corpus_entry_plans_without_quant_steps(registry, lv_query):
         created_from_k=8,
     )
     plan = plan_steps(entry, lv_query, registry, DEFAULT_TAXONOMY)
-    assert [s.inputs["op"] for s in plan.steps] == ["classify_view", "classify_view"]
+    assert [s.tool_name for s in plan.steps] == [VIEW_TOOL, VIEW_TOOL]
 
 
 def _entry(anatomy, views, structures, measurements):

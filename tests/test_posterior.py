@@ -26,7 +26,7 @@ def test_empty_graph_posterior_is_uniform():
 def test_single_unit_supports_edge_gives_half():
     labels = ("h1", "h2", "h3")
     graph, nodes, anchor = graph_with_hypotheses(labels)
-    evidence = graph.add_evidence({"v": 1}, 1.0, 1, causes=[(anchor, "generates")])
+    evidence = graph.add_evidence({"v": 1}, 1.0, causes=[(anchor, "generates")])
     graph.add_edge(evidence, nodes["h1"], "supports", 1.0)
     posterior = update_posteriors(graph, nodes, labels, beta=1.0)
     # likelihoods (2, 1, 1) -> normalized (0.5, 0.25, 0.25)
@@ -37,7 +37,7 @@ def test_single_unit_supports_edge_gives_half():
 def test_edge_direction_does_not_matter_for_scoring():
     labels = ("h1", "h2")
     graph, nodes, anchor = graph_with_hypotheses(labels)
-    evidence = graph.add_evidence({"v": 1}, 1.0, 1, causes=[(anchor, "generates")])
+    evidence = graph.add_evidence({"v": 1}, 1.0, causes=[(anchor, "generates")])
     graph.add_edge(nodes["h1"], evidence, "supports", 1.0)  # stored hypothesis-first
     posterior = update_posteriors(graph, nodes, labels, beta=1.0)
     assert posterior[0] > posterior[1]
@@ -49,7 +49,7 @@ def test_posterior_invariant_to_global_likelihood_scale():
     beta, gamma = 1.0, 0.8
     for _ in range(50):
         graph, nodes, anchor = graph_with_hypotheses(labels)
-        evidence = graph.add_evidence({"v": 1}, 1.0, 1, causes=[(anchor, "generates")])
+        evidence = graph.add_evidence({"v": 1}, 1.0, causes=[(anchor, "generates")])
         plan = []
         for label in labels:
             kind = "supports" if rng.random() < 0.5 else "contradicts"
@@ -84,7 +84,7 @@ def test_scaling_all_edge_weights_preserves_argmax():
         argmaxes = []
         for factor in (1.0, scale):
             graph, nodes, anchor = graph_with_hypotheses(labels)
-            evidence = graph.add_evidence({"v": 1}, 1.0, 1, causes=[(anchor, "generates")])
+            evidence = graph.add_evidence({"v": 1}, 1.0, causes=[(anchor, "generates")])
             for index, kind, weight in edge_plan:
                 graph.add_edge(evidence, nodes[labels[index]], kind, weight * factor)
             posterior = update_posteriors(graph, nodes, labels)
@@ -95,7 +95,7 @@ def test_scaling_all_edge_weights_preserves_argmax():
 def test_extreme_contradiction_stays_finite_on_the_simplex():
     labels = ("a", "b", "c")
     graph, nodes, anchor = graph_with_hypotheses(labels)
-    evidence = graph.add_evidence({"v": 1}, 1.0, 1, causes=[(anchor, "generates")])
+    evidence = graph.add_evidence({"v": 1}, 1.0, causes=[(anchor, "generates")])
     # 500 unit contradictions drive exp(loglik) of a and b below the smallest double
     for _ in range(500):
         graph.add_edge(evidence, nodes["a"], "contradicts", 1.0)
