@@ -10,28 +10,35 @@ measured by counting target pixels along a ray perpendicular to the axis,
 scaled by the physical step length of that ray (which handles anisotropic
 spacing). The rays of one call (the probe chords ``long_axis`` reads, the
 2 x 10% nearest each end, and the disks of ``disk_diameters``) are sampled
-together in one numpy gather over ``mask.labels``, so target pixels off the
-largest component still count.
+together in one numpy gather, so target pixels off the largest component
+still count. The small scalar work (the axis length, the step window, the
+two probe means and each chord's ``hits * step_mm``) is done in Python
+floats, with the same IEEE operations as numpy's, so an overflow at an
+extreme pixel spacing gives an infinite value, never a numpy warning.
 
 The region is held as row runs (He, Chao & Suzuki, IEEE TIP 2008): maximal
 stretches of a row, columns ``start`` to ``stop - 1``, in raster order.
-Each run points at its first 8-connected neighbour in the row above; a
-union-find over the other neighbours links the later root to the earlier,
-and pointer jumping takes each run to its component's first run, which
-wins a size tie. Moments come in closed form per run, extreme projections
-from the end pixels ``start`` and ``stop - 1``: a rounded projection is
-monotone along a row, so these are a per-pixel min and max, bit for bit.
-The int64 moment sums are exact on any canvas up to 2**15 px a side.
+Each run points at its first 8-connected neighbour in the row above; when
+every run but the first has one, the region is one component and the
+labelling ends there. Otherwise a union-find over the other neighbours
+links the later root to the earlier, and pointer jumping takes each run to
+its component's first run, which wins a size tie. Moments come in closed
+form per run, extreme projections from the end pixels ``start`` and
+``stop - 1``: a rounded projection is monotone along a row, so these are a
+per-pixel min and max, bit for bit. The int64 moment sums are exact on any
+canvas up to 2**15 px a side.
 
-All of this works inside the target label's bounding box, which the mask
-finds once (``SegmentationMask.label_box``) for both calls on a view, as it
-counts the label's pixels once (``pixel_count``). Every component
-of the label lies in that box, so the runs of the crop, offset by the
-box's corner, are those of a whole-canvas scan. A ray is sampled only over
-the steps ``s`` at which it can meet the box, widened by a pixel on each
-side and clipped to the whole-canvas range ``[-max_steps, max_steps]``;
-every target pixel lies in the box, so the hit counts, and with them the
-chords, are exact.
+All of this reads the target label's crop (``SegmentationMask.label_crop``):
+its bounding box with a one-pixel False border, which the mask builds once
+for both calls on a view, as it counts the label's pixels once
+(``pixel_count``). Every component of the label lies in the box, so the
+runs of the crop, offset by the box's corner, are those of a whole-canvas
+scan, and the border ends every row's runs without a copy of the crop. A
+ray is sampled only over the steps ``s`` at which it can meet the box,
+widened by a pixel on each side and clipped to the whole-canvas range
+``[-max_steps, max_steps]``; each sample's indices are clipped onto the
+border, so a sample off the box reads False. Every target pixel lies in
+the box, so the hit counts, and with them the chords, are exact.
 """
 from __future__ import annotations
 
@@ -45,9 +52,6 @@ from ..tools.masks import SegmentationMask
 
 MIN_REGION_PIXELS = 20
 N_PROBE_DISKS = 20  # probes along the axis that judge which end is the apex
-
-# (rows, cols) half-open slices of a label's bounding box
-Box = tuple[slice, slice]
 
 
 @dataclass(frozen=True)
@@ -64,8 +68,10 @@ class LongAxis:
     length_mm: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, self.apex + self.base_mid)):
+            raise DomainError(f"axis ends must be finite, got {self.apex} and {self.base_mid}")
         if not self.length_mm > 0 or not math.isfinite(self.length_mm):
-            raise DomainError(f"axis length must be positive, got {self.length_mm}")
+            raise DomainError(f"axis length must be positive and finite, got {self.length_mm}")
 
 
 def mask_area(mask: SegmentationMask, target_label: int) -> float:
@@ -79,14 +85,16 @@ def mask_area(mask: SegmentationMask, target_label: int) -> float:
 
 
 def _row_runs(crop: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, starts, stops) of the True runs of the 2-D boolean ``crop``, in
-    raster order; a run covers columns ``start`` to ``stop - 1``."""
+    """(rows, starts, stops) of the True runs of the 2-D boolean ``crop``,
+    whose one-pixel border is False, in raster order and in the coordinates
+    of the crop's interior; a run covers columns ``start`` to ``stop - 1``."""
     width = crop.shape[1]
-    # with a False column either side of each row, a run starts or stops
-    # where a pixel differs from the one before it
-    edges = np.flatnonzero(np.diff(crop, axis=1, prepend=False, append=False))
-    rows, starts = np.divmod(edges[0::2], width + 1)
-    return rows, starts, edges[1::2] - rows * (width + 1)
+    flat = crop.reshape(-1)
+    # the border parts every row's runs from the next row's: a run starts
+    # after, and stops at, a pixel that differs from the one after it
+    edges = np.flatnonzero(flat[1:] != flat[:-1])
+    rows, starts = np.divmod(edges[0::2], width)
+    return rows - 1, starts, edges[1::2] - rows * width
 
 
 def _roots(parent: np.ndarray) -> np.ndarray:
@@ -106,6 +114,9 @@ def _largest_component(rows: np.ndarray, starts: np.ndarray, stops: np.ndarray) 
     # run q's neighbours in the row above it are runs lo[q] to hi[q] - 1
     lo = np.searchsorted(last, first - width)
     hi = np.searchsorted(first, last - width, side="right")
+    if (hi[1:] > lo[1:]).all():
+        # each run but the first joins one in the row above: one component
+        return np.ones(n, dtype=bool)
     parent = _roots(np.where(hi > lo, lo, np.arange(n)))
     extra = np.maximum(hi - lo - 1, 0)
     if extra.any():
@@ -171,45 +182,60 @@ def _principal_direction(moments: tuple[int, ...]) -> np.ndarray:
 def _chords_mm(
     mask: SegmentationMask,
     target_label: int,
-    box: Box | None,
     points: np.ndarray,
     perp: np.ndarray,
 ) -> list[float]:
-    """Chord length through each of the (k, 2) ``points`` along ``perp``.
+    """Chord length through each of the (k, 2) finite ``points`` along ``perp``.
 
     Each chord is its hit count on the ray ``point + s * perp`` for integer
     ``s`` in [-max_steps, max_steps], rounded to pixels by floor(x + 0.5),
     times the physical step size. Only the steps whose samples can land in
-    ``box``, the target's bounding box (None when the target is absent),
-    are sampled.
+    the target's bounding box are sampled, and each sample reads the
+    target's ``label_crop`` with its indices clipped onto the crop's False
+    border, so a sample off the box reads False.
     """
     sx, sy = mask.pixel_spacing_mm
-    step_mm = math.hypot(perp[0] * sx, perp[1] * sy)
-    if box is None:
-        return (np.zeros(len(points)) * step_mm).tolist()
-    rows, cols = box
+    px, py = perp.tolist()
+    step_mm = math.hypot(px * sx, py * sy)
+    crop = mask.label_crop(target_label)
+    if crop is None:
+        return [0.0] * len(points)
+    rows, cols = mask.label_box(target_label)
     max_steps = int(math.ceil(math.hypot(*mask.labels.shape))) + 1
-    lo, hi = float(-max_steps), float(max_steps)
-    for c, p, first, stop in (
-        (perp[0], points[:, 0], cols.start, cols.stop),
-        (perp[1], points[:, 1], rows.start, rows.stop),
+    lo, hi = -max_steps, max_steps
+    (x_min, y_min), (x_max, y_max) = points.min(axis=0).tolist(), points.max(axis=0).tolist()
+    for c, p_min, p_max, first, stop in (
+        (px, x_min, x_max, cols.start, cols.stop),
+        (py, y_min, y_max, rows.start, rows.stop),
     ):
         if c == 0:
             continue
         # floor(v + 0.5) lies in [first, stop) iff v lies in [first - 0.5,
-        # stop - 0.5); a margin of one more pixel absorbs rounding. A NaN
-        # bound fails both comparisons and leaves the window as it is.
-        ends = (np.array([[first - 1.5], [stop + 0.5]]) - p) / c
-        lo = max(lo, float(np.floor(ends.min())))
-        hi = min(hi, float(np.ceil(ends.max())))
-    s = np.arange(lo, hi + 1.0) if lo <= hi else np.empty(0)
-    xs = np.floor(points[:, :1] + s * perp[0] + 0.5)
-    ys = np.floor(points[:, 1:] + s * perp[1] + 0.5)
-    inside = (xs >= cols.start) & (xs < cols.stop) & (ys >= rows.start) & (ys < rows.stop)
-    xi = np.where(inside, xs - cols.start, 0).astype(np.intp)
-    yi = np.where(inside, ys - rows.start, 0).astype(np.intp)
-    hits = (inside & (mask.labels[box][yi, xi] == target_label)).sum(axis=1)
-    return (hits * step_mm).tolist()
+        # stop - 0.5); a margin of one more pixel absorbs rounding. Rounding
+        # is monotone, so the extreme points bound every point's window; a
+        # bound past the window (even an infinite one) empties it.
+        ends = [(a - p) / c for a in (first - 1.5, stop + 0.5) for p in (p_min, p_max)]
+        lo = math.floor(min(max(min(ends), lo), hi + 1))
+        hi = math.ceil(max(min(max(ends), hi), lo - 1))
+    s = np.arange(lo, hi + 1)
+    xs = np.floor(points[:, :1] + s * px + 0.5)
+    ys = np.floor(points[:, 1:] + s * py + 0.5)
+    # each sample's crop pixel, clipped onto the border, as a flat index
+    height, width = crop.shape
+    xs -= cols.start - 1
+    ys -= rows.start - 1
+    xs.clip(0, width - 1, out=xs)
+    ys.clip(0, height - 1, out=ys)
+    ys *= width
+    ys += xs
+    hits = crop.reshape(-1)[ys.astype(np.intp)].sum(axis=1)
+    return [h * step_mm for h in hits.tolist()]
+
+
+# probe positions along the axis, as fractions of its length: only the
+# probe disks nearest each end are read
+_NEAR = math.ceil(N_PROBE_DISKS * 0.1)
+_PROBE_T = (np.r_[:_NEAR, N_PROBE_DISKS - _NEAR:N_PROBE_DISKS] + 0.5) / N_PROBE_DISKS
 
 
 def long_axis(mask: SegmentationMask, target_label: int) -> LongAxis:
@@ -227,7 +253,7 @@ def long_axis(mask: SegmentationMask, target_label: int) -> LongAxis:
             f"need at least {MIN_REGION_PIXELS} for a reliable axis"
         )
     box = mask.label_box(target_label)
-    rows, starts, stops = _row_runs(mask.labels[box] == target_label)
+    rows, starts, stops = _row_runs(mask.label_crop(target_label))
     keep = _largest_component(rows, starts, stops)
     rows = rows[keep] + box[0].start
     starts = starts[keep] + box[1].start
@@ -245,30 +271,19 @@ def long_axis(mask: SegmentationMask, target_label: int) -> LongAxis:
     hi = centroid + direction * float(projections.max())
 
     sx, sy = mask.pixel_spacing_mm
-    length_mm = math.hypot((hi[0] - lo[0]) * sx, (hi[1] - lo[1]) * sy)
+    (lo_x, lo_y), (hi_x, hi_y) = lo.tolist(), hi.tolist()
+    length_mm = math.hypot((hi_x - lo_x) * sx, (hi_y - lo_y) * sy)
     if length_mm <= 0:
         raise GeometryError("degenerate region: zero-length principal axis")
 
     perp = np.array([-direction[1], direction[0]])
-    near = math.ceil(N_PROBE_DISKS * 0.1)
-    t = (np.arange(N_PROBE_DISKS) + 0.5) / N_PROBE_DISKS
-    # only the probe disks nearest each end are read
-    t = np.concatenate((t[:near], t[-near:]))
-    widths = _chords_mm(mask, target_label, box, lo + (hi - lo) * t[:, None], perp)
-    width_lo = float(np.mean(widths[:near]))
-    width_hi = float(np.mean(widths[near:]))
+    widths = _chords_mm(mask, target_label, lo + (hi - lo) * _PROBE_T[:, None], perp)
+    width_lo = sum(widths[:_NEAR]) / _NEAR
+    width_hi = sum(widths[_NEAR:]) / _NEAR
 
-    if abs(width_lo - width_hi) <= 1e-6:
-        apex, base = (lo, hi) if lo[1] <= hi[1] else (hi, lo)
-    elif width_lo < width_hi:
-        apex, base = lo, hi
-    else:
-        apex, base = hi, lo
-    return LongAxis(
-        apex=(float(apex[0]), float(apex[1])),
-        base_mid=(float(base[0]), float(base[1])),
-        length_mm=length_mm,
-    )
+    lo_first = lo_y <= hi_y if abs(width_lo - width_hi) <= 1e-6 else width_lo < width_hi
+    ends = ((lo_x, lo_y), (hi_x, hi_y)) if lo_first else ((hi_x, hi_y), (lo_x, lo_y))
+    return LongAxis(*ends, length_mm=length_mm)
 
 
 def disk_diameters(
@@ -284,14 +299,14 @@ def disk_diameters(
     """
     if n_disks < 1:
         raise GeometryError("n_disks must be >= 1")
-    apex = np.array(axis.apex, dtype=np.float64)
-    base = np.array(axis.base_mid, dtype=np.float64)
-    span = base - apex
-    norm = math.hypot(span[0], span[1])
+    (apex_x, apex_y), (base_x, base_y) = axis.apex, axis.base_mid
+    dx, dy = base_x - apex_x, base_y - apex_y
+    norm = math.hypot(dx, dy)
     if norm == 0:
         raise GeometryError("axis endpoints coincide")
-    direction = span / norm
-    perp = np.array([-direction[1], direction[0]])
-    box = mask.label_box(target_label)
+    if norm == math.inf:
+        raise GeometryError("axis span overflows")
+    perp = np.array([-(dy / norm), dx / norm])
     t = (np.arange(n_disks) + 0.5) / n_disks
-    return _chords_mm(mask, target_label, box, apex + span * t[:, None], perp)
+    points = np.array(axis.apex, dtype=np.float64) + np.array([dx, dy]) * t[:, None]
+    return _chords_mm(mask, target_label, points, perp)

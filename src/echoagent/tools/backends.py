@@ -101,10 +101,11 @@ def mock_view_handler(inputs: dict, ctx: InvocationContext):
 def mock_segment_handler(inputs: dict, ctx: InvocationContext):
     study = _run_study(inputs, ctx)
     mask_path = study.mask_path(inputs["phase"])
-    if not mask_path.exists():
-        raise FixtureError(f"missing ground-truth mask {mask_path}")
-    return _segmenter_outputs(read_pgm(mask_path), study, inputs,
-                              study.segmentation_confidence)
+    try:
+        labels = read_pgm(mask_path)
+    except (FileNotFoundError, NotADirectoryError):
+        raise FixtureError(f"missing ground-truth mask {mask_path}") from None
+    return _segmenter_outputs(labels, study, inputs, study.segmentation_confidence)
 
 
 def wire_segment_handler(wire_call):
@@ -130,9 +131,10 @@ def _segmenter_outputs(labels, study: StudySidecar, inputs: dict, confidence: fl
         structure_map=dict(study.structure_map),
     )
     frame_path = study.frame_path(inputs["phase"])
-    if not frame_path.exists():
-        raise FixtureError(f"missing frame {frame_path}")
-    width, height = pgm_dimensions(frame_path)
+    try:
+        width, height = pgm_dimensions(frame_path)
+    except (FileNotFoundError, NotADirectoryError):
+        raise FixtureError(f"missing frame {frame_path}") from None
     if (mask.width, mask.height) != (width, height):
         raise ContractError(
             f"mask dimensions {mask.width}x{mask.height} do not match frame {width}x{height}"

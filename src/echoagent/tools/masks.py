@@ -30,9 +30,9 @@ class SegmentationMask:
     ``LABEL_BLOCK`` pixels, so the check makes no canvas-sized temporary for
     a heap trim to return and the next mask to fault back in.
     A valid mask keeps those counts for ``pixel_count``, each label's bounding
-    box once ``label_box`` has found it, and a read-only view of its labels,
-    so neither can go stale; a caller who keeps writing to the array it
-    passed in must pass a copy.
+    box and bordered crop once ``label_box`` and ``label_crop`` have found
+    them, and a read-only view of its labels, so none can go stale; a caller
+    who keeps writing to the array it passed in must pass a copy.
     """
 
     labels: np.ndarray = field(repr=False)
@@ -56,6 +56,7 @@ class SegmentationMask:
                 self._counts[v] += np.count_nonzero(block == v)
         self._counts[0] = flat.size - np.count_nonzero(flat)
         self._boxes: dict[int, tuple[slice, slice] | None] = {}
+        self._crops: dict[int, np.ndarray | None] = {}
         if sum(self._counts.values()) != self.labels.size:
             present = set(int(v) for v in np.unique(self.labels)) - {0}
             unmapped = sorted(present - set(self.structure_map))
@@ -92,3 +93,19 @@ class SegmentationMask:
                 box = slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
             self._boxes[label] = box
         return self._boxes[label]
+
+    def label_crop(self, label: int) -> np.ndarray | None:
+        """Read-only boolean image of the pixels equal to ``label`` over its
+        ``label_box`` and a one-pixel False border, or None when there are
+        none; built once per label. Crop pixel (i, j) is canvas pixel
+        (box row start + i - 1, box column start + j - 1)."""
+        if label not in self._crops:
+            box = self.label_box(label)
+            crop = None
+            if box is not None:
+                rows, cols = box
+                crop = np.zeros((rows.stop - rows.start + 2, cols.stop - cols.start + 2), dtype=bool)
+                np.equal(self.labels[box], label, out=crop[1:-1, 1:-1])
+                crop.flags.writeable = False
+            self._crops[label] = crop
+        return self._crops[label]

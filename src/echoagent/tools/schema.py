@@ -1,6 +1,7 @@
 """Tiny typed field-list schemas for tool inputs and outputs."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..errors import ContractError
@@ -28,7 +29,8 @@ def _type_ok(value, type_name: str) -> bool:
     if type_name == "string":
         return isinstance(value, str)
     if type_name == "number":
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
+        # finite, so a measurement that overflows fails the step that made it
+        return _type_ok(value, "integer") or (isinstance(value, float) and math.isfinite(value))
     if type_name == "integer":
         return isinstance(value, int) and not isinstance(value, bool)
     if type_name == "boolean":

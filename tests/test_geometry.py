@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import rotate90
 
-from echoagent.errors import GeometryError
+from echoagent.errors import ContractError, DomainError, GeometryError
 from echoagent.fixtures.shapes import ellipse_mask, rect_mask
 from echoagent.hub.toolkit import AREA_TOOL, build_default_registry
+from echoagent.quant import geometry
 from echoagent.quant.geometry import (
     LongAxis,
     _largest_component,
@@ -33,7 +34,7 @@ def largest_component(binary):
     """The run labeller's largest component, drawn back as a boolean image."""
     component = np.zeros_like(binary, dtype=bool)
     if binary.any():
-        rows, starts, stops = _row_runs(binary)
+        rows, starts, stops = _row_runs(np.pad(binary, 1))
         keep = _largest_component(rows, starts, stops)
         for row, start, stop in zip(rows[keep], starts[keep], stops[keep]):
             component[row, start:stop] = True
@@ -98,6 +99,14 @@ def test_area_tool_empty_flag_is_a_zero_pixel_count(data, height, width, target,
     outputs = _area_tool(mask, target).outputs
     assert outputs["empty_structure"] is (count == 0)
     assert outputs["area_mm2"] == count * (spacing[0] * spacing[1])
+
+
+def test_an_overflowing_area_fails_the_area_tool():
+    # the footprint 1.5e308 is finite; 100 px of it are not
+    mask = full_mask(10, (1e308, 1.5))
+    assert mask_area(mask, 1) == math.inf
+    with pytest.raises(ContractError, match="'area_mm2' is not of type number"):
+        _area_tool(mask, 1)
 
 
 def _direction(axis) -> tuple[float, float]:
@@ -335,7 +344,7 @@ def test_largest_component_matches_sum_labels(mask, label):
     )).map(lambda rows: np.array(rows, dtype=bool)),
 )
 def test_row_runs_are_the_maximal_runs_in_raster_order(binary):
-    rows, starts, stops = _row_runs(binary)
+    rows, starts, stops = _row_runs(np.pad(binary, 1))
     drawn = np.zeros_like(binary)
     for row, start, stop in zip(rows, starts, stops):
         assert 0 <= start < stop <= binary.shape[1]
@@ -413,6 +422,28 @@ def test_largest_component_tie_with_a_merged_u_goes_to_first_in_raster_order():
     assert np.array_equal(sum_labels_largest_component(binary), u_shape)
 
 
+@pytest.mark.parametrize("shape, merges", [("u", True), ("n", False), ("block", False)])
+def test_one_component_shortcut_fires_only_when_every_later_run_hangs_from_the_row_above(
+    monkeypatch, shape, merges
+):
+    # a U's first row holds both arms' tops, two trees until the bar joins
+    # them; an upturned U and a block grow from their first run alone
+    binary = np.zeros((14, 11), dtype=bool)
+    if shape == "block":
+        binary[2:12, 2:9] = True
+    else:
+        binary[1:12, 1] = binary[1:12, 8] = True
+        binary[12 if shape == "u" else 1, 1:9] = True
+        binary[1:12, 4] |= shape == "n"  # a middle leg under the bar
+    walks = []
+    roots = geometry._roots
+    monkeypatch.setattr(geometry, "_roots", lambda parent: walks.append(1) or roots(parent))
+    component = largest_component(binary)
+    assert np.array_equal(component, sum_labels_largest_component(binary))
+    assert np.array_equal(component, binary)
+    assert bool(walks) is merges
+
+
 @pytest.mark.parametrize("step", [1, -1])
 def test_pixels_meeting_at_corners_are_one_component(step):
     # a 30 px diagonal chain outweighs a 25 px block only as one component
@@ -438,7 +469,7 @@ def test_half_noise_canvas_matches_the_oracle_bit_for_bit():
 def test_run_moments_are_exact_at_the_canvas_bound():
     # 2**15 px a side: one run ends at x = 32,767 and one row is y = 32,767
     side = 2**15
-    rows, starts, stops = _row_runs(np.ones((1, side), dtype=bool))
+    rows, starts, stops = _row_runs(np.pad(np.ones((1, side), dtype=bool), 1))
     assert (rows.tolist(), starts.tolist(), stops.tolist()) == ([0], [0], [side])
     xs = range(side)
     sum_x, sum_xx = sum(xs), sum(x * x for x in xs)
@@ -517,6 +548,40 @@ def test_box_one_pixel_wide_matches_scalar_chords(transpose):
     assert _hex(disk_diameters(mask, 1, axis, 40)) == _hex(
         scalar_disk_diameters(mask, 1, axis.apex, axis.base_mid, 40)
     )
+
+
+def test_rays_that_leave_the_canvas_on_both_sides_match_scalar_chords():
+    # the target spans the canvas from side to side, so its crop's border is
+    # off the canvas and the rays' samples clip onto it at both ends
+    labels = np.zeros((48, 64), dtype=np.uint8)
+    labels[8:40, :] = 1
+    _tilted_blob(labels, 30, 20, a=40, b=9, theta=0.3)
+    mask = SegmentationMask(labels, (0.6, 0.9), {1: "left ventricle"})
+    assert mask.label_box(1)[1] == slice(0, 64)
+    _assert_matches_scalar(mask, 17)
+    for apex, base_mid in (((31.5, -3.0), (31.5, 50.0)), ((-5.0, 10.0), (70.0, 35.0))):
+        diameters = disk_diameters(mask, 1, LongAxis(apex, base_mid, 1.0), 25)
+        assert _hex(diameters) == _hex(scalar_disk_diameters(mask, 1, apex, base_mid, 25))
+    # a horizontal ray through the band crosses all 64 columns
+    assert disk_diameters(mask, 1, LongAxis((31.5, -3.0), (31.5, 50.0), 1.0), 1) == [
+        64 * 0.6]
+
+
+@pytest.mark.parametrize("apex, base_mid", [
+    ((math.nan, 0.0), (10.0, 10.0)),
+    ((0.0, 0.0), (10.0, math.inf)),
+    ((-math.inf, 5.0), (10.0, 5.0)),
+])
+def test_an_axis_with_a_non_finite_end_is_refused(apex, base_mid):
+    with pytest.raises(DomainError, match="axis ends must be finite"):
+        LongAxis(apex=apex, base_mid=base_mid, length_mm=1.0)
+
+
+def test_an_axis_whose_span_overflows_is_refused():
+    # finite ends whose difference is not: the direction would be NaN
+    axis = LongAxis(apex=(-1e308, 0.0), base_mid=(1e308, 0.0), length_mm=1.0)
+    with pytest.raises(GeometryError, match="overflows"):
+        disk_diameters(rect_mask(32, width_px=10, height_px=20), 1, axis, 4)
 
 
 def test_disks_of_an_absent_label_are_zero_floats():

@@ -617,3 +617,22 @@ def test_rules_that_overlap_or_leave_a_gap_fail_the_grade_step(
     assert conclusion.grade is None
     assert conclusion.ef_percent == pytest.approx(55.2576, abs=5e-5)
     assert conclusion.low_consistency
+
+
+def test_an_overflowing_volume_fails_its_own_step(kb, registry, ef_dataset, tmp_path):
+    # each spacing and the footprint are finite, but every chord is about
+    # 1e200 mm, so each volume overflows to inf
+    shutil.copytree(ef_dataset / "studies" / "study-02", tmp_path / "studies" / "study-02")
+    for view in ("a2c", "a4c"):
+        sidecar_path = tmp_path / "studies" / "study-02" / view / "study.json"
+        sidecar = json.loads(sidecar_path.read_text())
+        sidecar["pixel_spacing_mm"] = [1e200, 1e-200]
+        sidecar_path.write_text(json.dumps(sidecar))
+    conclusion = run_study(kb, registry, tmp_path, "study-02")
+    failed = [e for e in conclusion.invocation_log if e.status != "ok"]
+    assert [(e.tool_name, e.status) for e in failed] == [
+        ("quant.biplane_volume", "contract_error")] * 2
+    assert {e.error for e in failed} == {
+        "quant.biplane_volume outputs: field 'volume_ml' is not of type number"}
+    assert _failures(conclusion, tmp_path)[:2] == [e.error for e in failed]
+    assert conclusion.ef_percent is None and conclusion.grade is None

@@ -147,6 +147,21 @@ def test_label_box_bounds_the_label_and_is_found_once():
     assert mask.label_box(1) is mask.label_box(1)
 
 
+def test_label_crop_is_the_box_inside_a_false_border_and_is_found_once():
+    labels, mask = _two_label_mask()
+    for label in (1, 7, 0):
+        crop, box = mask.label_crop(label), mask.label_box(label)
+        assert crop.dtype == bool and not crop.flags.writeable
+        assert crop.shape == (box[0].stop - box[0].start + 2, box[1].stop - box[1].start + 2)
+        assert np.array_equal(crop[1:-1, 1:-1], labels[box] == label)
+        assert not crop[[0, -1]].any() and not crop[:, [0, -1]].any()
+        assert crop.sum() == mask.pixel_count(label)
+    for absent in (2, 255, 256, -1):
+        assert mask.label_crop(absent) is None
+    # a second call returns the kept crop
+    assert mask.label_crop(1) is mask.label_crop(1)
+
+
 def test_mask_labels_are_read_only():
     labels, mask = _two_label_mask()
     with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +116,36 @@ def test_missing_mask_fixture_is_a_fixture_error(registry, ef_dataset, tmp_path)
     with pytest.raises(FixtureError, match="mask"):
         segment_structure(registry, "echo.segmenter", broken, "ED", "left ventricle")
     assert registry.invocation_log[-1].status == "fixture_error"
+
+
+@pytest.mark.parametrize("remove, message", [
+    (lambda study: (study / "masks" / "ed.pgm").unlink(), "missing ground-truth mask {}/masks/ed.pgm"),
+    (lambda study: (study / "ed.pgm").unlink(), "missing frame {}/ed.pgm"),
+    # a file where the masks directory should be: the path is not there either
+    (lambda study: shutil.rmtree(study / "masks") or (study / "masks").write_text(""),
+     "missing ground-truth mask {}/masks/ed.pgm"),
+], ids=["mask", "frame", "masks-is-a-file"])
+def test_a_deleted_mask_or_frame_is_a_fixture_error_naming_it(
+    registry, ef_dataset, tmp_path, remove, message
+):
+    study = tmp_path / "a2c"
+    shutil.copytree(ef_dataset / "studies" / "study-05" / "a2c", study)
+    remove(study)
+    with pytest.raises(FixtureError) as info:
+        segment_structure(registry, "echo.segmenter", study, "ED", "left ventricle")
+    assert str(info.value) == message.format(study)
+    assert registry.invocation_log[-1].status == "fixture_error"
+
+
+def test_segmentation_opens_its_mask_and_frame_without_a_stat_first(
+    registry, ef_dataset, monkeypatch
+):
+    checked = []
+    exists = Path.exists
+    monkeypatch.setattr(Path, "exists", lambda path: checked.append(path.name) or exists(path))
+    study = ef_dataset / "studies" / "study-05" / "a2c"
+    segment_structure(registry, "echo.segmenter", study, "ED", "left ventricle")
+    assert checked == ["study.json"]
 
 
 def test_mask_frame_dimension_mismatch_is_a_contract_error(registry, ef_dataset, tmp_path):

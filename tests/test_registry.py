@@ -1,3 +1,4 @@
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -134,3 +135,24 @@ def test_mock_determinism_modulo_latency(ef_dataset):
     import numpy as np
 
     assert np.array_equal(first.outputs["mask"].labels, second.outputs["mask"].labels)
+
+
+@pytest.mark.parametrize("ratio", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("where", ["inputs", "outputs"])
+def test_a_non_finite_number_is_a_contract_error(ratio, where):
+    registry = ToolRegistry()
+    descriptor, handler = echo_tool()
+    good = {"text": "a", "count": 1, "ratio": 0.5, "flag": True}
+    registry.register(descriptor, lambda inputs, ctx: ({**inputs, "ratio": ratio}, 1.0))
+    inputs = {**good, "ratio": ratio} if where == "inputs" else good
+    with pytest.raises(ContractError, match=f"t.echo {where}: field 'ratio' is not of type number"):
+        registry.invoke("t.echo", inputs)
+    assert registry.invocation_log[-1].status == "contract_error"
+
+
+def test_an_integer_number_of_any_size_is_a_number():
+    registry = ToolRegistry()
+    descriptor, handler = echo_tool()
+    registry.register(descriptor, handler)
+    inputs = {"text": "a", "count": 1, "ratio": 10**400, "flag": True}
+    assert registry.invoke("t.echo", inputs).outputs["ratio"] == 10**400

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from echoagent.errors import DomainError, VolumeError
+from echoagent.errors import ContractError, DomainError, VolumeError
 from conftest import rescale_spacing, rotate90, translate
 
 from echoagent.fixtures.shapes import (
@@ -13,7 +14,7 @@ from echoagent.fixtures.shapes import (
     rect_mask,
     spheroid_volume_ml,
 )
-from echoagent.hub.toolkit import EF_TOOL, build_default_registry
+from echoagent.hub.toolkit import EF_TOOL, VOLUME_TOOL, build_default_registry
 from echoagent.quant.volume import biplane_volume, ejection_fraction
 
 
@@ -141,3 +142,21 @@ def test_ef_is_scale_invariant(edv, esv_fraction, scale):
     base = ejection_fraction(edv, esv)
     scaled = ejection_fraction(edv * scale, esv * scale)
     assert math.isclose(base, scaled, rel_tol=1e-12, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("spacing, error, message", [
+    # chords of about 20 * 1e308 mm overflow, and with them the volume
+    ((1e308, 1e-300), ContractError, "'volume_ml' is not of type number"),
+    # the axis, about 59 * 1e308 mm long, overflows
+    ((1e-300, 1e308), DomainError, "axis length must be positive and finite, got inf"),
+])
+def test_a_volume_at_an_extreme_spacing_fails_its_step_without_a_warning(spacing, error, message):
+    mask = rect_mask(128, width_px=20, height_px=60, spacing_mm=spacing)
+    registry = build_default_registry()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message):
+            registry.invoke(VOLUME_TOOL, {
+                "mask_a2c": mask, "mask_a4c": mask, "target_label": 1, "n_disks": 20,
+            })
+    assert registry.invocation_log[-1].status == error.status
